@@ -7,7 +7,7 @@ is a discrete supersolution throughout the collar.  The lower barrier comes
 from the operator's symmetry under (u, nu) -> (-u, -nu).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import product
 from typing import Callable
 
@@ -202,8 +202,7 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
 def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
                         params: FlowParams, sup_u_bound: float | None = None) -> Barrier:
     """Lower barrier via the symmetry (u, nu) -> (-u, -nu)."""
-    flipped = FlowParams(epsilon=params.epsilon, nu=-params.nu, sigma=params.sigma,
-                         cfl_factor=params.cfl_factor, dt_override=params.dt_override)
+    flipped = replace(params, nu=-params.nu)
     up = build_upper_barrier(domain, grid, lambda p: -h_fn(p), lambda p: -g_fn(p),
                              flipped, sign=1, sup_u_bound=sup_u_bound)
     return Barrier(sign=-1, slope=up.slope, collar_width=up.collar_width,
@@ -238,8 +237,8 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams,
     steps = 0
     ok = True
     for nu in {params.nu, -params.nu}:
-        p = FlowParams(epsilon=params.epsilon, nu=nu, sigma=params.sigma,
-                       cfl_factor=params.cfl_factor)
+        # the auxiliary problem steps at its own stable dt, never the override
+        p = replace(params, nu=nu, dt_override=None)
         aux = IBVP(problem.domain, one, one)
         res = relax_to_steady(aux, grid, p, tol=tol)
         ok &= res.converged

@@ -312,6 +312,8 @@ def _run_steady(cfg: RunConfig) -> RunSummary:
     grid = _grid_for(cfg)
     problem = _ibvp(cfg)
     res = fl.relax_to_steady(problem, grid, cfg.params, cfg.tolerance)
+    for warning in res.warnings:
+        print(f"[steady] warning: {warning}", file=sys.stderr)
     snaps, times = vf.replicate_steady(res.state.values)
     n_sub = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "sub",
                                         cfg.probe_budget))

@@ -1,4 +1,4 @@
-"""Initial-boundary value problem driver, steady-state relaxation and
+"""Initial-boundary value problem driver, steady-state solve and
 continuation in the smoothing parameter.
 
 One run is sequential in time; independent runs share no mutable state.
@@ -7,15 +7,15 @@ reproducible bit for bit.
 """
 
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import Grid, DomainSpec, boundary_points, admissible_nu_interval
 from .operator import (FlowParams, FieldState, Workspace, boundary_values,
-                       init_state, regularized_rhs, euler_update, stable_dt,
-                       dt_exceeds_stability, BlowUpError)
+                       init_state, regularized_rhs, apply_closure, euler_update,
+                       stable_dt, dt_exceeds_stability, BlowUpError)
 
 COMPATIBILITY_TOL = 1e-10
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -74,15 +74,6 @@ class FlowReport:
     wall_clock: float = 0.0
     aborted: str | None = None
     warnings: list = dc_field(default_factory=list)
-
-    @property
-    def grad_max_t0(self) -> float:
-        return float(self.sup_grad[0])
-
-    def series_matrix(self) -> np.ndarray:
-        """Columns in the canonical output order, residual excluded."""
-        return np.column_stack([self.t, self.sup_u, self.sup_grad, self.sup_ut,
-                                self.energy, self.dissipation, self.source])
 
 
 def _collect_warnings(problem: IBVP, grid: Grid, params: FlowParams) -> list:
@@ -198,36 +189,220 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
 
 @dataclass
 class SteadyResult:
+    """Terminal field of a steady solve and its certificate.
+
+    steps counts residual evaluations after the initial one (on the
+    explicit path, one per Euler step); residual is sup|regularized_rhs|
+    over the interior nodes of the returned field; method names the solver
+    that produced the field.
+    """
+
     state: FieldState
     steps: int
     converged: bool
     residual: float
+    method: str
+    newton_iterations: int
     warnings: list = dc_field(default_factory=list)
 
 
-def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
-                    max_steps: int = DEFAULT_STEP_BUDGET) -> SteadyResult:
-    """Step until sup|rate| < tol; the terminal field is the steady candidate.
+STEADY_METHODS = ("newton", "explicit")
+GMRES_RESTART = 40           # Krylov basis size between restarts
+GMRES_MAX_CYCLES = 20        # restart cycles per linear solve
+NEWTON_MAX_ITERATIONS = 50   # more means the iteration stalled
+LINE_SEARCH_HALVINGS = 10
+EW_GAMMA, EW_ALPHA, EW_ETA_MAX = 0.9, 2.0, 0.9   # Eisenstat-Walker choice 2
+ARMIJO = 1e-4
 
-    The budget guards against the genuinely degenerate regimes; exhaustion
-    returns the best field with converged=False.
+
+@dataclass
+class _NewtonOutcome:
+    """Least-residual iterate of a Newton solve and its full-grid rate."""
+
+    state: FieldState
+    rate: np.ndarray
+    evals: int              # residual evaluations, the initial one excluded
+    iterations: int         # Newton steps up to the returned iterate
+
+
+def _gmres(matvec: Callable, b: np.ndarray, target: float, budget: int,
+           basis: np.ndarray):
+    """Restarted GMRES for J s = b from s = 0, stopping at |b - J s| <= target.
+
+    basis is caller-owned (restart + 1, n) scratch.  The residual at each
+    restart comes from the Arnoldi relation, so matvecs are the only
+    residual evaluations.  Returns (s, matvecs used).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    bvals = boundary_values(grid, problem.boundary_data)
-    ws = Workspace(grid)
-    state = init_state(grid, problem.initial_data, bvals)
+    m = basis.shape[0] - 1
+    s = np.zeros_like(b)
+    r = b
+    beta = float(np.linalg.norm(r))
+    used = 0
+    for _cycle in range(GMRES_MAX_CYCLES):
+        if beta <= target or used >= budget:
+            break
+        basis[0] = r / beta
+        hess = np.zeros((m + 1, m))       # Arnoldi Hessenberg matrix
+        tri = np.zeros((m + 1, m))        # hess after the Givens rotations
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)               # rotated right-hand side beta * e1
+        g[0] = beta
+        for j in range(m):
+            w = matvec(basis[j])
+            used += 1
+            k = j + 1
+            # classical Gram-Schmidt, run twice to keep the basis orthogonal
+            coef = basis[:k] @ w
+            w -= coef @ basis[:k]
+            more = basis[:k] @ w
+            w -= more @ basis[:k]
+            hess[:k, j] = coef + more
+            hess[k, j] = np.linalg.norm(w)
+            basis[k] = w / hess[k, j] if hess[k, j] > 0.0 else 0.0
+            col = hess[:k + 1, j].copy()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rad = np.hypot(col[j], col[k])
+            cs[j], sn[j] = (col[j] / rad, col[k] / rad) if rad > 0.0 else (1.0, 0.0)
+            col[j], col[k] = rad, 0.0
+            tri[:k + 1, j] = col
+            g[j], g[k] = cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[k]) <= target or used >= budget or hess[k, j] == 0.0:
+                break
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            if tri[i, i] == 0.0:
+                return s, used
+            y[i] = (g[i] - tri[i, i + 1:k] @ y[i + 1:]) / tri[i, i]
+        s += y @ basis[:k]
+        coeffs = -(hess[:k + 1, :k] @ y)
+        coeffs[0] += beta
+        r = coeffs @ basis[:k + 1]
+        beta = float(np.linalg.norm(r))
+    return s, used
+
+
+def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
+                   bvals, ws: Workspace, tol: float, budget: int) -> _NewtonOutcome:
+    """Jacobian-free Newton-GMRES on the interior equation rate = 0.
+
+    The unknowns are the interior node values; the ring follows by closure.
+    Jacobian products are forward differences costing one residual
+    evaluation each, the forcing term follows Eisenstat-Walker, and a
+    backtracking line search on |F| globalises.  Returns the iterate of
+    least sup-residual once it is below tol, or when the budget runs out, a
+    value turns non-finite, the line search fails or the iteration stalls.
+    """
+    idx = ws.interior_flat
+    values = state.values
+    f = rate.ravel()[idx]
+    fnorm = float(np.linalg.norm(f))
+    best_sup = float(np.max(np.abs(f)))
+    best_state, best_rate, best_it = state, rate.copy(), 0
+    evals = 0
+    basis = np.empty((GMRES_RESTART + 1, len(idx)))
+
+    def residual(x, out):
+        """Rate of the field with interior x, closed in place in out."""
+        out.ravel()[idx] = x
+        apply_closure(out, grid, bvals)
+        return regularized_rhs(out, grid, params, bvals, ws)
+
+    eta = EW_ETA_MAX
+    fnorm_prev = None
+    for it in range(1, NEWTON_MAX_ITERATIONS + 1):
+        if best_sup < tol or budget - evals < 2:
+            break
+        if fnorm_prev is not None:
+            eta_ew = EW_GAMMA * (fnorm / fnorm_prev) ** EW_ALPHA
+            if EW_GAMMA * eta ** EW_ALPHA > 0.1:
+                eta_ew = max(eta_ew, EW_GAMMA * eta ** EW_ALPHA)
+            eta = min(EW_ETA_MAX, max(eta_ew, 0.5 * tol / fnorm))
+        x = values.ravel()[idx]
+        delta = np.sqrt((1.0 + float(np.linalg.norm(x))) * np.finfo(float).eps)
+        scratch = values.copy()
+
+        def matvec(v):
+            return (residual(x + delta * v, scratch).ravel()[idx] - f) / delta
+
+        step, used = _gmres(matvec, -f, eta * fnorm, budget - evals - 1, basis)
+        evals += used
+        accepted = None
+        lam = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS + 1):
+            if evals >= budget:
+                break
+            trial = values.copy()
+            trial_rate = residual(x + lam * step, trial)
+            ftrial = trial_rate.ravel()[idx]
+            evals += 1
+            if not np.all(np.isfinite(ftrial)):
+                break
+            tnorm = float(np.linalg.norm(ftrial))
+            if tnorm <= (1.0 - ARMIJO * lam * (1.0 - eta)) * fnorm:
+                accepted = trial
+                break
+            lam *= 0.5
+        if accepted is None:
+            break
+        values, f, fnorm_prev, fnorm = accepted, ftrial, fnorm, tnorm
+        sup = float(np.max(np.abs(f)))
+        if sup < best_sup:
+            best_sup, best_it = sup, it
+            best_state, best_rate = FieldState(values, state.time), trial_rate.copy()
+    return _NewtonOutcome(best_state, best_rate, evals, best_it)
+
+
+def _relax_explicit(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
+                    bvals, ws: Workspace, tol: float, budget: int, first_step: int = 1):
+    """Euler steps until sup|rate| < tol or the budget is spent.
+
+    Returns (state, steps taken, sup residual of the returned state).
+    """
     dt = stable_dt(params, grid)
     idx = ws.interior_flat
-    rate = regularized_rhs(state.values, grid, params, bvals, ws)
     res = float(np.max(np.abs(rate.ravel()[idx]))) if len(idx) else 0.0
     steps = 0
-    while res >= tol and steps < max_steps:
-        state = euler_update(state, rate, dt, grid, bvals, ws, step_index=steps + 1)
+    while res >= tol and steps < budget:
+        state = euler_update(state, rate, dt, grid, bvals, ws, step_index=first_step + steps)
         rate = regularized_rhs(state.values, grid, params, bvals, ws)
         res = float(np.max(np.abs(rate.ravel()[idx])))
         steps += 1
-    return SteadyResult(state=state, steps=steps, converged=res < tol, residual=res,
+    return state, steps, res
+
+
+def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
+                    max_steps: int = DEFAULT_STEP_BUDGET,
+                    method: str = "newton") -> SteadyResult:
+    """Solve the steady equation until sup|rate| < tol at the interior nodes.
+
+    method="newton" runs Jacobian-free Newton-GMRES and, if it fails,
+    explicit relaxation from its best iterate with the remaining budget;
+    method="explicit" relaxes by Euler steps of the flow from the start.
+    max_steps caps the residual evaluations after the initial one on both
+    paths; exhaustion returns the best field with converged=False.  The
+    result names the method that produced the field: "explicit" once the
+    fallback has taken a step.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if method not in STEADY_METHODS:
+        raise ValueError(f"method must be one of {STEADY_METHODS}, got {method!r}")
+    bvals = boundary_values(grid, problem.boundary_data)
+    ws = Workspace(grid)
+    state = init_state(grid, problem.initial_data, bvals)
+    rate = regularized_rhs(state.values, grid, params, bvals, ws)
+    used, iterations = 0, 0
+    if method == "newton" and len(ws.interior_flat):
+        nk = _newton_steady(state, rate, grid, params, bvals, ws, tol, max_steps)
+        state, rate, used, iterations = nk.state, nk.rate, nk.evals, nk.iterations
+    # a converged Newton iterate passes through without a step
+    state, steps, res = _relax_explicit(state, rate, grid, params, bvals, ws, tol,
+                                        max_steps - used, first_step=used + 1)
+    return SteadyResult(state=state, steps=used + steps, converged=res < tol, residual=res,
+                        method="explicit" if steps else method,
+                        newton_iterations=iterations,
                         warnings=_collect_warnings(problem, grid, params))
 
 
@@ -252,9 +427,8 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
         raise ValueError("smoothing values must be strictly decreasing")
     fields = []
     for eps in eps_list:
-        p = FlowParams(epsilon=eps, nu=params.nu, sigma=params.sigma,
-                       cfl_factor=params.cfl_factor, dt_override=params.dt_override)
-        rep = solve_ibvp(problem, grid, p, horizon, snapshot_times=(horizon,))
+        rep = solve_ibvp(problem, grid, replace(params, epsilon=eps), horizon,
+                         snapshot_times=(horizon,))
         if rep.aborted:
             raise BlowUpError(f"continuation row eps={eps} aborted: {rep.aborted}")
         fields.append(rep.snapshots[-1][2])

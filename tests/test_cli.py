@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +144,28 @@ def test_main_exit_codes(tmp_path):
     assert rc == 0
     rc = cli.main(["steady", "--config", str(cfg), "--out", str(tmp_path / "o2")])
     assert rc == 2        # experiment kind mismatch
+
+
+def test_import_keeps_scipy_out():
+    # scipy.sparse.linalg alone would add about 30 MB of peak RSS and 0.5 s
+    # to every run; the package is numpy-only
+    src = str(Path(mc.__file__).resolve().parent.parent)
+    code = ("import sys, mcflow, mcflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_steady_warnings_reach_stderr(tmp_path, capsys):
+    text = MINIMAL_FLOW.replace("experiment = flow", "experiment = steady") \
+        .replace("data.boundary = 0", "data.boundary = x1") \
+        .replace("data.initial = 0", "data.initial = x1") \
+        .replace("grid.spacing = 0.0625", "grid.spacing = 0.25")
+    cfg = _write(tmp_path, text)
+    cli.main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert "[steady] warning: grid spacing above an eighth" in err
 
 
 def test_main_missing_config(tmp_path):

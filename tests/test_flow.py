@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mcflow as mc
 from mcflow import flow as fl
@@ -94,6 +95,59 @@ def test_relax_rejects_bad_tolerance(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     with pytest.raises(ValueError):
         mc.relax_to_steady(prob, grid16, mc.FlowParams(epsilon=0.05), tol=0.0)
+
+
+def test_relax_rejects_unknown_method(unit_ball, grid16):
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    with pytest.raises(ValueError, match="method"):
+        mc.relax_to_steady(prob, grid16, mc.FlowParams(epsilon=0.05), tol=1e-6,
+                           method="multigrid")
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(h=st.sampled_from((1 / 8, 1 / 16)),
+       angle=st.floats(-np.pi / 6, np.pi / 6),
+       nu=st.sampled_from((0.0, 0.3, -0.3)))
+def test_newton_matches_explicit_oracle(unit_ball, h, angle, nu):
+    grid = mc.build_grid(unit_ball, h)
+    c, s = np.cos(angle), np.sin(angle)
+    data = lambda p: c * p[:, 0] + s * p[:, 1]
+    prob = mc.IBVP(unit_ball, data, data)
+    params = mc.FlowParams(epsilon=0.05, nu=nu)
+    tol = 1e-7
+    newton = mc.relax_to_steady(prob, grid, params, tol=tol)
+    assert newton.method == "newton" and newton.converged
+    fresh = mc.regularized_rhs(newton.state.values, grid, params,
+                               mc.boundary_values(grid, data))
+    assert newton.residual == float(np.max(np.abs(fresh[grid.interior])))
+    assert newton.residual < tol
+    explicit = mc.relax_to_steady(prob, grid, params, tol=tol, method="explicit")
+    assert explicit.method == "explicit" and explicit.converged
+    gap = np.max(np.abs(newton.state.values[grid.inside] - explicit.state.values[grid.inside]))
+    assert gap <= 1e-6
+
+
+def test_newton_failure_falls_back_to_explicit(unit_ball, grid16, monkeypatch):
+    # Newton cut off after 30 residual evaluations: the explicit loop must
+    # finish from its best iterate and count both phases in steps
+    real = fl._newton_steady
+    outcomes = []
+
+    def cut_short(state, rate, grid, params, bvals, ws, tol, budget):
+        out = real(state, rate, grid, params, bvals, ws, tol, 30)
+        assert np.max(np.abs(out.rate[grid.interior])) >= tol
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(fl, "_newton_steady", cut_short)
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    res = mc.relax_to_steady(prob, grid16, mc.FlowParams(epsilon=0.05, nu=0.3), tol=1e-6)
+    assert res.method == "explicit"
+    assert res.converged and res.residual < 1e-6
+    assert res.newton_iterations == outcomes[0].iterations
+    assert res.steps > outcomes[0].evals == 30
+    center = res.state.values[tuple(np.array(grid16.shape) // 2)]
+    assert center == pytest.approx(STEADY_CENTER_H16_NU03, abs=1e-6)
 
 
 def test_continuation_stationary_data_eps_independent(unit_ball, grid16):
