@@ -9,7 +9,7 @@ from .geometry import (DomainSpec, Grid, ball, ellipse, smoothed_stadium,
 from .operator import (FlowParams, FieldState, BoundaryValues, Workspace,
                        boundary_values, node_gradient, regularized_rhs,
                        rate_closed_form, diffusion_tensor, stable_dt, step,
-                       step_with_rate, init_state, apply_closure,
+                       march, init_state, apply_closure,
                        boundary_trace_residual, quadrature, BlowUpError,
                        OperatorError)
 from .flow import (IBVP, FlowReport, SteadyResult, ContinuationTable,

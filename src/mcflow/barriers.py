@@ -16,8 +16,7 @@ import numpy as np
 from .geometry import (DomainSpec, Grid, signed_distance, boundary_points,
                        boundary_mean_curvature_bound)
 from .flow import IBVP, relax_to_steady
-from .operator import (FlowParams, Workspace, boundary_values, init_state,
-                       regularized_rhs, euler_update, stable_dt)
+from .operator import FlowParams, boundary_values, init_state, march, stable_dt
 
 H0_THRESHOLD = 1e-3
 LIPSCHITZ_SAFETY = 1.5
@@ -39,6 +38,7 @@ class Barrier:
     psi: np.ndarray             # sampled on all inside nodes, NaN outside
     collar: np.ndarray          # bool mask of collar nodes
     intro_bound_violated: bool = False
+    sup_u_bound: float | None = None   # flow sup bound the slope was sized for
 
 
 def reach_estimate(domain: DomainSpec) -> float:
@@ -122,10 +122,10 @@ def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: G
 
     pts = grid.points[barrier.collar]
     grad, hess = _fd_gradient_hessian(f, pts, grid.spacing)
-    s2 = params.epsilon ** 2 + params.sigma ** 2 * np.sum(grad ** 2, axis=1)
+    s2 = params.epsilon ** 2 + np.sum(grad ** 2, axis=1)
     trace = np.trace(hess, axis1=1, axis2=2)
     pmp = np.einsum("ni,nij,nj->n", grad, hess, grad)
-    vals = trace - params.sigma ** 2 * pmp / s2 + params.sigma * params.nu * np.sqrt(s2)
+    vals = trace - pmp / s2 + params.nu * np.sqrt(s2)
     # upper barrier needs -rate >= 0, lower needs rate >= 0
     return float(np.min(-sign * vals))
 
@@ -137,7 +137,8 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
 
     Requires a positive curvature lower bound and |nu| < n*H0 (the bound
     the supersolution margin actually needs); drifts past the stricter
-    admissible-interval bound are flagged, not rejected.
+    admissible-interval bound are flagged, not rejected.  Without
+    sup_u_bound, nu != 0 costs the two steady solves of sup_norm_bound.
     """
     n = domain.dim - 1
     h0 = boundary_mean_curvature_bound(domain)
@@ -181,10 +182,10 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
         return barrier_supersolution_residual(b, domain, grid, h_fn, params)
 
     # sampled lower-order residual bound, then the slope the margin needs
-    gap = n * h0 - abs(params.nu) * params.sigma ** 2
+    gap = n * h0 - abs(params.nu)
     res = residual_for(lam)
     c_res = max(0.0, lam * gap - res)
-    lam = max(lam, (c_res + 1.0) / (n * h0 - abs(params.nu)))
+    lam = max(lam, (c_res + 1.0) / gap)
 
     for _ in range(20):
         res = residual_for(lam)
@@ -196,7 +197,8 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
         raise BarrierError("no barrier slope certified within the doubling budget")
 
     return Barrier(sign=sign, slope=lam, collar_width=rho, data_lipschitz=beta,
-                   psi=sign * lam * d, collar=collar, intro_bound_violated=intro_violated)
+                   psi=sign * lam * d, collar=collar, intro_bound_violated=intro_violated,
+                   sup_u_bound=sup_u_bound)
 
 
 def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
@@ -207,7 +209,7 @@ def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
                              flipped, sign=1, sup_u_bound=sup_u_bound)
     return Barrier(sign=-1, slope=up.slope, collar_width=up.collar_width,
                    data_lipschitz=up.data_lipschitz, psi=-up.psi, collar=up.collar,
-                   intro_bound_violated=up.intro_bound_violated)
+                   intro_bound_violated=up.intro_bound_violated, sup_u_bound=up.sup_u_bound)
 
 
 @dataclass
@@ -275,20 +277,14 @@ def comparison_experiment(problem_low: IBVP, problem_high: IBVP, grid: Grid,
 
     bv_lo = boundary_values(grid, problem_low.boundary_data)
     bv_hi = boundary_values(grid, problem_high.boundary_data)
-    ws = Workspace(grid)
     lo = init_state(grid, problem_low.initial_data, bv_lo)
     hi = init_state(grid, problem_high.initial_data, bv_hi)
-    dt = stable_dt(params, grid)
-    n_steps = max(int(np.floor(horizon / dt + 1e-12)), 0)
+    n_steps = max(int(np.floor(horizon / stable_dt(params, grid) + 1e-12)), 0)
     inside = grid.inside
 
-    viol = [float(np.max(lo.values[inside] - hi.values[inside]))]
-    for k in range(1, n_steps + 1):
-        r_lo = regularized_rhs(lo.values, grid, params, bv_lo, ws).copy()
-        r_hi = regularized_rhs(hi.values, grid, params, bv_hi, ws)
-        lo = euler_update(lo, r_lo, dt, grid, bv_lo, ws, k)
-        hi = euler_update(hi, r_hi, dt, grid, bv_hi, ws, k)
-        viol.append(float(np.max(lo.values[inside] - hi.values[inside])))
+    viol = [float(np.max(lo.values[inside] - hi.values[inside]))
+            for (_, lo, _), (_, hi, _) in zip(march(lo, grid, params, bv_lo, n_steps),
+                                              march(hi, grid, params, bv_hi, n_steps))]
     per_step = np.maximum(np.array(viol), 0.0)
     return ComparisonReport(max_violation=float(per_step.max()), steps=n_steps,
                             per_step=per_step)

@@ -22,12 +22,24 @@ from . import barriers as ba
 from . import verify as vf
 from . import liouville as lv
 from .expressions import parse_expression, ExpressionError
-from .operator import FlowParams, OperatorError
+from .operator import FlowParams, OperatorError, BlowUpError
 
 SNAPSHOT_MAGIC = b"MCFGRID1"
 CSV_HEADER = "t,sup_u,sup_grad,sup_ut,J,diss,src,resid"
 EXPERIMENTS = ("flow", "steady", "continuation", "barrier", "comparison",
                "viscosity", "liouville")
+CONFIG_KEYS = frozenset((
+    "experiment",
+    "domain.kind", "domain.dim", "domain.center", "domain.radius", "domain.semi_major",
+    "domain.semi_minor", "domain.half_width", "domain.straight_half_length",
+    "domain.corner_radius",
+    "data.boundary", "data.initial",
+    "params.epsilon", "params.nu", "params.cfl_factor", "params.dt_override",
+    "grid.spacing",
+    "run.horizon", "run.snapshot_times", "run.tolerance", "run.eps_list", "run.seed",
+    "run.pairs", "run.probe_budget", "run.out_dir",
+    "liouville.plateau_start", "liouville.plateau_value", "liouville.plateau_margin",
+))
 
 
 class ConfigError(ValueError):
@@ -86,8 +98,10 @@ def _parse_kv(path) -> dict:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, val = stripped.split("=", 1)
-        raw[key.strip()] = val.strip()
+        key, val = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        raw[key] = val
     return raw
 
 
@@ -117,9 +131,10 @@ def _domain_from(raw: dict) -> geo.DomainSpec:
 def load_config(path, out_dir=None) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Expressions are smoke-tested at 10 random domain points, the smoothing
-    parameter must be strictly positive, and boundary/initial data must
-    agree on the boundary (the max mismatch is reported on rejection).
+    Keys outside CONFIG_KEYS are rejected with their line, expressions are
+    smoke-tested at 10 random domain points, the smoothing parameter must
+    be strictly positive, and boundary/initial data must agree on the
+    boundary (the max mismatch is reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -145,7 +160,6 @@ def load_config(path, out_dir=None) -> RunConfig:
         params = FlowParams(
             epsilon=float(raw.get("params.epsilon", "0.05")),
             nu=float(raw.get("params.nu", "0")),
-            sigma=float(raw.get("params.sigma", "1")),
             cfl_factor=float(raw.get("params.cfl_factor", "0.25")),
             dt_override=float(raw["params.dt_override"]) if "params.dt_override" in raw else None,
         )
@@ -269,10 +283,16 @@ def _ibvp(cfg: RunConfig) -> fl.IBVP:
     return fl.IBVP(cfg.domain, cfg.boundary_expr, cfg.initial_expr)
 
 
+def _print_warnings(experiment: str, warnings: list) -> None:
+    for warning in warnings:
+        print(f"[{experiment}] warning: {warning}", file=sys.stderr)
+
+
 def _run_flow(cfg: RunConfig) -> RunSummary:
     grid = _grid_for(cfg)
     problem = _ibvp(cfg)
     report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon, cfg.snapshot_times)
+    _print_warnings("flow", report.warnings)
     checks = []
     h = grid.spacing
     b0 = vf.ut_initial_slice_bound(problem, grid, cfg.params)
@@ -312,8 +332,7 @@ def _run_steady(cfg: RunConfig) -> RunSummary:
     grid = _grid_for(cfg)
     problem = _ibvp(cfg)
     res = fl.relax_to_steady(problem, grid, cfg.params, cfg.tolerance)
-    for warning in res.warnings:
-        print(f"[steady] warning: {warning}", file=sys.stderr)
+    _print_warnings("steady", res.warnings)
     snaps, times = vf.replicate_steady(res.state.values)
     n_sub = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "sub",
                                         cfg.probe_budget))
@@ -358,8 +377,9 @@ def _run_barrier(cfg: RunConfig) -> RunSummary:
     h = grid.spacing
     upper = ba.build_upper_barrier(cfg.domain, grid, cfg.boundary_expr,
                                    cfg.initial_expr, cfg.params)
-    lower = ba.build_lower_barrier(cfg.domain, grid, cfg.boundary_expr,
-                                   cfg.initial_expr, cfg.params)
+    # the bound depends on |data| and on {nu, -nu}: the mirrored problem shares it
+    lower = ba.build_lower_barrier(cfg.domain, grid, cfg.boundary_expr, cfg.initial_expr,
+                                   cfg.params, sup_u_bound=upper.sup_u_bound)
     r_up = ba.barrier_supersolution_residual(upper, cfg.domain, grid,
                                              cfg.boundary_expr, cfg.params)
     r_lo = ba.barrier_supersolution_residual(lower, cfg.domain, grid,
@@ -367,6 +387,7 @@ def _run_barrier(cfg: RunConfig) -> RunSummary:
     problem = _ibvp(cfg)
     report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon,
                            snapshot_times=np.linspace(0, cfg.horizon, 9))
+    _print_warnings("barrier", report.warnings)
     worst = -np.inf
     hvals = np.full(grid.shape, np.nan)
     hvals[grid.inside] = cfg.boundary_expr(grid.points[grid.inside])
@@ -413,6 +434,7 @@ def _run_viscosity(cfg: RunConfig) -> RunSummary:
     dt = cfg.horizon / 4
     times = (cfg.horizon - 2 * dt, cfg.horizon - dt, cfg.horizon)
     report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon, snapshot_times=times)
+    _print_warnings("viscosity", report.warnings)
     snaps = [s[2] for s in report.snapshots]
     stimes = [s[1] for s in report.snapshots]
     violations = []
@@ -494,6 +516,16 @@ def run(cfg: RunConfig) -> RunSummary:
     return _RUNNERS[cfg.experiment](cfg)
 
 
+def _run_reported(job) -> RunSummary | None:
+    """Run one (path, config) job; a blow-up is reported and yields None."""
+    path, cfg = job
+    try:
+        return run(cfg)
+    except BlowUpError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mcflow",
@@ -528,14 +560,18 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         configs.append(cfg)
 
-    if args.batch > 1 and len(configs) > 1:
+    jobs = list(zip(args.config, configs))
+    if args.batch > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=args.batch) as pool:
-            summaries = list(pool.map(run, configs))
+            summaries = list(pool.map(_run_reported, jobs))
     else:
-        summaries = [run(c) for c in configs]
+        summaries = [_run_reported(job) for job in jobs]
 
     ok = True
-    for cfg, summary in zip(configs, summaries):
+    for summary in summaries:
+        if summary is None:
+            ok = False
+            continue
         for p in summary.properties:
             status = "pass" if p.passed else "FAIL"
             print(f"[{summary.experiment}] {p.name}: {status} "

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Grid, DomainSpec, boundary_points, admissible_nu_interval
 from .operator import (FlowParams, FieldState, Workspace, boundary_values,
-                       init_state, regularized_rhs, apply_closure, euler_update,
+                       init_state, regularized_rhs, apply_closure, march,
                        stable_dt, dt_exceeds_stability, BlowUpError)
 
 COMPATIBILITY_TOL = 1e-10
@@ -92,11 +92,8 @@ def _collect_warnings(problem: IBVP, grid: Grid, params: FlowParams) -> list:
 class _Recorder:
     """Accumulates per-step diagnostics from the live workspace."""
 
-    def __init__(self, grid: Grid, params: FlowParams, ws: Workspace):
-        self.grid = grid
-        self.eps2 = params.epsilon ** 2
+    def __init__(self, grid: Grid, params: FlowParams):
         self.nu = params.nu
-        self.ws = ws
         self.rows = {k: [] for k in ("t", "sup_u", "min_u", "max_u", "sup_grad",
                                      "sup_gi", "sup_gr", "sup_ut", "J", "D", "S", "Q")}
         self.wvol = grid.qweight * grid.spacing ** grid.dim
@@ -105,15 +102,11 @@ class _Recorder:
         self.ring = grid.near_boundary
         self.has_ring = bool(self.ring.any())
 
-    def record(self, state: FieldState, rate: np.ndarray):
-        # ws.grads holds the gradient of exactly this state (same rhs call)
-        g2 = np.zeros(self.grid.shape)
-        for k in range(self.grid.dim):
-            g2 += self.ws.grads[k] ** 2
+    def record(self, state: FieldState, ws: Workspace):
+        # ws holds the rate, gradient and smoothed norm of exactly this state
         with np.errstate(invalid="ignore"):
-            gmag = np.sqrt(g2)
-            s = np.sqrt(g2 + self.eps2)
-        r = np.where(self.interior, rate, 0.0)
+            gmag = np.sqrt(np.sum(ws.grads ** 2, axis=0))
+        r = np.where(self.interior, ws.rate, 0.0)
         rows = self.rows
         rows["t"].append(state.time)
         uin = state.values[self.inside]
@@ -124,10 +117,10 @@ class _Recorder:
         rows["sup_gi"].append(float(np.max(gmag[self.interior])) if self.interior.any() else 0.0)
         rows["sup_gr"].append(float(np.max(gmag[self.ring])) if self.has_ring else 0.0)
         rows["sup_ut"].append(float(np.max(np.abs(r[self.interior]))) if self.interior.any() else 0.0)
-        svals = np.where(self.inside, s, 0.0)
+        svals = np.where(self.inside, ws.s_node, 0.0)
         rows["J"].append(float(np.sum(svals * self.wvol)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(self.inside, r * r / s, 0.0)
+            d = np.where(self.inside, r * r / ws.s_node, 0.0)
         rows["D"].append(float(np.sum(d * self.wvol)))
         rows["S"].append(self.nu * float(np.sum(r * self.wvol)))
         rows["Q"].append(float(np.sum(r * r * self.wvol)))
@@ -143,33 +136,21 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     """
     t0 = _time.perf_counter()
     bvals = boundary_values(grid, problem.boundary_data)
-    ws = Workspace(grid)
     state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
     n_steps = max(int(np.floor(horizon / dt + 1e-12)), 0)
-    snap_steps = sorted({min(int(np.floor(ts / dt + 1e-12)), n_steps) for ts in snapshot_times})
+    snap_steps = {min(int(np.floor(ts / dt + 1e-12)), n_steps) for ts in snapshot_times}
 
-    rec = _Recorder(grid, params, ws)
+    rec = _Recorder(grid, params)
     snapshots = []
     aborted = None
-
-    rate = regularized_rhs(state.values, grid, params, bvals, ws)
-    rec.record(state, rate)
-    if 0 in snap_steps:
-        snapshots.append((0, state.time, state.values.copy()))
-
-    k = 0
-    for k in range(1, n_steps + 1):
-        try:
-            state = euler_update(state, rate, dt, grid, bvals, ws, step_index=k)
-        except BlowUpError as exc:
-            aborted = str(exc)
-            k -= 1
-            break
-        rate = regularized_rhs(state.values, grid, params, bvals, ws)
-        rec.record(state, rate)
-        if k in snap_steps:
-            snapshots.append((k, state.time, state.values.copy()))
+    try:
+        for k, state, ws in march(state, grid, params, bvals, n_steps):
+            rec.record(state, ws)
+            if k in snap_steps:
+                snapshots.append((k, state.time, state.values.copy()))
+    except BlowUpError as exc:
+        aborted = str(exc)
 
     rows = rec.rows
     return FlowReport(
@@ -192,7 +173,8 @@ class SteadyResult:
     """Terminal field of a steady solve and its certificate.
 
     steps counts residual evaluations after the initial one (on the
-    explicit path, one per Euler step); residual is sup|regularized_rhs|
+    explicit path, one per Euler step; the fallback's restart evaluation is
+    not counted); residual is sup|regularized_rhs|
     over the interior nodes of the returned field; method names the solver
     that produced the field.
     """
@@ -354,24 +336,6 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
     return _NewtonOutcome(best_state, best_rate, evals, best_it)
 
 
-def _relax_explicit(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
-                    bvals, ws: Workspace, tol: float, budget: int, first_step: int = 1):
-    """Euler steps until sup|rate| < tol or the budget is spent.
-
-    Returns (state, steps taken, sup residual of the returned state).
-    """
-    dt = stable_dt(params, grid)
-    idx = ws.interior_flat
-    res = float(np.max(np.abs(rate.ravel()[idx]))) if len(idx) else 0.0
-    steps = 0
-    while res >= tol and steps < budget:
-        state = euler_update(state, rate, dt, grid, bvals, ws, step_index=first_step + steps)
-        rate = regularized_rhs(state.values, grid, params, bvals, ws)
-        res = float(np.max(np.abs(rate.ravel()[idx])))
-        steps += 1
-    return state, steps, res
-
-
 def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
                     max_steps: int = DEFAULT_STEP_BUDGET,
                     method: str = "newton") -> SteadyResult:
@@ -390,16 +354,22 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     if method not in STEADY_METHODS:
         raise ValueError(f"method must be one of {STEADY_METHODS}, got {method!r}")
     bvals = boundary_values(grid, problem.boundary_data)
-    ws = Workspace(grid)
     state = init_state(grid, problem.initial_data, bvals)
-    rate = regularized_rhs(state.values, grid, params, bvals, ws)
-    used, iterations = 0, 0
-    if method == "newton" and len(ws.interior_flat):
+    used, iterations, steps, res = 0, 0, 0, np.inf
+    if method == "newton" and grid.interior.any():
+        ws = Workspace(grid)
+        rate = regularized_rhs(state.values, grid, params, bvals, ws)
         nk = _newton_steady(state, rate, grid, params, bvals, ws, tol, max_steps)
-        state, rate, used, iterations = nk.state, nk.rate, nk.evals, nk.iterations
-    # a converged Newton iterate passes through without a step
-    state, steps, res = _relax_explicit(state, rate, grid, params, bvals, ws, tol,
-                                        max_steps - used, first_step=used + 1)
+        state, used, iterations = nk.state, nk.evals, nk.iterations
+        res = float(np.max(np.abs(nk.rate.ravel()[ws.interior_flat])))
+    if res >= tol:
+        # Euler steps from the data or from Newton's best iterate
+        for k, state, ws in march(state, grid, params, bvals, max_steps - used, used + 1):
+            idx = ws.interior_flat
+            res = float(np.max(np.abs(ws.rate.ravel()[idx]))) if len(idx) else 0.0
+            if res < tol:
+                break
+        steps = k - used
     return SteadyResult(state=state, steps=used + steps, converged=res < tol, residual=res,
                         method="explicit" if steps else method,
                         newton_iterations=iterations,

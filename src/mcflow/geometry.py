@@ -119,7 +119,7 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _ellipse_profile_point(domain: DomainSpec, pts: np.ndarray):
+def _ellipse_profile_point(pts: np.ndarray):
     """Reduce to the planar problem: (axial coord, transverse radius)."""
     u = pts[:, 0]
     v = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
@@ -198,7 +198,7 @@ def signed_distance(domain: DomainSpec, x) -> np.ndarray:
         d = _stadium_signed_distance(domain, pts)
     else:
         a, b = domain.semi_major, domain.semi_minor
-        u, v = _ellipse_profile_point(domain, pts)
+        u, v = _ellipse_profile_point(pts)
         bu, bv = _project_ellipse(a, b, u, v)
         dist = np.sqrt((np.abs(u) - bu) ** 2 + (np.abs(v) - bv) ** 2)
         inside = (u / a) ** 2 + (v / b) ** 2 < 1.0

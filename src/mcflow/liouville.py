@@ -17,8 +17,7 @@ import numpy as np
 
 from .geometry import DomainSpec, Grid, smoothed_stadium
 from .flow import IBVP
-from .operator import (FlowParams, Workspace, boundary_values, init_state,
-                       regularized_rhs, euler_update, stable_dt)
+from .operator import FlowParams, boundary_values, init_state, march, stable_dt
 
 ENVELOPE_SAMPLES = 1000
 
@@ -104,9 +103,6 @@ class EnvelopePair:
 
     def lower_profile(self, taus: np.ndarray) -> np.ndarray:
         return self.lower(np.asarray(taus, dtype=float))
-
-    def upper_profile(self, taus: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        return np.full(np.shape(taus), self.upper_value)
 
 
 def _smoothed_ramp(lam: float, corner: float, steep: float, width: float):
@@ -213,7 +209,6 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     env = build_envelopes(problem)
     ibvp = problem.ibvp()
     bvals = boundary_values(grid, ibvp.boundary_data)
-    ws = Workspace(grid)
     state = init_state(grid, ibvp.initial_data, bvals)
     dt = stable_dt(params, grid)
     n_steps = max(int(np.floor(horizon / dt + 1e-12)), 0)
@@ -234,8 +229,7 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     pair &= edge
 
     rows = {k: [] for k in ("t", "F", "lo", "hi", "mono")}
-
-    def record(st):
+    for _, st, _ in march(state, grid, params, bvals, n_steps):
         u = st.values
         rows["t"].append(st.time)
         rows["F"].append(float(np.max(np.abs(u[deep] - lam))) if deep.any() else 0.0)
@@ -244,12 +238,6 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
         rows["hi"].append(float(np.max(np.maximum(u[inside] - lam - drift, 0.0))))
         nxt = np.roll(u, -1, axis=axis)
         rows["mono"].append(float(np.max(np.maximum(u[pair] - nxt[pair], 0.0))) if pair.any() else 0.0)
-
-    record(state)
-    for k in range(1, n_steps + 1):
-        rate = regularized_rhs(state.values, grid, params, bvals, ws)
-        state = euler_update(state, rate, dt, grid, bvals, ws, k)
-        record(state)
 
     flat = np.array(rows["F"])
     return LiouvilleReport(t=np.array(rows["t"]), flatness=flat,

@@ -2,7 +2,7 @@
 
 The evolution law is
 
-    u_t = sqrt(eps^2 + sigma^2 |grad u|^2) * (div(grad u / sqrt(eps^2 + sigma^2 |grad u|^2)) + sigma*nu)
+    u_t = sqrt(eps^2 + |grad u|^2) * (div(grad u / sqrt(eps^2 + |grad u|^2)) + nu)
 
 discretized in flux form: face-centered fluxes F = grad u / s with the
 normal component from the two face nodes and tangential components
@@ -12,6 +12,8 @@ nonuniform differences at near-boundary nodes, so no stencil ever reads an
 exterior node.  Near-boundary nodes are not time-stepped: after each Euler
 update they are closed by interpolation along their nearest boundary cut,
 which imposes the boundary trace exactly and keeps the update monotone.
+Every time-stepped experiment advances through the one forward-Euler
+generator `march`.
 """
 
 from dataclasses import dataclass
@@ -40,22 +42,17 @@ class FlowParams:
     """Knobs of the regularized operator and its explicit time step.
 
     epsilon smooths the gradient norm (strictly positive; the raw equation
-    is never stepped directly), nu is the constant driving speed, sigma is
-    the operator homotopy weight (1.0 is the supported semantics; other
-    values are exposed for diagnostics only).
+    is never stepped directly) and nu is the constant driving speed.
     """
 
     epsilon: float
     nu: float = 0.0
-    sigma: float = 1.0
     cfl_factor: float = 0.25
     dt_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise OperatorError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise OperatorError(f"sigma must lie in [0, 1], got {self.sigma}")
         if not 0.0 < self.cfl_factor <= 0.5:
             raise OperatorError(f"cfl_factor must lie in (0, 0.5], got {self.cfl_factor}")
         if self.dt_override is not None and self.dt_override <= 0:
@@ -293,20 +290,18 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                     bvals: BoundaryValues, ws: Workspace | None = None) -> np.ndarray:
     """Evolution rate at interior nodes (NaN elsewhere).
 
-    Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + sigma*nu) with
-    s = sqrt(eps^2 + sigma^2 |grad u|^2).  Equals the trace form
-    (delta_kl - sigma^2 u_k u_l / s^2) u_kl + sigma*nu*s up to O(h^2).
+    Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + nu) with
+    s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
+    (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).
     """
     ws = ws or Workspace(grid)
     h = grid.spacing
     eps2 = params.epsilon ** 2
-    sg2 = params.sigma ** 2
     grads = node_gradient(values, grid, bvals, ws)
     with np.errstate(invalid="ignore"):
         np.multiply(grads[0], grads[0], out=ws.s_node)
         for j in range(1, grid.dim):
             ws.s_node += grads[j] ** 2
-        ws.s_node *= sg2
         ws.s_node += eps2
         np.sqrt(ws.s_node, out=ws.s_node)
 
@@ -330,14 +325,13 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
             # acc = tangential |grad|^2 at the face; assemble s_face in place
             np.multiply(dn[lo], dn[lo], out=ws.tmp[lo])
             acc[lo] += ws.tmp[lo]
-            acc[lo] *= sg2
             acc[lo] += eps2
             np.sqrt(acc[lo], out=acc[lo])
             np.divide(dn[lo], acc[lo], out=flux[lo])
             np.subtract(flux[hi], flux[lo], out=ws.tmp[hi])
             div[hi] += ws.tmp[hi]
         div /= h
-        div += params.sigma * params.nu
+        div += params.nu
         np.multiply(ws.s_node, div, out=ws.rate)
         ws.rate[~grid.interior] = np.nan
     return ws.rate
@@ -347,21 +341,19 @@ def rate_closed_form(p: np.ndarray, hess: np.ndarray, params: FlowParams) -> flo
     """Pointwise trace-form rate for exact gradient p and Hessian hess.
 
     Oracle for tests and barrier diagnostics:
-    (delta_kl - sigma^2 p_k p_l / (eps^2 + sigma^2 |p|^2)) hess_kl
-    + sigma * nu * sqrt(eps^2 + sigma^2 |p|^2).
+    (delta_kl - p_k p_l / (eps^2 + |p|^2)) hess_kl + nu * sqrt(eps^2 + |p|^2).
     """
     p = np.asarray(p, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    s2 = params.epsilon ** 2 + params.sigma ** 2 * float(p @ p)
-    tensor = np.eye(len(p)) - params.sigma ** 2 * np.outer(p, p) / s2
-    return float(np.sum(tensor * hess) + params.sigma * params.nu * np.sqrt(s2))
+    s2 = params.epsilon ** 2 + float(p @ p)
+    return float(np.sum(diffusion_tensor(p, params) * np.asarray(hess, dtype=float))
+                 + params.nu * np.sqrt(s2))
 
 
 def diffusion_tensor(p: np.ndarray, params: FlowParams) -> np.ndarray:
     """The degenerate diffusion tensor at gradient p; eigenvalues lie in (0, 1]."""
     p = np.asarray(p, dtype=float)
-    s2 = params.epsilon ** 2 + params.sigma ** 2 * float(p @ p)
-    return np.eye(len(p)) - params.sigma ** 2 * np.outer(p, p) / s2
+    s2 = params.epsilon ** 2 + float(p @ p)
+    return np.eye(len(p)) - np.outer(p, p) / s2
 
 
 def stable_dt(params: FlowParams, grid: Grid) -> float:
@@ -379,10 +371,12 @@ def dt_exceeds_stability(params: FlowParams, grid: Grid) -> bool:
 
 
 def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
-                 bvals: BoundaryValues, ws: Workspace, step_index: int = 0) -> FieldState:
-    """Advance interior nodes by dt*rate and re-close the boundary ring."""
-    values = state.values.copy()
-    flat = values.ravel()
+                 bvals: BoundaryValues, ws: Workspace, step_index: int = 0) -> None:
+    """Advance interior nodes by dt*rate in place and re-close the boundary ring.
+
+    A non-finite update raises BlowUpError before the state is touched.
+    """
+    flat = state.values.ravel()
     idx = ws.interior_flat
     upd = rate.ravel()[idx]
     if len(idx) and not np.isfinite(np.max(np.abs(upd))):
@@ -391,26 +385,38 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
         raise BlowUpError(f"non-finite value at node {node} on step {step_index}",
                           node=node, step=step_index)
     flat[idx] += dt * upd
-    apply_closure(values, grid, bvals)
-    return FieldState(values, state.time + dt)
+    apply_closure(state.values, grid, bvals)
+    state.time += dt
+
+
+def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
+          n_steps: int, first_step: int = 1):
+    """Forward-Euler march yielding (k, state, ws), the start as k = first_step - 1.
+
+    The start state is copied once and advanced in place, so the caller's
+    state is never changed.  ws.rate, ws.grads and ws.s_node belong to the
+    yielded state until the next step overwrites them and the state.  A
+    non-finite update raises BlowUpError naming the node and step.
+    """
+    ws = Workspace(grid)
+    dt = stable_dt(params, grid)
+    state = state.copy()
+    regularized_rhs(state.values, grid, params, bvals, ws)
+    yield first_step - 1, state, ws
+    for k in range(first_step, first_step + n_steps):
+        euler_update(state, ws.rate, dt, grid, bvals, ws, k)
+        regularized_rhs(state.values, grid, params, bvals, ws)
+        yield k, state, ws
 
 
 def step(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
          step_index: int = 0) -> FieldState:
-    """One forward-Euler update; boundary trace re-imposed exactly."""
-    new, _ = step_with_rate(state, grid, params, bvals, step_index)
+    """One out-of-place forward-Euler update; boundary trace re-imposed exactly."""
+    ws = Workspace(grid)
+    new = state.copy()
+    euler_update(new, regularized_rhs(state.values, grid, params, bvals, ws),
+                 stable_dt(params, grid), grid, bvals, ws, step_index)
     return new
-
-
-def step_with_rate(state: FieldState, grid: Grid, params: FlowParams,
-                   bvals: BoundaryValues, step_index: int = 0,
-                   ws: Workspace | None = None):
-    """Euler update returning the applied rate (the recorded u_t)."""
-    ws = ws or Workspace(grid)
-    dt = stable_dt(params, grid)
-    rate = regularized_rhs(state.values, grid, params, bvals, ws)
-    new = euler_update(state, rate, dt, grid, bvals, ws, step_index)
-    return new, rate
 
 
 def init_state(grid: Grid, g_fn: Callable, bvals: BoundaryValues) -> FieldState:

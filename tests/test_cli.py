@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mcflow as mc
+from mcflow import barriers as ba
 from mcflow import cli
 
 
@@ -57,6 +58,13 @@ def test_config_bad_expression_reported(tmp_path):
     bad = MINIMAL_FLOW.replace("data.boundary = 0", "data.boundary = frob(x1)")
     with pytest.raises(cli.ConfigError, match="expression"):
         cli.load_config(_write(tmp_path, bad))
+
+
+def test_config_rejects_unknown_key(tmp_path):
+    for line in ("params.sigma = 0.5", "params.epsilom = 0.05"):
+        text = "experiment = flow\n" + line + "\n" + MINIMAL_FLOW
+        with pytest.raises(cli.ConfigError, match=f":2: unknown key '{line.split()[0]}'"):
+            cli.load_config(_write(tmp_path, text))
 
 
 def test_config_unknown_experiment(tmp_path):
@@ -158,14 +166,70 @@ def test_import_keeps_scipy_out():
 
 
 def test_steady_warnings_reach_stderr(tmp_path, capsys):
-    text = MINIMAL_FLOW.replace("experiment = flow", "experiment = steady") \
-        .replace("data.boundary = 0", "data.boundary = x1") \
-        .replace("data.initial = 0", "data.initial = x1") \
-        .replace("grid.spacing = 0.0625", "grid.spacing = 0.25")
+    # one input per runner kind: the steady solve and a flow run with nu
+    # outside the admissible interval (-0.5, 0.5) of the unit disk
+    for experiment, nu in (("steady", "0"), ("flow", "0.7")):
+        text = MINIMAL_FLOW.replace("experiment = flow", f"experiment = {experiment}") \
+            .replace("data.boundary = 0", "data.boundary = x1") \
+            .replace("data.initial = 0", "data.initial = x1") \
+            .replace("params.nu = 0", f"params.nu = {nu}") \
+            .replace("grid.spacing = 0.0625", "grid.spacing = 0.25")
+        cfg = _write(tmp_path, text, f"{experiment}.cfg")
+        cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / experiment)])
+        err = capsys.readouterr().err
+        assert f"[{experiment}] warning: grid spacing above an eighth" in err
+        if nu != "0":
+            assert f"[{experiment}] warning: nu={nu} outside the admissible interval" in err
+
+
+def test_main_reports_blowup_as_error(tmp_path, capsys):
+    # an override step 20 times the stability bound: the update overflows
+    text = """
+experiment = comparison
+domain.kind = ball
+domain.radius = 1.0
+params.epsilon = 0.1
+params.dt_override = 0.01
+grid.spacing = 0.0625
+run.horizon = 5
+run.pairs = 1
+"""
     cfg = _write(tmp_path, text)
-    cli.main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    rc = cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")])
     err = capsys.readouterr().err
-    assert "[steady] warning: grid spacing above an eighth" in err
+    assert rc == 1
+    assert err.startswith(f"error: {cfg}: non-finite value at node (")
+    assert "Traceback" not in err
+
+
+def test_barrier_run_solves_each_steady_problem_once(tmp_path, monkeypatch):
+    text = """
+experiment = barrier
+domain.kind = ball
+domain.radius = 1.0
+data.boundary = x1
+data.initial = x1
+params.epsilon = 0.05
+params.nu = 0.3
+grid.spacing = 0.0625
+run.horizon = 0.01
+"""
+    cfg = cli.load_config(_write(tmp_path, text), out_dir=tmp_path / "b")
+    grid = mc.build_grid(cfg.domain, cfg.spacing)
+    slopes = [builder(cfg.domain, grid, cfg.boundary_expr, cfg.initial_expr,
+                      cfg.params).slope
+              for builder in (ba.build_upper_barrier, ba.build_lower_barrier)]
+    real = ba.relax_to_steady
+    nus = []
+
+    def counted(problem, grid, params, *args, **kwargs):
+        nus.append(params.nu)
+        return real(problem, grid, params, *args, **kwargs)
+
+    monkeypatch.setattr(ba, "relax_to_steady", counted)
+    summary = cli.run(cfg)
+    assert sorted(nus) == [-0.3, 0.3]
+    assert [summary.scalars["upper_slope"], summary.scalars["lower_slope"]] == slopes
 
 
 def test_main_missing_config(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mcflow as mc
+from mcflow import barriers as ba
 from mcflow import operator as op
 
-from helpers import zero, linear_x1, quadratic_r2, observed_orders
+from helpers import zero, linear_x1, quadratic_r2, bump, observed_orders
 
 
 def _node_index(grid, x, y):
@@ -17,8 +19,6 @@ def test_params_validation():
         mc.FlowParams(epsilon=0.0)
     with pytest.raises(op.OperatorError):
         mc.FlowParams(epsilon=1.0)
-    with pytest.raises(op.OperatorError):
-        mc.FlowParams(epsilon=0.1, sigma=1.5)
     with pytest.raises(op.OperatorError):
         mc.FlowParams(epsilon=0.1, cfl_factor=0.6)
 
@@ -215,6 +215,55 @@ def test_blowup_error_names_node_and_step(grid16):
         op.step(st, grid16, params, bv, step_index=7)
     assert "step 7" in str(exc.value)
     assert exc.value.node is not None
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), nu=st.sampled_from((0.0, 0.3, -0.3)))
+def test_march_keeps_ordered_pairs_ordered(unit_ball, grid16, seed, nu):
+    params = mc.FlowParams(epsilon=0.1, nu=nu)
+    low, high = ba.random_ordered_pair(unit_ball, seed)
+    bv_lo = op.boundary_values(grid16, low.boundary_data)
+    bv_hi = op.boundary_values(grid16, high.boundary_data)
+    lo0 = op.init_state(grid16, low.initial_data, bv_lo)
+    hi0 = op.init_state(grid16, high.initial_data, bv_hi)
+    inside = grid16.inside
+    for (_, lo, _), (_, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
+                                      op.march(hi0, grid16, params, bv_hi, 40)):
+        assert np.max(lo.values[inside] - hi.values[inside]) <= 1e-10
+        assert op.boundary_trace_residual(lo.values, grid16, bv_lo) < 1e-12
+        assert op.boundary_trace_residual(hi.values, grid16, bv_hi) < 1e-12
+
+
+def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    n = 25
+    horizon = n * op.stable_dt(params, grid16)
+    rep = mc.solve_ibvp(mc.IBVP(unit_ball, bump, bump), grid16, params, horizon,
+                        snapshot_times=(horizon,))
+    bv = op.boundary_values(grid16, bump)
+    st_ = op.init_state(grid16, bump, bv)
+    for k in range(1, n + 1):
+        st_ = op.step(st_, grid16, params, bv, k)
+    step, t, values = rep.snapshots[-1]
+    assert step == rep.steps == n
+    assert t == rep.t[-1] == st_.time
+    assert values.tobytes() == st_.values.tobytes()
+
+
+def test_march_leaves_start_state_untouched(grid16):
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    bv = op.boundary_values(grid16, bump)
+    start = op.init_state(grid16, bump, bv)
+    before = start.values.tobytes()
+    for k, state, ws in op.march(start, grid16, params, bv, 5, first_step=3):
+        assert state is not start
+        fresh = op.Workspace(grid16)
+        op.regularized_rhs(state.values, grid16, params, bv, fresh)
+        for name in ("rate", "grads", "s_node"):
+            assert np.array_equal(getattr(ws, name), getattr(fresh, name), equal_nan=True)
+    assert k == 7
+    assert start.values.tobytes() == before and start.time == 0.0
+    assert state.time > 0.0
 
 
 def test_quadrature_measures_disk_area(grid32):
