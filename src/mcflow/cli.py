@@ -10,7 +10,6 @@ structural fact it tests, its tolerance and the measured value.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -52,6 +51,7 @@ class RunConfig:
     domain: geo.DomainSpec
     boundary_expr: object
     initial_expr: object
+    problem: fl.IBVP           # built once from domain and data, compatibility checked
     params: FlowParams
     spacing: float
     horizon: float = 1.0
@@ -134,7 +134,7 @@ def load_config(path, out_dir=None) -> RunConfig:
     Keys outside CONFIG_KEYS are rejected with their line, expressions are
     smoke-tested at 10 random domain points, the smoothing parameter must
     be strictly positive, and boundary/initial data must agree on the
-    boundary (the max mismatch is reported on rejection).
+    boundary (``IBVP`` checks it; the max mismatch is reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -166,15 +166,14 @@ def load_config(path, out_dir=None) -> RunConfig:
     except OperatorError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
-    bpts = geo.boundary_points(domain, 512)
-    mismatch = float(np.max(np.abs(boundary(bpts) - initial(bpts))))
-    if mismatch > fl.COMPATIBILITY_TOL:
-        raise ConfigError(f"data.boundary and data.initial differ by {mismatch:.3e} "
-                          f"on the boundary (tolerance {fl.COMPATIBILITY_TOL})")
+    try:
+        problem = fl.IBVP(domain, boundary, initial)
+    except fl.IncompatibleDataError as exc:
+        raise ConfigError(str(exc)) from None
 
-    cfg = RunConfig(
+    return RunConfig(
         experiment=experiment, domain=domain, boundary_expr=boundary,
-        initial_expr=initial, params=params,
+        initial_expr=initial, problem=problem, params=params,
         spacing=float(raw.get("grid.spacing", "0.03125")),
         horizon=float(raw.get("run.horizon", "1.0")),
         snapshot_times=tuple(float(v) for v in raw.get("run.snapshot_times", "").split()),
@@ -189,7 +188,6 @@ def load_config(path, out_dir=None) -> RunConfig:
         out_dir=Path(out_dir) if out_dir else Path(raw.get("run.out_dir", ".")),
         raw=raw,
     )
-    return cfg
 
 
 # -- output writers ---------------------------------------------------------
@@ -255,44 +253,25 @@ def write_summary(path, summary: RunSummary) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_outputs(cfg: RunConfig, report: fl.FlowReport, grid: geo.Grid,
-                  summary: RunSummary) -> list:
-    """Emit series, snapshots and summary into the run directory."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    csv_path = out / "series.csv"
-    write_series_csv(csv_path, report, cfg.params)
-    manifest.append(str(csv_path))
+def _write_flow(out: Path, report: fl.FlowReport, grid: geo.Grid,
+                params: FlowParams) -> list:
+    """Emit the series and the snapshots of one flow run; returns their paths."""
+    files = [out / "series.csv"]
+    write_series_csv(files[0], report, params)
     for step, _t, values in report.snapshots:
-        p = out / f"snapshot_{step:08d}.mcfgrid"
-        write_snapshot(p, grid, values)
-        manifest.append(str(p))
-    summary.manifest = manifest + [str(out / "summary.txt")]
-    write_summary(out / "summary.txt", summary)
-    return summary.manifest
+        files.append(out / f"snapshot_{step:08d}.mcfgrid")
+        write_snapshot(files[-1], grid, values)
+    return files
 
 
-# -- experiment dispatch ------------------------------------------------------
+# -- experiment runners -------------------------------------------------------
+#
+# Each runner computes one experiment on the grid ``run`` built and writes its
+# own data files into ``out``; it returns (checks, scalars, files, warnings).
 
-def _grid_for(cfg: RunConfig) -> geo.Grid:
-    return geo.build_grid(cfg.domain, cfg.spacing)
-
-
-def _ibvp(cfg: RunConfig) -> fl.IBVP:
-    return fl.IBVP(cfg.domain, cfg.boundary_expr, cfg.initial_expr)
-
-
-def _print_warnings(experiment: str, warnings: list) -> None:
-    for warning in warnings:
-        print(f"[{experiment}] warning: {warning}", file=sys.stderr)
-
-
-def _run_flow(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
-    problem = _ibvp(cfg)
+def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
+    problem = cfg.problem
     report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon, cfg.snapshot_times)
-    _print_warnings("flow", report.warnings)
     checks = []
     h = grid.spacing
     b0 = vf.ut_initial_slice_bound(problem, grid, cfg.params)
@@ -318,21 +297,17 @@ def _run_flow(cfg: RunConfig) -> RunSummary:
             bound.value, float(report.sup_u.max()),
             bool(report.sup_u.max() <= bound.value) and bound.available))
     trace = vf.energy_series(report, cfg.params)
-    summary = RunSummary("flow", checks, {
+    scalars = {
         "steps": report.steps, "dt": report.dt,
         "max_energy_residual": trace.max_interior_residual,
         "sup_u": float(report.sup_u.max()), "sup_grad": float(report.sup_grad.max()),
         "aborted": float(bool(report.aborted)),
-    }, [])
-    write_outputs(cfg, report, grid, summary)
-    return summary
+    }
+    return checks, scalars, _write_flow(out, report, grid, cfg.params), report.warnings
 
 
-def _run_steady(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
-    problem = _ibvp(cfg)
-    res = fl.relax_to_steady(problem, grid, cfg.params, cfg.tolerance)
-    _print_warnings("steady", res.warnings)
+def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
+    res = fl.relax_to_steady(cfg.problem, grid, cfg.params, cfg.tolerance)
     snaps, times = vf.replicate_steady(res.state.values)
     n_sub = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "sub",
                                         cfg.probe_budget))
@@ -345,35 +320,23 @@ def _run_steady(cfg: RunConfig) -> RunSummary:
                       "steady field passes both one-sided differential checks",
                       0.0, float(n_sub + n_super), n_sub + n_super == 0),
     ]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     snap_path = out / f"steady_{res.steps:08d}.mcfgrid"
     write_snapshot(snap_path, grid, res.state.values)
-    summary = RunSummary("steady", checks,
-                         {"steps": res.steps, "residual": res.residual},
-                         [str(snap_path), str(out / "summary.txt")])
-    write_summary(out / "summary.txt", summary)
-    return summary
+    return (checks, {"steps": res.steps, "residual": res.residual}, [snap_path],
+            res.warnings)
 
 
-def _run_continuation(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
-    problem = _ibvp(cfg)
+def _run_continuation(cfg: RunConfig, grid: geo.Grid, out: Path):
     eps_list = cfg.eps_list or (0.2, 0.1, 0.05)
-    table = fl.epsilon_continuation(problem, grid, cfg.params, eps_list, cfg.horizon)
+    table = fl.epsilon_continuation(cfg.problem, grid, cfg.params, eps_list, cfg.horizon)
     checks = [PropertyCheck("continuation-cauchy",
                             "terminal fields tighten as the smoothing vanishes",
                             0.0, float(table.sup_diffs[-1]), table.monotone_decreasing)]
     scalars = {f"diff_{i}": d for i, d in enumerate(table.sup_diffs)}
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = RunSummary("continuation", checks, scalars, [str(out / "summary.txt")])
-    write_summary(out / "summary.txt", summary)
-    return summary
+    return checks, scalars, [], table.warnings
 
 
-def _run_barrier(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
+def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
     h = grid.spacing
     upper = ba.build_upper_barrier(cfg.domain, grid, cfg.boundary_expr,
                                    cfg.initial_expr, cfg.params)
@@ -384,10 +347,8 @@ def _run_barrier(cfg: RunConfig) -> RunSummary:
                                              cfg.boundary_expr, cfg.params)
     r_lo = ba.barrier_supersolution_residual(lower, cfg.domain, grid,
                                              cfg.boundary_expr, cfg.params)
-    problem = _ibvp(cfg)
-    report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon,
+    report = fl.solve_ibvp(cfg.problem, grid, cfg.params, cfg.horizon,
                            snapshot_times=np.linspace(0, cfg.horizon, 9))
-    _print_warnings("barrier", report.warnings)
     worst = -np.inf
     hvals = np.full(grid.shape, np.nan)
     hvals[grid.inside] = cfg.boundary_expr(grid.points[grid.inside])
@@ -402,16 +363,14 @@ def _run_barrier(cfg: RunConfig) -> RunSummary:
         PropertyCheck("collar-domination", "flow stays under boundary data plus barrier",
                       10 * h, worst, worst <= 10 * h),
     ]
-    summary = RunSummary("barrier", checks, {
+    scalars = {
         "upper_slope": upper.slope, "lower_slope": lower.slope,
         "collar_width": upper.collar_width, "data_lipschitz": upper.data_lipschitz,
-    }, [])
-    write_outputs(cfg, report, grid, summary)
-    return summary
+    }
+    return checks, scalars, _write_flow(out, report, grid, cfg.params), report.warnings
 
 
-def _run_comparison(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
+def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
     worst = 0.0
     for k in range(cfg.pairs):
         low, high = ba.random_ordered_pair(cfg.domain, cfg.seed + k)
@@ -419,30 +378,19 @@ def _run_comparison(cfg: RunConfig) -> RunSummary:
         worst = max(worst, rep.max_violation)
     checks = [PropertyCheck("ordering-preserved", "ordered data evolve ordered",
                             1e-10, worst, worst <= 1e-10)]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = RunSummary("comparison", checks,
-                         {"pairs": cfg.pairs, "max_violation": worst},
-                         [str(out / "summary.txt")])
-    write_summary(out / "summary.txt", summary)
-    return summary
+    return checks, {"pairs": cfg.pairs, "max_violation": worst}, [], []
 
 
-def _run_viscosity(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
-    problem = _ibvp(cfg)
+def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
     dt = cfg.horizon / 4
     times = (cfg.horizon - 2 * dt, cfg.horizon - dt, cfg.horizon)
-    report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon, snapshot_times=times)
-    _print_warnings("viscosity", report.warnings)
+    report = fl.solve_ibvp(cfg.problem, grid, cfg.params, cfg.horizon, snapshot_times=times)
     snaps = [s[2] for s in report.snapshots]
     stimes = [s[1] for s in report.snapshots]
     violations = []
     for mode in ("sub", "super"):
         violations += vf.viscosity_spot_check(snaps, stimes, grid, cfg.params, mode,
                                               cfg.probe_budget)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     vpath = out / "violations.csv"
     rows = ["t,location,branch,margin"]
     for v in violations:
@@ -451,14 +399,10 @@ def _run_viscosity(cfg: RunConfig) -> RunSummary:
     checks = [PropertyCheck("viscosity-clean", "no one-sided differential violations",
                             10 * grid.spacing, float(len(violations)),
                             len(violations) == 0)]
-    summary = RunSummary("viscosity", checks, {"violations": float(len(violations))},
-                         [str(vpath), str(out / "summary.txt")])
-    write_summary(out / "summary.txt", summary)
-    return summary
+    return checks, {"violations": float(len(violations))}, [vpath], report.warnings
 
 
-def _run_liouville(cfg: RunConfig) -> RunSummary:
-    grid = _grid_for(cfg)
+def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
     problem = lv.CylinderProblem(
         domain=cfg.domain, initial_data=cfg.initial_expr,
         plateau_start=cfg.plateau_start, plateau_value=cfg.plateau_value,
@@ -484,20 +428,17 @@ def _run_liouville(cfg: RunConfig) -> RunSummary:
         PropertyCheck("envelope-lower-sub", "lower envelope passes the sub check",
                       0.0, float(n_sub), n_sub == 0),
     ]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cpath = out / "flatness.csv"
     rows = ["t,flatness,lower_violation,upper_violation"]
     for i in range(len(report.t)):
         rows.append(f"{report.t[i]:.17g},{report.flatness[i]:.17g},"
                     f"{report.lower_violation[i]:.17g},{report.upper_violation[i]:.17g}")
     cpath.write_text("\n".join(rows) + "\n")
-    summary = RunSummary("liouville", checks, {
+    scalars = {
         "sup_flatness": report.sup_flatness, "bound": bound,
         "max_monotone_violation": float(report.monotone_violation.max()),
-    }, [str(cpath), str(out / "summary.txt")])
-    write_summary(out / "summary.txt", summary)
-    return summary
+    }
+    return checks, scalars, [cpath], []
 
 
 _RUNNERS = {
@@ -512,18 +453,18 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> RunSummary:
-    """Dispatch a validated config to its experiment runner."""
-    return _RUNNERS[cfg.experiment](cfg)
-
-
-def _run_reported(job) -> RunSummary | None:
-    """Run one (path, config) job; a blow-up is reported and yields None."""
-    path, cfg = job
-    try:
-        return run(cfg)
-    except BlowUpError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+    """Run one validated config: output directory, grid, experiment, warnings, summary."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = geo.build_grid(cfg.domain, cfg.spacing)
+    checks, scalars, files, warnings = _RUNNERS[cfg.experiment](cfg, grid, out)
+    for warning in warnings:
+        print(f"[{cfg.experiment}] warning: {warning}", file=sys.stderr)
+    summary_path = out / "summary.txt"
+    summary = RunSummary(cfg.experiment, checks, scalars,
+                         [str(f) for f in files + [summary_path]])
+    write_summary(summary_path, summary)
+    return summary
 
 
 def main(argv=None) -> int:
@@ -536,8 +477,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", action="append", required=True,
                        help="config file (repeatable)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--batch", type=int, default=1,
-                       help="max concurrent configs")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     args = parser.parse_args(argv)
@@ -560,16 +499,12 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         configs.append(cfg)
 
-    jobs = list(zip(args.config, configs))
-    if args.batch > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.batch) as pool:
-            summaries = list(pool.map(_run_reported, jobs))
-    else:
-        summaries = [_run_reported(job) for job in jobs]
-
     ok = True
-    for summary in summaries:
-        if summary is None:
+    for path, cfg in zip(args.config, configs):
+        try:
+            summary = run(cfg)
+        except BlowUpError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
             ok = False
             continue
         for p in summary.properties:

@@ -381,6 +381,7 @@ class ContinuationTable:
     epsilons: tuple
     sup_diffs: tuple            # sup-norm differences of consecutive terminal fields
     monotone_decreasing: bool
+    warnings: list              # independent of the smoothing, so computed once
 
 
 def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
@@ -406,4 +407,5 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
     diffs = tuple(float(np.max(np.abs(a[inside] - b[inside])))
                   for a, b in zip(fields, fields[1:]))
     mono = all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
-    return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono)
+    return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono,
+                             warnings=_collect_warnings(problem, grid, params))

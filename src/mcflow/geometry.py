@@ -154,7 +154,7 @@ def _project_ellipse(a: float, b: float, u: np.ndarray, v: np.ndarray):
         fp = (a * a - b * b) * (ct * ct - st * st) - u * a * ct - v * b * st
         lo = np.where(f > 0, t, lo)
         hi = np.where(f > 0, hi, t)
-        newton = t - np.where(np.abs(fp) > 1e-300, f / fp, 0.0)
+        newton = t - np.divide(f, fp, out=np.zeros_like(f), where=np.abs(fp) > 1e-300)
         inside = (newton > lo) & (newton < hi)
         t = np.where(inside, newton, 0.5 * (lo + hi))
         width = hi - lo

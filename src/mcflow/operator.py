@@ -298,7 +298,9 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     h = grid.spacing
     eps2 = params.epsilon ** 2
     grads = node_gradient(values, grid, bvals, ws)
-    with np.errstate(invalid="ignore"):
+    # a blowing-up field may overflow here; euler_update's finiteness check
+    # turns that into a BlowUpError
+    with np.errstate(invalid="ignore", over="ignore"):
         np.multiply(grads[0], grads[0], out=ws.s_node)
         for j in range(1, grid.dim):
             ws.s_node += grads[j] ** 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,18 @@ params.epsilon = 0.05
 params.nu = 0
 grid.spacing = 0.0625
 run.horizon = 0.01
+"""
+
+# an override step 20 times the stability bound: the update overflows
+BLOWUP_COMPARISON = """
+experiment = comparison
+domain.kind = ball
+domain.radius = 1.0
+params.epsilon = 0.1
+params.dt_override = 0.01
+grid.spacing = 0.0625
+run.horizon = 5
+run.pairs = 1
 """
 
 
@@ -166,9 +179,9 @@ def test_import_keeps_scipy_out():
 
 
 def test_steady_warnings_reach_stderr(tmp_path, capsys):
-    # one input per runner kind: the steady solve and a flow run with nu
+    # the steady solve, and a flow run and a continuation ladder with nu
     # outside the admissible interval (-0.5, 0.5) of the unit disk
-    for experiment, nu in (("steady", "0"), ("flow", "0.7")):
+    for experiment, nu in (("steady", "0"), ("flow", "0.7"), ("continuation", "0.7")):
         text = MINIMAL_FLOW.replace("experiment = flow", f"experiment = {experiment}") \
             .replace("data.boundary = 0", "data.boundary = x1") \
             .replace("data.initial = 0", "data.initial = x1") \
@@ -183,23 +196,31 @@ def test_steady_warnings_reach_stderr(tmp_path, capsys):
 
 
 def test_main_reports_blowup_as_error(tmp_path, capsys):
-    # an override step 20 times the stability bound: the update overflows
-    text = """
-experiment = comparison
-domain.kind = ball
-domain.radius = 1.0
-params.epsilon = 0.1
-params.dt_override = 0.01
-grid.spacing = 0.0625
-run.horizon = 5
-run.pairs = 1
-"""
-    cfg = _write(tmp_path, text)
-    rc = cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    cfg = _write(tmp_path, BLOWUP_COMPARISON)
+    with warnings.catch_warnings():
+        # the finiteness check is the guard: no overflow warning on the way
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {cfg}: non-finite value at node (")
     assert "Traceback" not in err
+
+
+def test_main_runs_on_after_a_blowup(tmp_path, capsys):
+    bad = _write(tmp_path, BLOWUP_COMPARISON, "bad.cfg")
+    good = _write(tmp_path, BLOWUP_COMPARISON.replace("params.dt_override = 0.01\n", "")
+                  .replace("run.horizon = 5", "run.horizon = 0.05"), "good.cfg")
+    out = tmp_path / "d"
+    rc = cli.main(["comparison", "--config", str(bad), "--config", str(good),
+                   "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
+    summary = (out / "run001" / "summary.txt").read_text()
+    assert "all_passed: True" in summary
+    assert "property ordering-preserved: pass" in summary
 
 
 def test_barrier_run_solves_each_steady_problem_once(tmp_path, monkeypatch):

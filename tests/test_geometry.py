@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,19 @@ def test_theta_boundary_hit_at_neighbor():
     idx = tuple(np.argwhere((np.abs(g.points[..., 0] - 0.5) < 1e-12)
                             & (np.abs(g.points[..., 1]) < 1e-12))[0])
     assert g.theta[0, 1][idx] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ellipse_grid_builds_without_warnings():
+    # the projection's Newton quotient is guarded, not evaluated as 0/0
+    a, b = 1.0, 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g = mc.build_grid(mc.ellipse(a, b), 1 / 32)
+    for axis in range(2):
+        for side in range(2):
+            pts = g.cut_points(axis, side)
+            assert len(pts)
+            assert np.abs((pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 - 1.0).max() <= 1e-12
 
 
 def test_classification_consistent_with_distance(grid32, unit_ball):
