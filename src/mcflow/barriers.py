@@ -9,14 +9,15 @@ from the operator's symmetry under (u, nu) -> (-u, -nu).
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import (DomainSpec, Grid, signed_distance, boundary_points,
                        boundary_mean_curvature_bound)
 from .flow import IBVP, relax_to_steady
-from .operator import FlowParams, boundary_values, init_state, march, stable_dt
+from .operator import (FlowParams, BlowUpError, boundary_values, init_state, march,
+                       stable_dt)
 
 H0_THRESHOLD = 1e-3
 LIPSCHITZ_SAFETY = 1.5
@@ -258,36 +259,55 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams,
 class ComparisonReport:
     max_violation: float
     steps: int
-    per_step: np.ndarray = dc_field(default_factory=lambda: np.array([]))
+    per_step: np.ndarray = dc_field(default_factory=lambda: np.array([]))  # worst over pairs
+    per_pair: np.ndarray = dc_field(default_factory=lambda: np.array([]))  # worst over steps
 
 
-def comparison_experiment(problem_low: IBVP, problem_high: IBVP, grid: Grid,
+def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
+                          problem_high: IBVP | Sequence[IBVP], grid: Grid,
                           params: FlowParams, horizon: float) -> ComparisonReport:
     """Co-evolve ordered problems and report the worst ordering violation.
 
-    Rejects the pair before evolving when the data are not actually
-    ordered at the sampled points.
+    problem_low and problem_high are one problem each or equal-length
+    sequences of them.  All pairs march as one stack of fields (pair p is
+    fields 2p and 2p + 1), each field bit for bit as it would alone.
+    Rejects the pairs before evolving when the data of any pair are not
+    actually ordered at the sampled points; a blow-up names its pair.
     """
+    lows = [problem_low] if isinstance(problem_low, IBVP) else list(problem_low)
+    highs = [problem_high] if isinstance(problem_high, IBVP) else list(problem_high)
+    if not lows or len(lows) != len(highs):
+        raise ValueError(f"need as many low problems as high ones, at least one; "
+                         f"got {len(lows)} and {len(highs)}")
     inside_pts = grid.points[grid.inside]
-    bpts = boundary_points(problem_low.domain, 512)
-    if np.min(problem_high.initial_data(inside_pts) - problem_low.initial_data(inside_pts)) < -1e-12:
-        raise ValueError("initial data are not ordered: g_low > g_high somewhere")
-    if np.min(problem_high.boundary_data(bpts) - problem_low.boundary_data(bpts)) < -1e-12:
-        raise ValueError("boundary data are not ordered: h_low > h_high somewhere")
+    for low, high in zip(lows, highs):
+        bpts = boundary_points(low.domain, 512)
+        if np.min(high.initial_data(inside_pts) - low.initial_data(inside_pts)) < -1e-12:
+            raise ValueError("initial data are not ordered: g_low > g_high somewhere")
+        if np.min(high.boundary_data(bpts) - low.boundary_data(bpts)) < -1e-12:
+            raise ValueError("boundary data are not ordered: h_low > h_high somewhere")
 
-    bv_lo = boundary_values(grid, problem_low.boundary_data)
-    bv_hi = boundary_values(grid, problem_high.boundary_data)
-    lo = init_state(grid, problem_low.initial_data, bv_lo)
-    hi = init_state(grid, problem_high.initial_data, bv_hi)
+    fields = [prob for pair in zip(lows, highs) for prob in pair]
+    bvals = boundary_values(grid, [prob.boundary_data for prob in fields])
     n_steps = max(int(np.floor(horizon / stable_dt(params, grid) + 1e-12)), 0)
     inside = grid.inside
 
-    viol = [float(np.max(lo.values[inside] - hi.values[inside]))
-            for (_, lo, _), (_, hi, _) in zip(march(lo, grid, params, bv_lo, n_steps),
-                                              march(hi, grid, params, bv_hi, n_steps))]
-    per_step = np.maximum(np.array(viol), 0.0)
+    viol = []
+    try:
+        # march copies the start state; built inline, the original is freed
+        for _, state, _ in march(init_state(grid, [prob.initial_data for prob in fields],
+                                            bvals), grid, params, bvals, n_steps):
+            u = state.values[inside]
+            viol.append(np.max(u[:, 0::2] - u[:, 1::2], axis=0))
+    except BlowUpError as exc:
+        pair, side = divmod(exc.field, 2)
+        raise BlowUpError(f"non-finite value at node {exc.node} on step {exc.step} "
+                          f"in pair {pair} ({('low', 'high')[side]} field)",
+                          node=exc.node, step=exc.step, field=exc.field) from None
+    viol = np.maximum(np.array(viol), 0.0)
+    per_step = viol.max(axis=1)
     return ComparisonReport(max_violation=float(per_step.max()), steps=n_steps,
-                            per_step=per_step)
+                            per_step=per_step, per_pair=viol.max(axis=0))
 
 
 def random_ordered_pair(domain: DomainSpec, seed: int):

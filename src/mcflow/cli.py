@@ -133,8 +133,9 @@ def load_config(path, out_dir=None) -> RunConfig:
 
     Keys outside CONFIG_KEYS are rejected with their line, expressions are
     smoke-tested at 10 random domain points, the smoothing parameter must
-    be strictly positive, and boundary/initial data must agree on the
-    boundary (``IBVP`` checks it; the max mismatch is reported on rejection).
+    be strictly positive, run.pairs must be at least 1, and boundary/initial
+    data must agree on the boundary (``IBVP`` checks it; the max mismatch is
+    reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -166,6 +167,10 @@ def load_config(path, out_dir=None) -> RunConfig:
     except OperatorError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
+    pairs = int(raw.get("run.pairs", "20"))
+    if pairs < 1:
+        raise ConfigError(f"run.pairs must be at least 1, got {pairs}")
+
     try:
         problem = fl.IBVP(domain, boundary, initial)
     except fl.IncompatibleDataError as exc:
@@ -180,7 +185,7 @@ def load_config(path, out_dir=None) -> RunConfig:
         tolerance=float(raw.get("run.tolerance", "1e-6")),
         eps_list=tuple(float(v) for v in raw.get("run.eps_list", "").split()),
         seed=int(raw.get("run.seed", "0")),
-        pairs=int(raw.get("run.pairs", "20")),
+        pairs=pairs,
         probe_budget=int(raw.get("run.probe_budget", "2000")),
         plateau_start=float(raw.get("liouville.plateau_start", "0.25")),
         plateau_value=float(raw.get("liouville.plateau_value", "1.0")),
@@ -371,11 +376,9 @@ def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
 
 
 def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
-    worst = 0.0
-    for k in range(cfg.pairs):
-        low, high = ba.random_ordered_pair(cfg.domain, cfg.seed + k)
-        rep = ba.comparison_experiment(low, high, grid, cfg.params, cfg.horizon)
-        worst = max(worst, rep.max_violation)
+    lows, highs = zip(*(ba.random_ordered_pair(cfg.domain, cfg.seed + k)
+                        for k in range(cfg.pairs)))
+    worst = ba.comparison_experiment(lows, highs, grid, cfg.params, cfg.horizon).max_violation
     checks = [PropertyCheck("ordering-preserved", "ordered data evolve ordered",
                             1e-10, worst, worst <= 1e-10)]
     return checks, {"pairs": cfg.pairs, "max_violation": worst}, [], []

@@ -14,10 +14,17 @@ update they are closed by interpolation along their nearest boundary cut,
 which imposes the boundary trace exactly and keeps the update monotone.
 Every time-stepped experiment advances through the one forward-Euler
 generator `march`.
+
+The functions below also step a stack of B fields that share one grid, one
+FlowParams and one dt: values of shape (*grid.shape, B), boundary data and
+initial data given as sequences of B functions.  The stack lives on the
+trailing axis, so the flat views used for gathers are values.reshape((N, B))
+and every field gets exactly the bits it gets alone: the arithmetic is
+elementwise, and the closure's Jacobi sweeps stop per field.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,10 +38,11 @@ class OperatorError(ValueError):
 class BlowUpError(RuntimeError):
     """The explicit update produced a non-finite value."""
 
-    def __init__(self, message, node=None, step=None):
+    def __init__(self, message, node=None, step=None, field=None):
         super().__init__(message)
         self.node = node
         self.step = step
+        self.field = field      # index in the stack; None for an unstacked field
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,24 @@ class FieldState:
         return FieldState(self.values.copy(), self.time)
 
 
+def _flat(a: np.ndarray, dim: int) -> np.ndarray:
+    """View of a field, or a stack of fields, with its dim grid axes merged into one."""
+    return a.reshape((-1,) + a.shape[dim:])
+
+
+def _sample(fns, pts: np.ndarray) -> np.ndarray:
+    """One function's values at pts, or a sequence's stacked on a trailing axis."""
+    if callable(fns):
+        return fns(pts)
+    return np.stack([f(pts) for f in fns], axis=-1)
+
+
 class _AxisCuts:
-    """Flat-index fixup data for one axis: where grid lines hit the boundary."""
+    """Flat-index fixup data for one axis: where grid lines hit the boundary.
+
+    The theta arrays carry a trailing unit axis per stack axis of hb, so they
+    broadcast against the per-field boundary values and gathered nodes.
+    """
 
     __slots__ = ("only_p", "op_theta", "op_hb", "op_inner",
                  "only_m", "om_theta", "om_hb", "om_inner",
@@ -84,10 +108,11 @@ class _AxisCuts:
         only_p = (cut_p & ~cut_m).ravel()
         only_m = (cut_m & ~cut_p).ravel()
         both = (cut_p & cut_m).ravel()
-        th_p = grid.theta[ax, 1].ravel()
-        th_m = grid.theta[ax, 0].ravel()
-        hb_p = hb[ax, 1].ravel()
-        hb_m = hb[ax, 0].ravel()
+        unit = (1,) * (hb.ndim - 2 - grid.dim)
+        th_p = grid.theta[ax, 1].reshape((-1,) + unit)
+        th_m = grid.theta[ax, 0].reshape((-1,) + unit)
+        hb_p = _flat(hb[ax, 1], grid.dim)
+        hb_m = _flat(hb[ax, 0], grid.dim)
         self.only_p = np.flatnonzero(only_p)
         self.op_theta = th_p[self.only_p]
         self.op_hb = hb_p[self.only_p]
@@ -107,14 +132,16 @@ class _AxisCuts:
 class BoundaryValues:
     """Boundary data evaluated at every grid cut, plus closure metadata.
 
-    hb[axis, side] holds the prescribed value at the boundary crossing of
-    each cut (NaN where uncut).  The closure arrays drive the per-step
-    interpolation of near-boundary nodes along their canonical (smallest
-    theta) cut: value = (hb + theta * inner) / (1 + theta), or a constant
-    two-sided interpolant where the opposite neighbor is exterior.
+    The prescribed value hb at the boundary crossing of each cut is kept
+    only where it is read: in the per-axis gradient fixups (axis_cuts) and
+    in the closure arrays.  Those drive the per-step interpolation of
+    near-boundary nodes along their canonical (smallest theta) cut:
+    value = (hb + theta * inner) / (1 + theta), or a constant two-sided
+    interpolant where the opposite neighbor is exterior too (c_inner < 0).
+    For a stack of B fields the hb arrays and c_const gain a trailing axis
+    of length B and the theta arrays a trailing unit axis.
     """
 
-    hb: np.ndarray
     axis_cuts: list
     nb_flat: np.ndarray
     c_theta: np.ndarray
@@ -123,15 +150,19 @@ class BoundaryValues:
     c_const: np.ndarray      # precomputed value where both sides are cut
 
 
-def boundary_values(grid: Grid, h_fn: Callable) -> BoundaryValues:
-    """Evaluate time-independent boundary data on all cut points of a grid."""
+def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> BoundaryValues:
+    """Evaluate time-independent boundary data on all cut points of a grid.
+
+    h_fn is one function, or a sequence of B functions for a stack of fields.
+    """
     dim = grid.dim
-    hb = np.full((dim, 2) + grid.shape, np.nan)
+    stack = () if callable(h_fn) else (len(h_fn),)
+    hb = np.full((dim, 2) + grid.shape + stack, np.nan)
     for ax in range(dim):
         for side in (0, 1):
             mask = grid.cut_mask(ax, side)
             if mask.any():
-                hb[ax, side][mask] = h_fn(grid.cut_points(ax, side))
+                hb[ax, side][mask] = _sample(h_fn, grid.cut_points(ax, side))
 
     axis_cuts = [_AxisCuts(grid, hb, ax) for ax in range(dim)]
 
@@ -141,9 +172,9 @@ def boundary_values(grid: Grid, h_fn: Callable) -> BoundaryValues:
     side_c = grid.closure_side[nb]
     k = len(nb_flat)
     c_theta = np.empty(k)
-    c_hb = np.empty(k)
+    c_hb = np.empty((k,) + stack)
     c_inner = np.full(k, -1, dtype=np.int64)
-    c_const = np.full(k, np.nan)
+    c_const = np.full((k,) + stack, np.nan)
 
     strides = [int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)]
     nb_idx = np.argwhere(nb)
@@ -161,7 +192,8 @@ def boundary_values(grid: Grid, h_fn: Callable) -> BoundaryValues:
             c_const[j] = (t_in * c_hb[j] + t_out * hb_in) / (t_in + t_out)
         else:
             c_inner[j] = nb_flat[j] + (-strides[ax] if side == 1 else strides[ax])
-    return BoundaryValues(hb=hb, axis_cuts=axis_cuts, nb_flat=nb_flat, c_theta=c_theta,
+    return BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat,
+                          c_theta=c_theta.reshape((k,) + (1,) * len(stack)),
                           c_hb=c_hb, c_inner=c_inner, c_const=c_const)
 
 
@@ -171,23 +203,23 @@ class Workspace:
     One instance per (grid, run); reusing it across steps removes the
     allocation churn that otherwise dominates small-grid stepping.  After a
     rate evaluation, grads and s_node hold the node gradient and smoothed
-    gradient norm of the evaluated field.
+    gradient norm of the evaluated field.  stack is the trailing shape of
+    the fields it serves: () for one field, (B,) for a stack of B, which
+    costs B * (5 + dim) full-grid arrays.
     """
 
-    def __init__(self, grid: Grid):
-        shape = grid.shape
+    def __init__(self, grid: Grid, stack: tuple = ()):
+        shape = grid.shape + stack
         dim = grid.dim
         self.grads = np.full((dim,) + shape, np.nan)
         self.s_node = np.full(shape, np.nan)
-        self.dn = np.full(shape, np.nan)
-        self.tang = np.full(shape, np.nan)
+        self.dn = np.full(shape, np.nan)        # face difference, then face flux
         self.acc = np.full(shape, np.nan)
-        self.flux = np.full(shape, np.nan)
-        self.div = np.full(shape, np.nan)
         self.rate = np.full(shape, np.nan)
         self.tmp = np.full(shape, np.nan)
         self.interior_flat = np.flatnonzero(grid.interior.ravel())
-        self.slices = _axis_slices(shape)
+        self.exterior = ~grid.interior
+        self.slices = _axis_slices(grid.shape)
 
 
 def _axis_slices(shape):
@@ -213,10 +245,11 @@ def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
 
     Iterated Jacobi-style because an inner neighbor may itself be a
     near-boundary node; the dependence coefficient theta/(1+theta) <= 1/2
-    makes the pass a contraction.
+    makes the pass a contraction.  In a stack each field stops at the sweep
+    where it would stop alone: later sweeps leave it untouched.
     """
-    flat = values.ravel()
-    have_const = np.isfinite(bvals.c_const)
+    flat = _flat(values, grid.dim)
+    have_const = bvals.c_inner < 0
     dependent = ~have_const
     if have_const.any():
         flat[bvals.nb_flat[have_const]] = bvals.c_const[have_const]
@@ -225,20 +258,28 @@ def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
         th = bvals.c_theta[dependent]
         hb = bvals.c_hb[dependent]
         inner = bvals.c_inner[dependent]
+        frozen = None       # fields that converged on an earlier sweep
         for _ in range(max_iter):
             new = (hb + th * flat[inner]) / (1.0 + th)
-            change = np.max(np.abs(new - flat[idx])) if len(new) else 0.0
+            old = flat[idx]
+            if frozen is not None:
+                new = np.where(frozen, old, new)
             flat[idx] = new
-            if change < tol:
+            change = np.max(np.abs(new - old), axis=0, keepdims=True)
+            done = [c < tol for c in change.ravel().tolist()]
+            if all(done):
                 break
+            if any(done):
+                # a frozen field changes by 0 on later sweeps, so it stays done
+                frozen = np.reshape(done, flat.shape[1:])
     return values
 
 
 def boundary_trace_residual(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> float:
     """Max mismatch between the theta-interpolated trace and the boundary data."""
-    flat = values.ravel()
+    flat = _flat(values, grid.dim)
     res = 0.0
-    have_const = np.isfinite(bvals.c_const)
+    have_const = bvals.c_inner < 0
     if have_const.any():
         res = float(np.max(np.abs(flat[bvals.nb_flat[have_const]] - bvals.c_const[have_const])))
     dep = ~have_const
@@ -254,22 +295,22 @@ def boundary_trace_residual(values: np.ndarray, grid: Grid, bvals: BoundaryValue
 
 def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
                   ws: Workspace | None = None) -> np.ndarray:
-    """Gradient at every inside node, shape (dim, *grid.shape), NaN outside.
+    """Gradient at every inside node, shape (dim, *values.shape), NaN outside.
 
     Central differences on full stencils; where an axis is cut, the
     nonuniform three-point formula through the boundary value (exact on
     quadratics) replaces it.
     """
-    ws = ws or Workspace(grid)
+    ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
-    flat = values.ravel()
+    flat = _flat(values, grid.dim)
     with np.errstate(invalid="ignore"):
         for ax in range(grid.dim):
             sl = ws.slices[ax]
             g = ws.grads[ax]
             np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
             g[sl["mid"]] /= 2 * h
-            gf = g.ravel()
+            gf = _flat(g, grid.dim)
             cuts = bvals.axis_cuts[ax]
             if len(cuts.only_p):
                 th = cuts.op_theta
@@ -294,7 +335,7 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
     (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).
     """
-    ws = ws or Workspace(grid)
+    ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
     eps2 = params.epsilon ** 2
     grads = node_gradient(values, grid, bvals, ws)
@@ -303,16 +344,18 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     with np.errstate(invalid="ignore", over="ignore"):
         np.multiply(grads[0], grads[0], out=ws.s_node)
         for j in range(1, grid.dim):
-            ws.s_node += grads[j] ** 2
+            np.multiply(grads[j], grads[j], out=ws.tmp)
+            ws.s_node += ws.tmp
         ws.s_node += eps2
         np.sqrt(ws.s_node, out=ws.s_node)
 
-        div = ws.div
-        div.fill(0.0)
+        # the flux divergence accumulates in rate
+        rate = ws.rate
+        rate.fill(0.0)
         for ax in range(grid.dim):
             sl = ws.slices[ax]
             lo, hi = sl["lo"], sl["hi"]
-            dn, tang, acc, flux = ws.dn, ws.tang, ws.acc, ws.flux
+            dn, acc, tmp = ws.dn, ws.acc, ws.tmp
             np.subtract(values[hi], values[lo], out=dn[lo])
             dn[lo] /= h
             acc.fill(0.0)
@@ -320,23 +363,25 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                 if j == ax:
                     continue
                 gj = grads[j]
-                np.add(gj[lo], gj[hi], out=tang[lo])
-                tang[lo] *= 0.5
-                np.multiply(tang[lo], tang[lo], out=tang[lo])
-                acc[lo] += tang[lo]
+                # tmp holds the face-averaged tangential gradient component
+                np.add(gj[lo], gj[hi], out=tmp[lo])
+                tmp[lo] *= 0.5
+                np.multiply(tmp[lo], tmp[lo], out=tmp[lo])
+                acc[lo] += tmp[lo]
             # acc = tangential |grad|^2 at the face; assemble s_face in place
-            np.multiply(dn[lo], dn[lo], out=ws.tmp[lo])
-            acc[lo] += ws.tmp[lo]
+            np.multiply(dn[lo], dn[lo], out=tmp[lo])
+            acc[lo] += tmp[lo]
             acc[lo] += eps2
             np.sqrt(acc[lo], out=acc[lo])
-            np.divide(dn[lo], acc[lo], out=flux[lo])
-            np.subtract(flux[hi], flux[lo], out=ws.tmp[hi])
-            div[hi] += ws.tmp[hi]
-        div /= h
-        div += params.nu
-        np.multiply(ws.s_node, div, out=ws.rate)
-        ws.rate[~grid.interior] = np.nan
-    return ws.rate
+            # the face flux replaces the face difference in dn
+            np.divide(dn[lo], acc[lo], out=dn[lo])
+            np.subtract(dn[hi], dn[lo], out=tmp[hi])
+            rate[hi] += tmp[hi]
+        rate /= h
+        rate += params.nu
+        rate *= ws.s_node
+        rate[ws.exterior] = np.nan
+    return rate
 
 
 def rate_closed_form(p: np.ndarray, hess: np.ndarray, params: FlowParams) -> float:
@@ -376,17 +421,25 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
                  bvals: BoundaryValues, ws: Workspace, step_index: int = 0) -> None:
     """Advance interior nodes by dt*rate in place and re-close the boundary ring.
 
-    A non-finite update raises BlowUpError before the state is touched.
+    A non-finite update raises BlowUpError before the state is touched.  It
+    names the first node in flat order; in a stack, of the lowest field
+    with a non-finite update.
     """
-    flat = state.values.ravel()
+    flat = _flat(state.values, grid.dim)
     idx = ws.interior_flat
-    upd = rate.ravel()[idx]
-    if len(idx) and not np.isfinite(np.max(np.abs(upd))):
-        bad = idx[~np.isfinite(upd)][0]
-        node = tuple(int(i) for i in np.unravel_index(bad, grid.shape))
-        raise BlowUpError(f"non-finite value at node {node} on step {step_index}",
-                          node=node, step=step_index)
-    flat[idx] += dt * upd
+    upd = _flat(rate, grid.dim)[idx]
+    if not np.isfinite(upd).all():
+        bad = ~np.isfinite(upd.reshape(len(idx), -1))
+        field = int(np.argmax(bad.any(axis=0)))
+        node = tuple(int(i) for i in np.unravel_index(idx[np.argmax(bad[:, field])],
+                                                      grid.shape))
+        if state.values.ndim == grid.dim:
+            raise BlowUpError(f"non-finite value at node {node} on step {step_index}",
+                              node=node, step=step_index)
+        raise BlowUpError(f"non-finite value at node {node} of field {field} "
+                          f"on step {step_index}", node=node, step=step_index, field=field)
+    upd *= dt
+    flat[idx] += upd
     apply_closure(state.values, grid, bvals)
     state.time += dt
 
@@ -398,9 +451,12 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
     The start state is copied once and advanced in place, so the caller's
     state is never changed.  ws.rate, ws.grads and ws.s_node belong to the
     yielded state until the next step overwrites them and the state.  A
-    non-finite update raises BlowUpError naming the node and step.
+    stack of fields (values of shape (*grid.shape, B) with bvals built for
+    B boundary functions) advances with one operator call per step, each
+    field bit for bit as it would alone.  A non-finite update raises
+    BlowUpError naming the node and step, and in a stack the field.
     """
-    ws = Workspace(grid)
+    ws = Workspace(grid, state.values.shape[grid.dim:])
     dt = stable_dt(params, grid)
     state = state.copy()
     regularized_rhs(state.values, grid, params, bvals, ws)
@@ -414,21 +470,24 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
 def step(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
          step_index: int = 0) -> FieldState:
     """One out-of-place forward-Euler update; boundary trace re-imposed exactly."""
-    ws = Workspace(grid)
+    ws = Workspace(grid, state.values.shape[grid.dim:])
     new = state.copy()
     euler_update(new, regularized_rhs(state.values, grid, params, bvals, ws),
                  stable_dt(params, grid), grid, bvals, ws, step_index)
     return new
 
 
-def init_state(grid: Grid, g_fn: Callable, bvals: BoundaryValues) -> FieldState:
+def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
+               bvals: BoundaryValues) -> FieldState:
     """Sample initial data on inside nodes and close the boundary ring.
 
-    The closure makes the initial state exactly what the scheme evolves,
-    so rate bounds taken on it are attained by the first recorded step.
+    g_fn is one function, or a sequence of B functions for a stack of fields
+    (bvals built for as many).  The closure makes the initial state exactly
+    what the scheme evolves, so rate bounds taken on it are attained by the
+    first recorded step.
     """
-    values = np.full(grid.shape, np.nan)
-    values[grid.inside] = g_fn(grid.points[grid.inside])
+    values = np.full(grid.shape + (() if callable(g_fn) else (len(g_fn),)), np.nan)
+    values[grid.inside] = _sample(g_fn, grid.points[grid.inside])
     apply_closure(values, grid, bvals)
     return FieldState(values, 0.0)
 

@@ -170,6 +170,32 @@ def test_comparison_rejects_unordered_data(unit_ball, grid16):
         ba.comparison_experiment(lo, hi, grid16, mc.FlowParams(epsilon=0.1), 0.01)
 
 
+def test_comparison_stack_matches_pairs_run_alone(unit_ball, grid16):
+    # an override step twice the stability bound lets ordering slip, so the
+    # violations compared are not all zero
+    params = mc.FlowParams(epsilon=0.1, nu=0.3, dt_override=0.002)
+    lows, highs = zip(*(ba.random_ordered_pair(unit_ball, seed) for seed in range(6)))
+    rep = ba.comparison_experiment(lows, highs, grid16, params, horizon=0.06)
+    alone = [ba.comparison_experiment(lo, hi, grid16, params, horizon=0.06)
+             for lo, hi in zip(lows, highs)]
+    assert rep.steps == alone[0].steps == 30
+    assert rep.per_pair.tolist() == [a.max_violation for a in alone]
+    assert rep.per_step.tolist() == np.max([a.per_step for a in alone], axis=0).tolist()
+    assert rep.max_violation == max(a.max_violation for a in alone) > 0.0
+
+
+def test_comparison_checks_every_pair_before_evolving(unit_ball, grid16, monkeypatch):
+    lo = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    hi = mc.IBVP(unit_ball, lambda p: p[:, 0] + 1.0, lambda p: p[:, 0] + 1.0)
+    monkeypatch.setattr(ba, "march", lambda *a: pytest.fail("marched unordered pairs"))
+    with pytest.raises(ValueError, match="not ordered"):
+        ba.comparison_experiment([lo, lo, hi], [hi, hi, lo], grid16,
+                                 mc.FlowParams(epsilon=0.1), 0.01)
+    for lows, highs in (([lo, lo], [hi]), ([], [])):
+        with pytest.raises(ValueError, match="as many low problems as high ones"):
+            ba.comparison_experiment(lows, highs, grid16, mc.FlowParams(epsilon=0.1), 0.01)
+
+
 def test_random_ordered_pairs_are_ordered(unit_ball):
     rng_pts = np.random.default_rng(0).uniform(-0.7, 0.7, (200, 2))
     for seed in range(5):

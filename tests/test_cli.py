@@ -56,6 +56,12 @@ def test_config_rejects_zero_epsilon(tmp_path):
         cli.load_config(_write(tmp_path, bad))
 
 
+def test_config_rejects_an_empty_comparison(tmp_path):
+    bad = BLOWUP_COMPARISON.replace("run.pairs = 1", "run.pairs = 0")
+    with pytest.raises(cli.ConfigError, match="run.pairs must be at least 1, got 0"):
+        cli.load_config(_write(tmp_path, bad))
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):
@@ -221,6 +227,26 @@ def test_main_runs_on_after_a_blowup(tmp_path, capsys):
     summary = (out / "run001" / "summary.txt").read_text()
     assert "all_passed: True" in summary
     assert "property ordering-preserved: pass" in summary
+
+
+def test_main_names_the_pair_that_blows_up(tmp_path, capsys):
+    cfg = _write(tmp_path, BLOWUP_COMPARISON.replace("run.pairs = 1", "run.pairs = 3"))
+    rc = cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    # each pair alone: the stack stops at the earliest step, lowest pair first
+    grid = mc.build_grid(mc.ball(1.0), 0.0625)
+    params = mc.FlowParams(epsilon=0.1, dt_override=0.01)
+    alone = []
+    for pair in range(3):
+        low, high = ba.random_ordered_pair(mc.ball(1.0), pair)
+        with pytest.raises(mc.BlowUpError) as exc:
+            ba.comparison_experiment(low, high, grid, params, horizon=5)
+        alone.append((exc.value.step, pair, exc.value.field, exc.value.node))
+    step, pair, field, node = min(alone)
+    assert rc == 1
+    assert errors == [f"error: {cfg}: non-finite value at node {node} on step {step} "
+                      f"in pair {pair} ({('low', 'high')[field]} field)"]
 
 
 def test_barrier_run_solves_each_steady_problem_once(tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mcflow as mc
 from mcflow import barriers as ba
 from mcflow import operator as op
 
 from helpers import zero, linear_x1, quadratic_r2, bump, observed_orders
+
+WS_FIELDS = ("rate", "grads", "s_node")
 
 
 def _node_index(grid, x, y):
@@ -264,6 +268,116 @@ def test_march_leaves_start_state_untouched(grid16):
     assert k == 7
     assert start.values.tobytes() == before and start.time == 0.0
     assert state.time > 0.0
+
+
+@pytest.fixture(scope="module")
+def stack_grids(grid16):
+    """The disk and the ellipse (1, 0.5) at h = 1/16, and the disk with
+    hand-made defects that no grid of the three domain kinds has: a node cut
+    on both sides of an axis, and a chain of three near-boundary nodes each
+    closed through the next, so the closure needs three Jacobi sweeps."""
+    fix = {k: getattr(grid16, k).copy()
+           for k in ("theta", "interior", "near_boundary", "closure_axis", "closure_side")}
+    ring = [tuple(i) for i in np.argwhere(grid16.near_boundary)
+            if grid16.closure_axis[tuple(i)] == 0 and grid16.closure_side[tuple(i)] == 1
+            and np.isnan(grid16.theta[0, 0][tuple(i)])]
+    mid = grid16.shape[1] // 2
+    sliver = max(ring, key=lambda n: abs(n[1] - mid))
+    fix["theta"][0, 0][sliver] = 0.5
+    # head closes through its minus-x neighbor; make that one close through
+    # its plus-y neighbor, and that one through its minus-x neighbor
+    head = min(ring, key=lambda n: abs(n[1] - mid))
+    links = (((head[0] - 1, head[1]), 1, 0), ((head[0] - 1, head[1] + 1), 0, 1))
+    for node, axis, side in links:
+        assert grid16.interior[node]
+        fix["theta"][axis, 1 - side][node] = 0.9
+        fix["interior"][node] = False
+        fix["near_boundary"][node] = True
+        fix["closure_axis"][node] = axis
+        fix["closure_side"][node] = 1 - side
+    assert grid16.interior[head[0] - 2, head[1] + 1]
+    return {"disk": grid16, "ellipse": mc.build_grid(mc.ellipse(1.0, 0.5), 1 / 16),
+            "defects": dataclasses.replace(grid16, **fix)}
+
+
+def _stack_data(unit_ball, fields):
+    """'zero', 'bump', 'tiny' (1e-12 bump) or a random_ordered_pair seed
+    (its low data if even, else high)."""
+    named = {"zero": zero, "bump": bump, "tiny": lambda p: 1e-12 * bump(p)}
+    return [named[f] if f in named else ba.random_ordered_pair(unit_ball, f)[f % 2].initial_data
+            for f in fields]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(fields=st.lists(st.sampled_from(("zero", "bump", "tiny")) | st.integers(0, 10_000),
+                       min_size=1, max_size=5),
+       nu=st.sampled_from((0.0, 0.3, -0.3)),
+       kind=st.sampled_from(("disk", "ellipse", "defects")))
+# on the defects grid the tiny field closes in one Jacobi sweep, before the
+# chain is final, and the others take three: each field must stop at its own
+# sweep, neither at the first field's nor at the last one's
+@example(fields=["bump", "zero", 7], nu=0.0, kind="ellipse")
+@example(fields=[4, "tiny", "bump", 3], nu=0.0, kind="defects")
+def test_stacked_march_matches_separate_marches(unit_ball, stack_grids, fields, nu, kind):
+    grid = stack_grids[kind]
+    params = mc.FlowParams(epsilon=0.1, nu=nu)
+    data = _stack_data(unit_ball, fields)
+    bv = op.boundary_values(grid, data)
+    if kind == "defects":
+        assert any(len(c.both) for c in bv.axis_cuts) and (bv.c_inner < 0).any()
+        assert np.isin(bv.c_inner, bv.nb_flat).any()
+    alone = []
+    for f in data:
+        bv_f = op.boundary_values(grid, f)
+        alone.append(op.march(op.init_state(grid, f, bv_f), grid, params, bv_f, 16))
+    stacked = op.march(op.init_state(grid, data, bv), grid, params, bv, 16)
+    for (k, state, ws), *singles in zip(stacked, *alone):
+        assert state.values.shape == grid.shape + (len(data),)
+        for b, (_, single, ws_b) in enumerate(singles):
+            assert np.array_equal(state.values[..., b], single.values, equal_nan=True)
+            for name in WS_FIELDS:
+                assert np.array_equal(getattr(ws, name)[..., b], getattr(ws_b, name),
+                                      equal_nan=True)
+            assert state.time == single.time
+    assert k == 16
+
+
+def test_stack_of_one_matches_the_unstacked_field(grid16):
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    bv1 = op.boundary_values(grid16, [bump])
+    bv = op.boundary_values(grid16, bump)
+    for (_, one, ws1), (_, plain, ws) in zip(
+            op.march(op.init_state(grid16, [bump], bv1), grid16, params, bv1, 8),
+            op.march(op.init_state(grid16, bump, bv), grid16, params, bv, 8)):
+        assert one.values.shape == grid16.shape + (1,)
+        assert one.values[..., 0].tobytes() == plain.values.tobytes()
+        for name in WS_FIELDS:
+            assert getattr(ws1, name)[..., 0].tobytes() == getattr(ws, name).tobytes()
+
+
+def _blowup(grid, data, params):
+    bv = op.boundary_values(grid, data)
+    with pytest.raises(op.BlowUpError) as exc:
+        for _ in op.march(op.init_state(grid, data, bv), grid, params, bv, 500):
+            pass
+    return exc.value
+
+
+def test_blowup_in_a_stack_names_earliest_step_lowest_field(unit_ball, grid16):
+    # the override step of the CLI blow-up config, about 10 times 0.5 h^2 / dim;
+    # zero data at nu = 0 never move, so the first field stays finite
+    params = mc.FlowParams(epsilon=0.1, dt_override=0.01)
+    low, high = ba.random_ordered_pair(unit_ball, 0)
+    # low and high blow up on the same step, the high field at an earlier node
+    data = [zero, low.initial_data, bump, high.initial_data]
+    alone = {b: _blowup(grid16, f, params) for b, f in enumerate(data) if b}
+    first = min(alone, key=lambda b: (alone[b].step, b))
+    err = _blowup(grid16, data, params)
+    assert (err.step, err.node, err.field) == (alone[first].step, alone[first].node, first)
+    assert str(err) == f"non-finite value at node {err.node} of field {first} on step {err.step}"
+    single = alone[first]
+    assert single.field is None
+    assert str(single) == f"non-finite value at node {single.node} on step {single.step}"
 
 
 def test_quadrature_measures_disk_area(grid32):
