@@ -133,9 +133,10 @@ def load_config(path, out_dir=None) -> RunConfig:
 
     Keys outside CONFIG_KEYS are rejected with their line, expressions are
     smoke-tested at 10 random domain points, the smoothing parameter must
-    be strictly positive, run.pairs must be at least 1, and boundary/initial
-    data must agree on the boundary (``IBVP`` checks it; the max mismatch is
-    reported on rejection).
+    be strictly positive, grid.spacing must pass the grid build's
+    admissibility check, run.horizon must be positive, run.pairs must be at
+    least 1, and boundary/initial data must agree on the boundary (``IBVP``
+    checks it; the max mismatch is reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -167,6 +168,14 @@ def load_config(path, out_dir=None) -> RunConfig:
     except OperatorError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
+    spacing = float(raw.get("grid.spacing", "0.03125"))
+    try:
+        geo.check_spacing(domain, spacing)
+    except geo.CoarseGridError as exc:
+        raise ConfigError(f"invalid grid.spacing: {exc}") from None
+    horizon = float(raw.get("run.horizon", "1.0"))
+    if not horizon > 0:
+        raise ConfigError(f"run.horizon must be positive, got {horizon}")
     pairs = int(raw.get("run.pairs", "20"))
     if pairs < 1:
         raise ConfigError(f"run.pairs must be at least 1, got {pairs}")
@@ -179,8 +188,7 @@ def load_config(path, out_dir=None) -> RunConfig:
     return RunConfig(
         experiment=experiment, domain=domain, boundary_expr=boundary,
         initial_expr=initial, problem=problem, params=params,
-        spacing=float(raw.get("grid.spacing", "0.03125")),
-        horizon=float(raw.get("run.horizon", "1.0")),
+        spacing=spacing, horizon=horizon,
         snapshot_times=tuple(float(v) for v in raw.get("run.snapshot_times", "").split()),
         tolerance=float(raw.get("run.tolerance", "1e-6")),
         eps_list=tuple(float(v) for v in raw.get("run.eps_list", "").split()),

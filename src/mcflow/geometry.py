@@ -4,6 +4,11 @@ Domains are described analytically (no mesh input): the ball and the
 smoothed stadium have closed-form signed distances, the ellipse uses a
 damped-Newton projection onto its boundary parametrization.  All functions
 are pure and vectorized over point arrays of shape (N, dim).
+
+The grid build never projects: the ellipse (and spheroid) classifies nodes
+by its quadric test and cuts grid lines at the closed-form root of the
+quadric; the ball and the stadium classify by the sign of their exact
+signed distance and bisect it for the cuts.
 """
 
 from dataclasses import dataclass
@@ -126,6 +131,12 @@ def _ellipse_profile_point(pts: np.ndarray):
     return u, v
 
 
+def _inside_ellipse(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
+    """Quadric test (u/a)^2 + (v/b)^2 < 1 on centred points: the ellipse's inside."""
+    u, v = _ellipse_profile_point(pts)
+    return (u / domain.semi_major) ** 2 + (v / domain.semi_minor) ** 2 < 1.0
+
+
 def _project_ellipse(a: float, b: float, u: np.ndarray, v: np.ndarray):
     """Project planar points onto the ellipse (a cos t, b sin t), first quadrant.
 
@@ -197,12 +208,10 @@ def signed_distance(domain: DomainSpec, x) -> np.ndarray:
     elif domain.kind == "smoothed-stadium":
         d = _stadium_signed_distance(domain, pts)
     else:
-        a, b = domain.semi_major, domain.semi_minor
         u, v = _ellipse_profile_point(pts)
-        bu, bv = _project_ellipse(a, b, u, v)
+        bu, bv = _project_ellipse(domain.semi_major, domain.semi_minor, u, v)
         dist = np.sqrt((np.abs(u) - bu) ** 2 + (np.abs(v) - bv) ** 2)
-        inside = (u / a) ** 2 + (v / b) ** 2 < 1.0
-        d = np.where(inside, dist, -dist)
+        d = np.where(_inside_ellipse(domain, pts), dist, -dist)
     return d if np.asarray(x).ndim > 1 else float(d[0])
 
 
@@ -369,20 +378,31 @@ class Grid:
         return float(self.qweight.sum() * self.spacing ** self.dim)
 
 
-def build_grid(domain: DomainSpec, spacing: float) -> Grid:
-    """Embed the domain in a uniform grid and classify its nodes.
+def check_spacing(domain: DomainSpec, spacing: float) -> bool:
+    """Admissibility of a grid spacing; returns whether it is coarse.
 
-    Rejects spacings above half the smallest shape parameter; spacings
-    above an eighth of it succeed with a coarse warning flag.
+    Raises CoarseGridError unless 0 < spacing <= half the smallest shape
+    parameter; above an eighth of it the spacing is coarse.
     """
-    if spacing <= 0:
-        raise CoarseGridError("spacing must be positive")
+    if not spacing > 0:
+        raise CoarseGridError(f"spacing must be positive, got {spacing}")
     min_param = min(domain.shape_parameters)
     if spacing > 0.5 * min_param:
         raise CoarseGridError(
             f"spacing {spacing} too coarse: must be <= {0.5 * min_param} "
             f"(half the smallest shape parameter {min_param})")
-    coarse = spacing > min_param / 8.0
+    return spacing > min_param / 8.0
+
+
+def build_grid(domain: DomainSpec, spacing: float) -> Grid:
+    """Embed the domain in a uniform grid and classify its nodes.
+
+    The spacing must pass check_spacing; a coarse one sets coarse_warning.
+    Nodes are inside by the ellipse's quadric test or by a positive signed
+    distance (ball, stadium); no boundary projection runs, so the build
+    cannot raise ProjectionError.
+    """
+    coarse = check_spacing(domain, spacing)
 
     ext = domain.half_extents
     counts = tuple(int(np.ceil(2 * e / spacing - 1e-12)) + 1 for e in ext)
@@ -393,9 +413,10 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack(mesh, axis=-1)
     flat_pts = points.reshape(-1, domain.dim)
-    d = signed_distance(domain, flat_pts).reshape(counts)
-
-    inside = d > 0.0
+    if domain.kind == "ellipse":
+        inside = _inside_ellipse(domain, flat_pts - center).reshape(counts)
+    else:
+        inside = (signed_distance(domain, flat_pts) > 0.0).reshape(counts)
     interior = inside.copy()
     dim = domain.dim
     theta = np.full((dim, 2) + counts, np.nan)
@@ -444,20 +465,33 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
 
 def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: int,
                    direction: float, spacing: float) -> np.ndarray:
-    """Bisect for the boundary crossing along a grid ray, as a fraction of spacing.
+    """Boundary crossing along a grid ray, as a fraction of spacing, in [1e-12, 1].
 
     Each point is strictly inside with its neighbor at pts + direction*spacing*e_axis
     outside or on the boundary; convexity gives a single crossing in (0, 1].
+    The ellipse's crossing is the closed-form root of its quadric along the
+    axis; the ball's and the stadium's bisect their signed distance.
     """
+    if domain.kind == "ellipse":
+        p = pts - np.asarray(domain.center)
+        semi = domain.half_extents
+        rest = np.sum(np.delete(p / semi, axis, axis=1) ** 2, axis=1)
+        t = (semi[axis] * np.sqrt(np.maximum(1.0 - rest, 0.0))
+             - direction * p[:, axis]) / spacing
+    else:
+        e = np.zeros(domain.dim)
+        e[axis] = direction * spacing
+        t = _bisect_crossing(lambda q: signed_distance(domain, q) > 0.0, pts, e)
+    return np.maximum(np.minimum(t, 1.0), 1e-12)
+
+
+def _bisect_crossing(is_inside, pts: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Sixty halvings for the t in (0, 1] where is_inside flips along pts + t*step."""
     lo = np.zeros(len(pts))
     hi = np.ones(len(pts))
-    e = np.zeros(domain.dim)
-    e[axis] = direction * spacing
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        d = signed_distance(domain, pts + mid[:, None] * e)
-        go_right = d > 0.0
+        go_right = is_inside(pts + mid[:, None] * step)
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
-    t = 0.5 * (lo + hi)
-    return np.maximum(np.minimum(t, 1.0), 1e-12)
+    return 0.5 * (lo + hi)

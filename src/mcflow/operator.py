@@ -137,7 +137,8 @@ class BoundaryValues:
     in the closure arrays.  Those drive the per-step interpolation of
     near-boundary nodes along their canonical (smallest theta) cut:
     value = (hb + theta * inner) / (1 + theta), or a constant two-sided
-    interpolant where the opposite neighbor is exterior too (c_inner < 0).
+    interpolant (c_inner < 0) where the opposite neighbor is exterior too or
+    closes back through this node along the same line.
     For a stack of B fields the hb arrays and c_const gain a trailing axis
     of length B and the theta arrays a trailing unit axis.
     """
@@ -176,7 +177,12 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
     c_inner = np.full(k, -1, dtype=np.int64)
     c_const = np.full((k,) + stack, np.nan)
 
-    strides = [int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)]
+    strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
+    # flat index of each node's inner neighbor, across from its canonical cut
+    inner = nb_flat + np.where(side_c == 1, -1, 1) * strides[ax_c]
+    # a pair: the inner neighbor closes back through this node along the same line
+    pair = (nb.ravel()[inner] & (grid.closure_axis.ravel()[inner] == ax_c)
+            & (grid.closure_side.ravel()[inner] == 1 - side_c)).tolist()
     nb_idx = np.argwhere(nb)
     for j in range(k):
         ax, side = int(ax_c[j]), int(side_c[j])
@@ -184,14 +190,20 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
         c_theta[j] = grid.theta[ax, side][idx]
         c_hb[j] = hb[ax, side][idx]
         opp = grid.theta[ax, 1 - side][idx]
+        # interpolate between two boundary values, independent of any node,
+        # where the line is cut on both sides (a sliver), or at a pair: its
+        # fixed point, which the Jacobi sweeps reach only at a rate up to 1/2
+        # per sweep
         if np.isfinite(opp):
-            # sliver cut on both sides: interpolate between the two
-            # boundary values, independent of any node
-            t_in, t_out = opp, c_theta[j]
-            hb_in = hb[ax, 1 - side][idx]
-            c_const[j] = (t_in * c_hb[j] + t_out * hb_in) / (t_in + t_out)
+            t_in, hb_in = opp, hb[ax, 1 - side][idx]
+        elif pair[j]:
+            t_in = 1.0 + grid.theta[ax, 1 - side].flat[inner[j]]
+            hb_in = _flat(hb[ax, 1 - side], dim)[inner[j]]
         else:
-            c_inner[j] = nb_flat[j] + (-strides[ax] if side == 1 else strides[ax])
+            c_inner[j] = inner[j]
+            continue
+        t_out = c_theta[j]
+        c_const[j] = (t_in * c_hb[j] + t_out * hb_in) / (t_in + t_out)
     return BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat,
                           c_theta=c_theta.reshape((k,) + (1,) * len(stack)),
                           c_hb=c_hb, c_inner=c_inner, c_const=c_const)

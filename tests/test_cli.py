@@ -62,6 +62,54 @@ def test_config_rejects_an_empty_comparison(tmp_path):
         cli.load_config(_write(tmp_path, bad))
 
 
+# the benchmark's prolate spheroid (1, 0.6, 0.6): spacings above 0.3 are inadmissible
+SPHEROID_FLOW = """
+experiment = flow
+domain.kind = ellipse
+domain.dim = 3
+domain.semi_major = 1.0
+domain.semi_minor = 0.6
+data.boundary = 0
+data.initial = 0.3*max(0, 1 - x1^2 - (x2^2+x3^2)/0.36)^2
+params.epsilon = 0.05
+grid.spacing = 0.125
+run.horizon = 0.002
+"""
+
+
+@pytest.mark.parametrize("spacing", ["2.0", "0", "-0.1", "nan"])
+def test_config_rejects_an_inadmissible_spacing(tmp_path, spacing):
+    bad = SPHEROID_FLOW.replace("grid.spacing = 0.125", f"grid.spacing = {spacing}")
+    domain = mc.ellipse(1.0, 0.6, dim=3)
+    with pytest.raises(mc.CoarseGridError) as built:
+        mc.build_grid(domain, float(spacing))
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(_write(tmp_path, bad))
+    assert str(loaded.value) == f"invalid grid.spacing: {built.value}"
+
+
+def test_main_rejects_an_inadmissible_spacing_before_any_run(tmp_path, capsys):
+    bad = _write(tmp_path, SPHEROID_FLOW.replace("grid.spacing = 0.125", "grid.spacing = 2.0"),
+                 "bad.cfg")
+    good = _write(tmp_path, SPHEROID_FLOW, "good.cfg")
+    rc = cli.main(["flow", "--config", str(bad), "--config", str(good),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: invalid grid.spacing: spacing 2.0 too coarse")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("horizon", ["-1", "0"])
+def test_config_rejects_a_nonpositive_horizon(tmp_path, horizon):
+    bad = MINIMAL_FLOW.replace("run.horizon = 0.01", f"run.horizon = {horizon}")
+    with pytest.raises(cli.ConfigError, match=f"run.horizon must be positive, got {float(horizon)}"):
+        cli.load_config(_write(tmp_path, bad))
+    assert cli.main(["flow", "--config", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):

@@ -1,7 +1,9 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mcflow as mc
 from mcflow import geometry as geo
@@ -187,3 +189,73 @@ def test_grid_3d_ball_classification():
     assert np.all(d[g.inside] > 0)
     assert g.n_interior > 0
     assert g.domain_measure() == pytest.approx(4 / 3 * np.pi, rel=0.05)
+
+
+def _quadric(domain, pts):
+    """(x1/a)^2 + sum_i (x_i/b)^2 of points taken relative to the centre."""
+    return np.sum(((pts - np.asarray(domain.center)) / domain.half_extents) ** 2, axis=1)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from((2, 3)),
+       center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       semi_major=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
+       fraction=st.floats(1 / 16, 1 / 2))
+# a lattice node one ulp inside the tip: its vertical line is tangent to the
+# boundary within round-off, and its horizontal cut is clamped at 1e-12
+@example(dim=2, center=[0.0, 0.0, 0.0], semi_major=0.875, ratio=1 / 3, fraction=0.5)
+# lattice nodes on the boundary to round-off, at a signed distance of exactly 0
+@example(dim=3, center=[0.0, 0.0, 0.0], semi_major=1.0, ratio=0.25, fraction=1 / 12)
+def test_ellipse_cuts_are_the_roots_of_the_quadric(dim, center, semi_major, ratio, fraction):
+    domain = mc.ellipse(semi_major, ratio * semi_major, center[:dim], dim)
+    h = fraction * domain.semi_minor
+    g = mc.build_grid(domain, h)
+    c = np.asarray(domain.center)
+    semi = domain.half_extents
+    for axis in range(dim):
+        for side in range(2):
+            mask = g.cut_mask(axis, side)
+            sign = 1.0 if side == 1 else -1.0
+            step = np.zeros(dim)
+            step[axis] = sign * h
+            pts = g.points[mask]
+            theta = g.theta[axis, side][mask]
+            # oracle: the bisection the ball and the stadium use, on the quadric test
+            ref = np.clip(geo._bisect_crossing(lambda q: geo._inside_ellipse(domain, q - c),
+                                               pts, step), 1e-12, 1.0)
+            # the quadric is known to a few ulp, so its root only to 8 eps over
+            # its slope along the line: loose only where the line is tangent
+            slope = 2 * h * np.abs(pts[:, axis] + sign * ref * h - c[axis]) / semi[axis] ** 2
+            assert np.all(np.abs(theta - ref) <= 1e-13 + 8 * np.finfo(float).eps / slope)
+            free = theta > 1e-12        # a clamped cut sits off the quadric by the clamp
+            cut = g.cut_points(axis, side)[free]
+            assert np.abs(_quadric(domain, cut) - 1.0).max(initial=0.0) <= 1e-13
+    # signed_distance reads its sign off the same quadric test; only a node on
+    # the boundary to round-off projects to a distance of exactly 0, which
+    # carries no sign, and there the quadric decides
+    d = geo.signed_distance(domain, g.points.reshape(-1, dim)).reshape(g.shape)
+    signed = d != 0
+    assert np.array_equal(g.inside[signed], d[signed] > 0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(_quadric(domain, g.points[~signed]) - 1.0) <= 4 * eps)
+
+
+@pytest.mark.parametrize("domain, h", [(mc.ellipse(1.0, 0.5, (0.013, -0.021)), 1 / 16),
+                                       (mc.ellipse(1.0, 0.6, dim=3), 1 / 16)])
+def test_ellipse_grid_builds_without_a_projection(monkeypatch, domain, h):
+    def refuse(*args):
+        raise AssertionError("the grid build projected onto the ellipse")
+    monkeypatch.setattr(geo, "_project_ellipse", refuse)
+    g = mc.build_grid(domain, h)
+    assert g.near_boundary.any() and np.isfinite(g.theta).any()
+
+
+@pytest.mark.parametrize("domain, digest", [
+    (mc.ball(1.0), "1cbc96e02dca26b9758ae69815ee52c433357a9183ad13a6b2eda45c5913fb5f"),
+    (mc.smoothed_stadium(0.5, 1.5, 0.25),
+     "e1f5319d90692f9b9086915c6a9a3c833766d0ae97bf4bb07d6a0810f38c6118"),
+])
+def test_bisected_cuts_stay_bit_identical(domain, digest):
+    g = mc.build_grid(domain, 1 / 32)
+    assert hashlib.sha256(g.theta.tobytes()).hexdigest() == digest
+

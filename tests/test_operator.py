@@ -383,3 +383,115 @@ def test_blowup_in_a_stack_names_earliest_step_lowest_field(unit_ball, grid16):
 def test_quadrature_measures_disk_area(grid32):
     one = np.where(grid32.inside, 1.0, np.nan)
     assert op.quadrature(one, grid32) == pytest.approx(np.pi, rel=0.01)
+
+
+def _built_domain(kind, dim, center, size, ratio):
+    center = tuple(center[:dim])
+    if kind == "ball":
+        return mc.ball(size, center, dim)
+    if kind == "ellipse":
+        return mc.ellipse(size, ratio * size, center, dim)
+    return mc.smoothed_stadium(0.5 * size, 1.25 * size, 0.5 * size * max(ratio, 0.4),
+                               center, dim)
+
+
+def _closure_branches(grid, bv):
+    """(two-sided cuts, constant closures, closures that read a near-boundary node)."""
+    return (sum(len(c.both) for c in bv.axis_cuts), int((bv.c_inner < 0).sum()),
+            int(np.isin(bv.c_inner, bv.nb_flat).sum()))
+
+
+# (kind, dim, center, size, ratio, fraction): the slender off-centre ellipse
+# and spheroid reach all three branches, the disk at h = 0.1 chains, the
+# ellipse (1, 0.5) off centre at h = 1/16 a two-sided cut, the ellipse
+# (1, 0.25) at h = 0.4375 b has two-node chords whose nodes close through
+# each other; the spheroid (1, 0.25) at h = b/12 has lattice nodes on its
+# boundary to round-off
+BRANCH_GRIDS = (("ellipse", 2, (0.013, -0.021, 0.0), 1.0, 0.15, 1 / 3),
+                ("ellipse", 3, (0.013, -0.021, 0.0), 1.0, 0.15, 1 / 3),
+                ("ball", 2, (0.0, 0.0, 0.0), 1.0, 1.0, 0.1),
+                ("ellipse", 2, (0.013, -0.021, 0.0), 1.0, 0.5, 1 / 8),
+                ("ellipse", 2, (0.0, 0.0, 0.0), 1.0, 0.25, 0.4375),
+                ("ellipse", 3, (0.0, 0.0, 0.0), 1.0, 0.25, 1 / 12))
+
+
+def _branch_grid(i):
+    return dict(zip(("kind", "dim", "center", "size", "ratio", "fraction"), BRANCH_GRIDS[i]))
+
+
+@pytest.mark.parametrize("i, reached", [(0, (True, True, True)), (1, (True, True, True)),
+                                       (2, (False, False, True)), (3, (True, False, False)),
+                                       (4, (False, True, False))])
+def test_built_grids_reach_every_closure_branch(i, reached):
+    kind, dim, center, size, ratio, fraction = BRANCH_GRIDS[i]
+    domain = _built_domain(kind, dim, center, size, ratio)
+    grid = mc.build_grid(domain, fraction * min(domain.shape_parameters))
+    counts = _closure_branches(grid, op.boundary_values(grid, linear_x1))
+    assert tuple(n > 0 for n in counts) == reached
+
+
+def _closure_fields(dim):
+    slope = np.array([0.7, -0.4, 0.3])[:dim]
+    linear = lambda p: 0.2 + p @ slope
+    fields = [lambda p: np.sin(3 * p[:, 0]) * np.cos(2 * p[:, -1]),
+              lambda p: 0.3 * (1.0 - np.sum(p ** 2, axis=1)) ** 2 + 0.1 * p[:, 0],
+              linear]
+    return slope, linear, fields
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium")),
+       dim=st.sampled_from((2, 3)),
+       center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
+       fraction=st.floats(1 / 16, 1 / 2), stacked=st.booleans(),
+       nu=st.sampled_from((0.0, 0.3)))
+@example(**_branch_grid(0), stacked=True, nu=0.0)
+@example(**_branch_grid(1), stacked=False, nu=0.3)
+@example(**_branch_grid(2), stacked=True, nu=0.3)
+@example(**_branch_grid(3), stacked=False, nu=0.0)
+@example(**_branch_grid(4), stacked=False, nu=0.0)
+@example(**_branch_grid(5), stacked=True, nu=0.0)
+def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacked, nu):
+    if dim == 3:
+        fraction = max(fraction, 1 / 12)     # keeps the 3D boxes small
+    domain = _built_domain(kind, dim, center, size, ratio)
+    grid = mc.build_grid(domain, fraction * min(domain.shape_parameters))
+    inside = grid.inside
+    tol = 1e-12
+    slope, linear, fields = _closure_fields(dim)
+
+    # linear data: the closure and every cut stencil are exact
+    bv = op.boundary_values(grid, linear)
+    state = op.init_state(grid, linear, bv)
+    assert np.abs(state.values[inside] - linear(grid.points[inside])).max() <= tol
+    grads = op.node_gradient(state.values, grid, bv)
+    # a stencil across a cut theta*h long loses about eps*|u|/(theta*h) to
+    # round-off: a node on the boundary to round-off has its cut clamped at 1e-12
+    theta = np.fmin(grid.theta[:, 0], grid.theta[:, 1])
+    theta = np.where(np.isnan(theta), 1.0, theta)
+    loss = 16 * np.finfo(float).eps * np.abs(state.values[inside]).max() / grid.spacing
+    for k in range(dim):
+        assert np.all(np.abs(grads[k][inside] - slope[k]) <= 1e-9 + loss / theta[k][inside])
+
+    data = fields if stacked else fields[0]
+    bv = op.boundary_values(grid, data)
+    # the residual sees a wrong value at either kind of closed node
+    const = bv.c_inner < 0
+    for nodes in (bv.nb_flat[const], bv.nb_flat[~const]):
+        if len(nodes):
+            values = op.init_state(grid, data, bv).values
+            op._flat(values, dim)[nodes] += 1.0
+            assert op.boundary_trace_residual(values, grid, bv) >= 0.5
+
+    # from the raw samples, the Jacobi sweeps close the ring well before max_iter
+    raw = np.full(grid.shape + (() if callable(data) else (len(data),)), np.nan)
+    raw[inside] = op._sample(data, grid.points[inside])
+    sweeps = next(k for k in range(1, 65) if op.boundary_trace_residual(
+        op.apply_closure(raw.copy(), grid, bv, max_iter=k), grid, bv) <= tol)
+    assert sweeps <= 8
+
+    params = mc.FlowParams(epsilon=0.1, nu=nu)
+    for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
+        assert op.boundary_trace_residual(state.values, grid, bv) <= tol
+        assert np.isfinite(ws.grads[:, inside]).all()
