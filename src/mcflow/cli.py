@@ -179,6 +179,9 @@ def load_config(path, out_dir=None) -> RunConfig:
     pairs = int(raw.get("run.pairs", "20"))
     if pairs < 1:
         raise ConfigError(f"run.pairs must be at least 1, got {pairs}")
+    probe_budget = int(raw.get("run.probe_budget", "2000"))
+    if probe_budget < 1:
+        raise ConfigError(f"run.probe_budget must be at least 1, got {probe_budget}")
 
     try:
         problem = fl.IBVP(domain, boundary, initial)
@@ -194,7 +197,7 @@ def load_config(path, out_dir=None) -> RunConfig:
         eps_list=tuple(float(v) for v in raw.get("run.eps_list", "").split()),
         seed=int(raw.get("run.seed", "0")),
         pairs=pairs,
-        probe_budget=int(raw.get("run.probe_budget", "2000")),
+        probe_budget=probe_budget,
         plateau_start=float(raw.get("liouville.plateau_start", "0.25")),
         plateau_value=float(raw.get("liouville.plateau_value", "1.0")),
         plateau_margin=float(raw.get("liouville.plateau_margin", "0.125")),

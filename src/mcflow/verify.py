@@ -6,11 +6,15 @@ The spot checker is sound but deliberately not complete: it fits the local
 quadratic model of the field at sampled space-time points, only probes
 points where the model actually touches the field over a small box, and
 tests the differential inequality with a tolerance proportional to the
-grid spacing.  A genuine violation planted in a field is flagged; absence
+grid spacing.  A box holding a non-finite value (an exterior node) never
+touches.  The fit and the touch test are whole-array operations over
+blocks of 256 sampled centres; only the touched centres reach the scalar
+margin code.  A genuine violation planted in a field is flagged; absence
 of flags is evidence, not proof.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -213,9 +217,8 @@ class ViscosityProbe:
     margin: float                # negative = violation in the tested mode
 
 
-def _box_offsets(dim: int, radius: int):
-    from itertools import product
-    return np.array(list(product(range(-radius, radius + 1), repeat=dim)), dtype=int)
+# centres fitted and touch-tested together: bounds the (block, box) temporaries
+_BLOCK = 256
 
 
 def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float],
@@ -229,9 +232,11 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     where the model touches the field from the correct side over the
     space-time box (radius box_radius in space, 1 in time, with a 1e-12
     tie slack), the mode's differential inequality is tested within a
-    tolerance of 10 * spacing.  Small gradients route to the degenerate
-    branch through the floor max(10 h^2, eps^2).  Returns the violations
-    sorted by location.
+    tolerance of 10 * spacing.  A box holding a non-finite value (an
+    exterior node) never touches.  Small gradients route to the degenerate
+    branch through the floor max(10 h^2, eps^2).  The fit and the touch
+    test run on whole arrays, 256 centres at a time; only touched centres
+    reach the scalar margin code.  Returns the violations sorted by location.
 
     Args:
         snapshots: at least 3 equally-spaced field snapshots.
@@ -249,12 +254,12 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     if np.max(dts) - np.min(dts) > 0.01 * np.max(dts) + 1e-15:
         raise ValueError("snapshot spacing incompatible with the time-difference stencil")
 
-    h = grid.spacing
-    dim = grid.dim
+    h, dim = grid.spacing, grid.dim
     tol = 10.0 * h if tolerance is None else tolerance
     grad_floor = max(10.0 * h ** 2, params.epsilon ** 2)
 
-    # candidate centers: inside nodes whose full spatial box stays inside
+    # candidate centers: inside nodes whose box arms along the axes stay
+    # inside; a box corner may still reach an exterior node (no touch then)
     ok = grid.inside.copy()
     for ax in range(dim):
         for shift in range(1, box_radius + 1):
@@ -262,78 +267,69 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
             ok &= np.roll(grid.inside, -shift, axis=ax)
     # guard the lattice edge
     edge = np.zeros(grid.shape, bool)
-    sl = [slice(box_radius, -box_radius)] * dim
-    edge[tuple(sl)] = True
-    ok &= edge
-    centers = np.argwhere(ok)
+    edge[(slice(box_radius, -box_radius),) * dim] = True
+    centers = np.argwhere(ok & edge)
     if len(centers) == 0:
         return []
     stride = max(1, int(np.ceil(len(centers) * (len(snapshots) - 2) / max(probe_budget, 1))))
     centers = centers[::stride]
 
-    offsets = _box_offsets(dim, box_radius)
+    # flat node indices: a centre, plus unit[k] per step along axis k
+    flat_centers = np.ravel_multi_index(centers.T, grid.shape)
+    unit = [int(np.prod(grid.shape[k + 1:])) for k in range(dim)]
+    offsets = np.array(list(product(range(-box_radius, box_radius + 1), repeat=dim)))
+    flat_offsets = offsets @ np.array(unit)
+    dx = offsets * h
     violations = []
     sign = 1.0 if mode == "sub" else -1.0
 
     for s in range(1, len(snapshots) - 1):
-        u_prev, u, u_next = snapshots[s - 1], snapshots[s], snapshots[s + 1]
+        u_prev, u, u_next = slices = [np.ravel(snapshots[si]) for si in (s - 1, s, s + 1)]
         dtv = (times[s + 1] - times[s - 1]) / 2.0
-        for c in centers:
-            ci = tuple(c)
-            q = (u_next[ci] - u_prev[ci]) / (2.0 * dtv)
-            p = np.empty(dim)
-            hess = np.empty((dim, dim))
+        for b0 in range(0, len(centers), _BLOCK):
+            fc = flat_centers[b0:b0 + _BLOCK]
+            uc = u[fc]
+            q = (u_next[fc] - u_prev[fc]) / (2.0 * dtv)
+            p = np.empty((len(fc), dim))
+            hess = np.empty((len(fc), dim, dim))
             for k in range(dim):
-                up = tuple(c + _unit(dim, k))
-                um = tuple(c - _unit(dim, k))
-                p[k] = (u[up] - u[um]) / (2 * h)
-                hess[k, k] = (u[up] - 2 * u[ci] + u[um]) / h ** 2
-            for k in range(dim):
-                for l in range(k + 1, dim):
-                    pp = tuple(c + _unit(dim, k) + _unit(dim, l))
-                    pm = tuple(c + _unit(dim, k) - _unit(dim, l))
-                    mp = tuple(c - _unit(dim, k) + _unit(dim, l))
-                    mm = tuple(c - _unit(dim, k) - _unit(dim, l))
-                    hess[k, l] = hess[l, k] = (u[pp] - u[pm] - u[mp] + u[mm]) / (4 * h ** 2)
+                up, um = u[fc + unit[k]], u[fc - unit[k]]
+                p[:, k] = (up - um) / (2 * h)
+                hess[:, k, k] = (up - 2 * uc + um) / h ** 2
+            for k, l in combinations(range(dim), 2):
+                a, b = unit[k], unit[l]
+                hess[:, k, l] = hess[:, l, k] = (u[fc + a + b] - u[fc + a - b] - u[fc - a + b]
+                                                 + u[fc - a - b]) / (4 * h ** 2)
 
             # does the quadratic model touch from the mode's side over the box?
-            touched = True
-            for si, us in ((s - 1, u_prev), (s, u), (s + 1, u_next)):
-                dt_off = (times[si] - times[s])
-                xs = c[None, :] + offsets
-                vals = us[tuple(xs.T)]
-                dx = offsets * h
-                model = (u[ci] + dx @ p + 0.5 * np.einsum("ni,ij,nj->n", dx, hess, dx)
-                         + q * dt_off)
-                gap = sign * (vals - model)
-                if np.max(gap) > TOUCH_SLACK:
-                    touched = False
-                    break
-            if not touched:
-                continue
+            box = fc[:, None] + flat_offsets
+            model = (uc[:, None] + p @ dx.T) + 0.5 * np.einsum("ni,bij,nj->bn", dx, hess, dx)
+            touched = np.ones(len(fc), bool)
+            for si, us in zip((s - 1, s, s + 1), slices):
+                vals = np.take(us, box)
+                gap = sign * (vals - (model + q[:, None] * (times[si] - times[s])))
+                # a box holding a non-finite value (an exterior node) never touches
+                touched &= np.isfinite(gap).all(axis=1) & (np.max(gap, axis=1) <= TOUCH_SLACK)
 
-            pn = float(np.linalg.norm(p))
-            if pn > grad_floor:
-                rhs = (float(np.trace(hess)) - float(p @ hess @ p) / pn ** 2
-                       + params.nu * pn)
-                branch = "gradient"
-            else:
-                rhs = degenerate_branch_bound(hess, mode)
-                branch = "degenerate"
-            margin = sign * (rhs - q)
-            if margin < -tol:
-                violations.append(ViscosityProbe(
-                    index=ci, point=grid.points[ci].copy(), time=float(times[s]),
-                    gradient=p, hessian=hess, time_slope=float(q), branch=branch,
-                    margin=float(margin)))
+            for i in np.flatnonzero(touched):
+                ci = tuple(centers[b0 + i])
+                pi, hi = p[i].copy(), hess[i].copy()
+                pn = float(np.linalg.norm(pi))
+                if pn > grad_floor:
+                    rhs = (float(np.trace(hi)) - float(pi @ hi @ pi) / pn ** 2
+                           + params.nu * pn)
+                    branch = "gradient"
+                else:
+                    rhs = degenerate_branch_bound(hi, mode)
+                    branch = "degenerate"
+                margin = sign * (rhs - q[i])
+                if margin < -tol:
+                    violations.append(ViscosityProbe(
+                        index=ci, point=grid.points[ci].copy(), time=float(times[s]),
+                        gradient=pi, hessian=hi, time_slope=float(q[i]), branch=branch,
+                        margin=float(margin)))
     violations.sort(key=lambda v: (v.time,) + v.index)
     return violations
-
-
-def _unit(dim: int, k: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=int)
-    e[k] = 1
-    return e
 
 
 def replicate_steady(field: np.ndarray, spacing_t: float = 1.0):

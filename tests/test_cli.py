@@ -110,6 +110,15 @@ def test_config_rejects_a_nonpositive_horizon(tmp_path, horizon):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_config_rejects_a_probe_budget_below_one(tmp_path, budget):
+    bad = MINIMAL_FLOW + f"run.probe_budget = {budget}\n"
+    with pytest.raises(cli.ConfigError, match=f"run.probe_budget must be at least 1, got {budget}"):
+        cli.load_config(_write(tmp_path, bad))
+    assert cli.main(["flow", "--config", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):

@@ -1,10 +1,14 @@
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mcflow as mc
 from mcflow import verify as vf
 
-from helpers import zero, linear_x1, bump
+from helpers import zero, linear_x1, bump, spot_check_loop
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +187,114 @@ def test_spot_check_violations_sorted(grid16):
                                 mc.FlowParams(epsilon=0.05), "super")
     keys = [(x.time,) + x.index for x in v]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_spot_check_violations_have_their_whole_box_inside(unit_ball, h):
+    # the centre filter checks the box arms only: a box corner can reach an
+    # exterior node, and such a box was never touch-tested
+    grid = mc.build_grid(unit_ball, h)
+    snaps = [np.where(grid.inside, -10.0 * t, np.nan) for t in (0.0, 0.1, 0.2)]
+    sup = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid,
+                                  mc.FlowParams(epsilon=0.05), "super")
+    assert len(sup) > 0
+    for v in sup:
+        box = tuple(slice(i - 2, i + 3) for i in v.index)
+        assert grid.inside[box].all(), f"violation at {v.index} has an exterior node in its box"
+
+
+@pytest.mark.parametrize("mode, value", [("sub", -np.inf), ("super", np.inf), ("sub", np.nan)])
+def test_spot_check_box_with_a_nonfinite_value_never_touches(grid16, mode, value):
+    u = np.where(grid16.inside, 1.0, np.nan)
+    node = (16, 16)
+    u[node] = value
+    snaps, times = vf.replicate_steady(u)
+    with np.errstate(invalid="ignore"):        # fits whose stencil holds inf subtract infinities
+        probes = vf.viscosity_spot_check(snaps, times, grid16, mc.FlowParams(epsilon=0.05),
+                                         mode, tolerance=-np.inf)
+    assert len(probes) > 0
+    assert all(max(abs(i - j) for i, j in zip(v.index, node)) > 2 for v in probes)
+
+
+@lru_cache(maxsize=None)
+def _oracle_grid(name):
+    # the disk has 561 centres (three blocks of at most 256); the spheroid
+    # exercises the cross-Hessian terms of three dimensions
+    domain, h = {"disk": (mc.ball(1.0), 1 / 16),
+                 "stadium": (mc.smoothed_stadium(0.5, 1.5, 0.25), 1 / 16),
+                 "spheroid": (mc.ellipse(1.0, 0.6, dim=3), 1 / 8)}[name]
+    return mc.build_grid(domain, h)
+
+
+def _oracle_fields(grid, kind, n_snaps, seed):
+    """Snapshots at t = 0, 0.1, ...: a random quadratic with a time slope,
+    the same with noise or with NaN holes inside, or the planted -10 t."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(grid.dim, grid.dim))
+    x = grid.points - 0.2 * rng.uniform(-1.0, 1.0, grid.dim)
+    quad = np.einsum("...i,ij,...j->...", x, a + a.T, x) + 0.3 * x @ rng.normal(size=grid.dim)
+    slope = 3.0 * rng.normal()
+    times = [0.1 * i for i in range(n_snaps)]
+    snaps = []
+    for t in times:
+        if kind == "planted":
+            f = np.full(grid.shape, -10.0 * t)
+        else:
+            f = quad + slope * t
+        if kind == "noisy":
+            f = f + 10.0 ** rng.integers(-13, -2) * rng.normal(size=grid.shape)
+        f = np.where(grid.inside, f, np.nan)
+        if kind == "nan-box":
+            nodes = np.argwhere(grid.inside)
+            holes = nodes[rng.choice(len(nodes), size=len(nodes) // 40, replace=False)]
+            f[tuple(holes.T)] = np.nan
+        snaps.append(f)
+    return snaps, times
+
+
+def _probe_bits(v):
+    return (v.index, v.time, v.branch, np.array([v.margin, v.time_slope]).tobytes(),
+            v.gradient.tobytes(), v.hessian.tobytes(), v.point.tobytes())
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(grid=st.sampled_from(("disk", "stadium", "spheroid")),
+       kind=st.sampled_from(("quadratic", "noisy", "planted", "nan-box")),
+       n_snaps=st.sampled_from((3, 4)), mode=st.sampled_from(("sub", "super")),
+       drift=st.booleans(), budget=st.sampled_from((2000, 150)),
+       report_all=st.booleans(), seed=st.integers(0, 10_000))
+@example(grid="disk", kind="quadratic", n_snaps=3, mode="sub", drift=False,
+         budget=2000, report_all=True, seed=0)
+@example(grid="spheroid", kind="quadratic", n_snaps=4, mode="super", drift=True,
+         budget=2000, report_all=True, seed=1)
+@example(grid="stadium", kind="nan-box", n_snaps=3, mode="super", drift=False,
+         budget=2000, report_all=True, seed=2)
+@example(grid="disk", kind="planted", n_snaps=4, mode="super", drift=False,
+         budget=2000, report_all=False, seed=3)
+def test_spot_check_matches_the_per_probe_oracle(grid, kind, n_snaps, mode, drift,
+                                                 budget, report_all, seed):
+    g = _oracle_grid(grid)
+    snaps, times = _oracle_fields(g, kind, n_snaps, seed)
+    params = mc.FlowParams(epsilon=0.2, nu=0.3) if drift else mc.FlowParams(epsilon=0.05)
+    # an infinite negative tolerance reports every touched probe
+    tol = -np.inf if report_all else None
+    got = vf.viscosity_spot_check(snaps, times, g, params, mode, budget, tolerance=tol)
+    want = spot_check_loop(snaps, times, g, params, mode, budget, tolerance=tol)
+    assert [_probe_bits(v) for v in got] == [_probe_bits(v) for v in want]
+
+
+def test_spot_check_temporaries_stay_small(grid32):
+    u = np.where(grid32.inside, grid32.points[..., 0], np.nan)
+    snaps, times = vf.replicate_steady(u)
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    vf.viscosity_spot_check(snaps, times, grid32, params, "sub")     # warm caches
+    tracemalloc.start()
+    try:
+        vf.viscosity_spot_check(snaps, times, grid32, params, "sub")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, f"allocation peak {peak} B"
 
 
 def test_max_settled_residual_skips_endpoints(unit_ball, grid16):
