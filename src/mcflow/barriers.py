@@ -132,8 +132,7 @@ def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: G
 
 
 def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
-                        params: FlowParams, sign: int = 1,
-                        sup_u_bound: float | None = None) -> Barrier:
+                        params: FlowParams, sup_u_bound: float | None = None) -> Barrier:
     """Construct the boundary barrier for the given data.
 
     Requires a positive curvature lower bound and |nu| < n*H0 (the bound
@@ -157,7 +156,7 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
 
     # data Lipschitz bound near the boundary, for the shifted field g - h
     w = np.full(grid.shape, np.nan)
-    w[grid.inside] = (sign * (g_fn(grid.points[grid.inside]) - h_fn(grid.points[grid.inside])))
+    w[grid.inside] = g_fn(grid.points[grid.inside]) - h_fn(grid.points[grid.inside])
     beta = _sampled_lipschitz(w, grid, collar) if collar.any() else 0.0
 
     # outer-edge domination: the barrier at depth rho must top the largest
@@ -178,8 +177,8 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
     lam = max(MIN_SLOPE, beta, m_edge / rho)
 
     def residual_for(lam_try):
-        b = Barrier(sign=sign, slope=lam_try, collar_width=rho, data_lipschitz=beta,
-                    psi=sign * lam_try * d, collar=collar, intro_bound_violated=intro_violated)
+        b = Barrier(sign=1, slope=lam_try, collar_width=rho, data_lipschitz=beta,
+                    psi=lam_try * d, collar=collar, intro_bound_violated=intro_violated)
         return barrier_supersolution_residual(b, domain, grid, h_fn, params)
 
     # sampled lower-order residual bound, then the slope the margin needs
@@ -197,8 +196,8 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
     else:
         raise BarrierError("no barrier slope certified within the doubling budget")
 
-    return Barrier(sign=sign, slope=lam, collar_width=rho, data_lipschitz=beta,
-                   psi=sign * lam * d, collar=collar, intro_bound_violated=intro_violated,
+    return Barrier(sign=1, slope=lam, collar_width=rho, data_lipschitz=beta,
+                   psi=lam * d, collar=collar, intro_bound_violated=intro_violated,
                    sup_u_bound=sup_u_bound)
 
 
@@ -207,7 +206,7 @@ def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
     """Lower barrier via the symmetry (u, nu) -> (-u, -nu)."""
     flipped = replace(params, nu=-params.nu)
     up = build_upper_barrier(domain, grid, lambda p: -h_fn(p), lambda p: -g_fn(p),
-                             flipped, sign=1, sup_u_bound=sup_u_bound)
+                             flipped, sup_u_bound=sup_u_bound)
     return Barrier(sign=-1, slope=up.slope, collar_width=up.collar_width,
                    data_lipschitz=up.data_lipschitz, psi=-up.psi, collar=up.collar,
                    intro_bound_violated=up.intro_bound_violated, sup_u_bound=up.sup_u_bound)

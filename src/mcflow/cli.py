@@ -134,9 +134,10 @@ def load_config(path, out_dir=None) -> RunConfig:
     Keys outside CONFIG_KEYS are rejected with their line, expressions are
     smoke-tested at 10 random domain points, the smoothing parameter must
     be strictly positive, grid.spacing must pass the grid build's
-    admissibility check, run.horizon must be positive, run.pairs must be at
-    least 1, and boundary/initial data must agree on the boundary (``IBVP``
-    checks it; the max mismatch is reported on rejection).
+    admissibility check, run.horizon and run.tolerance must be positive,
+    run.pairs must be at least 1, a given run.eps_list must pass
+    flow.check_eps_list, and boundary/initial data must agree on the
+    boundary (``IBVP`` checks it; the max mismatch is reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -182,6 +183,15 @@ def load_config(path, out_dir=None) -> RunConfig:
     probe_budget = int(raw.get("run.probe_budget", "2000"))
     if probe_budget < 1:
         raise ConfigError(f"run.probe_budget must be at least 1, got {probe_budget}")
+    tolerance = float(raw.get("run.tolerance", "1e-6"))
+    if not tolerance > 0:
+        raise ConfigError(f"run.tolerance must be positive, got {tolerance}")
+    eps_list = tuple(float(v) for v in raw.get("run.eps_list", "").split())
+    if "run.eps_list" in raw:
+        try:
+            fl.check_eps_list(eps_list)
+        except ValueError as exc:
+            raise ConfigError(f"invalid run.eps_list: {exc}") from None
 
     try:
         problem = fl.IBVP(domain, boundary, initial)
@@ -193,8 +203,7 @@ def load_config(path, out_dir=None) -> RunConfig:
         initial_expr=initial, problem=problem, params=params,
         spacing=spacing, horizon=horizon,
         snapshot_times=tuple(float(v) for v in raw.get("run.snapshot_times", "").split()),
-        tolerance=float(raw.get("run.tolerance", "1e-6")),
-        eps_list=tuple(float(v) for v in raw.get("run.eps_list", "").split()),
+        tolerance=tolerance, eps_list=eps_list,
         seed=int(raw.get("run.seed", "0")),
         pairs=pairs,
         probe_budget=probe_budget,

@@ -384,6 +384,16 @@ class ContinuationTable:
     warnings: list              # independent of the smoothing, so computed once
 
 
+def check_eps_list(eps_list: Sequence[float]) -> tuple:
+    """The smoothing ladder as floats; ValueError unless 3 or more values strictly decrease."""
+    eps_list = tuple(float(e) for e in eps_list)
+    if len(eps_list) < 3:
+        raise ValueError(f"continuation needs at least 3 smoothing values, got {len(eps_list)}")
+    if not all(b < a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"smoothing values must be strictly decreasing, got {eps_list}")
+    return eps_list
+
+
 def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
                          eps_list: Sequence[float], horizon: float) -> ContinuationTable:
     """Terminal-field Cauchy differences along a decreasing smoothing ladder.
@@ -391,11 +401,7 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
     Monotonicity of the differences is reported, not enforced; any failing
     run aborts the table at that row.
     """
-    eps_list = tuple(float(e) for e in eps_list)
-    if len(eps_list) < 3:
-        raise ValueError("continuation needs at least 3 smoothing values")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("smoothing values must be strictly decreasing")
+    eps_list = check_eps_list(eps_list)
     fields = []
     for eps in eps_list:
         rep = solve_ibvp(problem, grid, replace(params, epsilon=eps), horizon,

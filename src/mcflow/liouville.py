@@ -219,14 +219,10 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     glow = env.lower_profile(tau.ravel()).reshape(grid.shape)
     lam = problem.plateau_value
 
-    axis = grid.dim - 1
-    shifted_inside = np.roll(inside, -1, axis=axis)
-    pair = inside & shifted_inside
-    edge = np.zeros(grid.shape, bool)
-    sl = [slice(None)] * grid.dim
-    sl[axis] = slice(0, -1)
-    edge[tuple(sl)] = True
-    pair &= edge
+    # axially adjacent inside nodes: lo[i] is followed by hi[i] along the axis
+    lo = (slice(None),) * (grid.dim - 1) + (slice(0, -1),)
+    hi = (slice(None),) * (grid.dim - 1) + (slice(1, None),)
+    pair = inside[lo] & inside[hi]
 
     rows = {k: [] for k in ("t", "F", "lo", "hi", "mono")}
     for _, st, _ in march(state, grid, params, bvals, n_steps):
@@ -236,8 +232,8 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
         rows["lo"].append(float(np.max(np.maximum(glow[inside] - u[inside], 0.0))))
         drift = params.epsilon * params.nu * st.time
         rows["hi"].append(float(np.max(np.maximum(u[inside] - lam - drift, 0.0))))
-        nxt = np.roll(u, -1, axis=axis)
-        rows["mono"].append(float(np.max(np.maximum(u[pair] - nxt[pair], 0.0))) if pair.any() else 0.0)
+        rows["mono"].append(float(np.max(np.maximum(u[lo][pair] - u[hi][pair], 0.0)))
+                            if pair.any() else 0.0)
 
     flat = np.array(rows["F"])
     return LiouvilleReport(t=np.array(rows["t"]), flatness=flat,

@@ -12,15 +12,17 @@ nonuniform differences at near-boundary nodes, so no stencil ever reads an
 exterior node.  Near-boundary nodes are not time-stepped: after each Euler
 update they are closed by interpolation along their nearest boundary cut,
 which imposes the boundary trace exactly and keeps the update monotone.
-Every time-stepped experiment advances through the one forward-Euler
-generator `march`.
+The closure plan, built once per grid and boundary data, sets the constant
+closures in one write and the rest level by level, each after the closed
+node it reads.  Every time-stepped experiment advances through the one
+forward-Euler generator `march`.
 
 The functions below also step a stack of B fields that share one grid, one
 FlowParams and one dt: values of shape (*grid.shape, B), boundary data and
 initial data given as sequences of B functions.  The stack lives on the
 trailing axis, so the flat views used for gathers are values.reshape((N, B))
-and every field gets exactly the bits it gets alone: the arithmetic is
-elementwise, and the closure's Jacobi sweeps stop per field.
+and every field gets exactly the bits it gets alone: the arithmetic,
+closure included, is elementwise.
 """
 
 from dataclasses import dataclass
@@ -91,70 +93,73 @@ def _sample(fns, pts: np.ndarray) -> np.ndarray:
 
 
 class _AxisCuts:
-    """Flat-index fixup data for one axis: where grid lines hit the boundary.
+    """Gradient data for one axis at the nodes whose grid line the boundary cuts.
 
-    The theta arrays carry a trailing unit axis per stack axis of hb, so they
+    Each side of a node has a fraction t and a value: the cut fraction theta
+    and the boundary value where the side is cut, 1 and the neighbor node
+    where it is not.  A cut side's neighbor index is the node itself: a node
+    on the boundary to round-off can sit on the lattice edge, where the
+    neighbor index would leave the array.  The cut masks and the t-derived
+    coefficients carry a trailing unit axis per stack axis of hb, so they
     broadcast against the per-field boundary values and gathered nodes.
     """
 
-    __slots__ = ("only_p", "op_theta", "op_hb", "op_inner",
-                 "only_m", "om_theta", "om_hb", "om_inner",
-                 "both", "b_tp", "b_tm", "b_hbp", "b_hbm")
+    __slots__ = ("idx", "ip", "im", "cut_p", "cut_m", "hb_p", "hb_m",
+                 "tp2", "tm2", "w0", "den")
 
     def __init__(self, grid: Grid, hb: np.ndarray, ax: int):
         stride = int(np.prod(grid.shape[ax + 1:], dtype=int))
-        cut_m = np.isfinite(grid.theta[ax, 0])
-        cut_p = np.isfinite(grid.theta[ax, 1])
-        only_p = (cut_p & ~cut_m).ravel()
-        only_m = (cut_m & ~cut_p).ravel()
-        both = (cut_p & cut_m).ravel()
-        unit = (1,) * (hb.ndim - 2 - grid.dim)
-        th_p = grid.theta[ax, 1].reshape((-1,) + unit)
-        th_m = grid.theta[ax, 0].reshape((-1,) + unit)
-        hb_p = _flat(hb[ax, 1], grid.dim)
-        hb_m = _flat(hb[ax, 0], grid.dim)
-        self.only_p = np.flatnonzero(only_p)
-        self.op_theta = th_p[self.only_p]
-        self.op_hb = hb_p[self.only_p]
-        self.op_inner = self.only_p - stride
-        self.only_m = np.flatnonzero(only_m)
-        self.om_theta = th_m[self.only_m]
-        self.om_hb = hb_m[self.only_m]
-        self.om_inner = self.only_m + stride
-        self.both = np.flatnonzero(both)
-        self.b_tp = th_p[self.both]
-        self.b_tm = th_m[self.both]
-        self.b_hbp = hb_p[self.both]
-        self.b_hbm = hb_m[self.both]
+        theta = grid.theta[ax].reshape(2, -1)
+        self.idx = np.flatnonzero(np.isfinite(theta).any(axis=0))
+        unit = (-1,) + (1,) * (hb.ndim - 2 - grid.dim)
+        tm, tp = theta[:, self.idx]
+        cut_m, cut_p = np.isfinite(tm), np.isfinite(tp)
+        self.im = np.where(cut_m, self.idx, self.idx - stride)
+        self.ip = np.where(cut_p, self.idx, self.idx + stride)
+        self.cut_m, self.cut_p = cut_m.reshape(unit), cut_p.reshape(unit)
+        self.hb_m = _flat(hb[ax, 0], grid.dim)[self.idx]
+        self.hb_p = _flat(hb[ax, 1], grid.dim)[self.idx]
+        tm = np.where(cut_m, tm, 1.0).reshape(unit)
+        tp = np.where(cut_p, tp, 1.0).reshape(unit)
+        self.tm2, self.tp2 = tm ** 2, tp ** 2
+        self.w0 = self.tp2 - self.tm2
+        self.den = tp * tm * (tp + tm) * grid.spacing
 
 
 @dataclass
 class BoundaryValues:
-    """Boundary data evaluated at every grid cut, plus closure metadata.
+    """Boundary data evaluated at every grid cut, and the closure plan.
 
     The prescribed value hb at the boundary crossing of each cut is kept
-    only where it is read: in the per-axis gradient fixups (axis_cuts) and
-    in the closure arrays.  Those drive the per-step interpolation of
-    near-boundary nodes along their canonical (smallest theta) cut:
-    value = (hb + theta * inner) / (1 + theta), or a constant two-sided
-    interpolant (c_inner < 0) where the opposite neighbor is exterior too or
-    closes back through this node along the same line.
-    For a stack of B fields the hb arrays and c_const gain a trailing axis
-    of length B and the theta arrays a trailing unit axis.
+    only where it is read: in the per-axis gradient data (axis_cuts) and in
+    the closure arrays.  Each near-boundary node is closed along its
+    canonical (smallest theta) cut.  The constant closures come first in
+    nb_flat: where the node's line is cut on both sides (a sliver) or its
+    inner neighbor closes back through it along the same line (a pair), the
+    value is the interpolant between two boundary values, c_const.  The
+    dependent closures follow, level by level,
+    value = (hb + theta * inner) / (1 + theta), each level reading only
+    interior nodes and nodes set before it; level_ends holds the end of the
+    constants and of each level.  For a stack of B fields the hb arrays and
+    c_const gain a trailing axis of length B and the theta arrays a trailing
+    unit axis.
     """
 
     axis_cuts: list
-    nb_flat: np.ndarray
+    nb_flat: np.ndarray      # near-boundary nodes in closure order, flat
     c_theta: np.ndarray
     c_hb: np.ndarray
-    c_inner: np.ndarray      # flat index of the inner neighbor, -1 if exterior
-    c_const: np.ndarray      # precomputed value where both sides are cut
+    c_inner: np.ndarray      # flat index of the node a closure reads, -1 at a constant
+    c_const: np.ndarray      # values of the constant closures
+    level_ends: tuple
 
 
 def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> BoundaryValues:
     """Evaluate time-independent boundary data on all cut points of a grid.
 
     h_fn is one function, or a sequence of B functions for a stack of fields.
+    Raises OperatorError naming a node whose closure reads through a cycle
+    of near-boundary nodes longer than a pair.
     """
     dim = grid.dim
     stack = () if callable(h_fn) else (len(h_fn),)
@@ -167,46 +172,50 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
 
     axis_cuts = [_AxisCuts(grid, hb, ax) for ax in range(dim)]
 
-    nb = grid.near_boundary
-    nb_flat = np.flatnonzero(nb.ravel())
-    ax_c = grid.closure_axis[nb]
-    side_c = grid.closure_side[nb]
-    k = len(nb_flat)
-    c_theta = np.empty(k)
-    c_hb = np.empty((k,) + stack)
-    c_inner = np.full(k, -1, dtype=np.int64)
-    c_const = np.full((k,) + stack, np.nan)
-
+    nb = grid.near_boundary.ravel()
+    nb_flat = np.flatnonzero(nb)
+    ax = grid.closure_axis.ravel()[nb_flat]
+    side = grid.closure_side.ravel()[nb_flat]
+    theta = grid.theta.reshape(dim, 2, -1)
+    hbf = hb.reshape((dim, 2, -1) + stack)
+    unit = (-1,) + (1,) * len(stack)
     strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
-    # flat index of each node's inner neighbor, across from its canonical cut
-    inner = nb_flat + np.where(side_c == 1, -1, 1) * strides[ax_c]
-    # a pair: the inner neighbor closes back through this node along the same line
-    pair = (nb.ravel()[inner] & (grid.closure_axis.ravel()[inner] == ax_c)
-            & (grid.closure_side.ravel()[inner] == 1 - side_c)).tolist()
-    nb_idx = np.argwhere(nb)
-    for j in range(k):
-        ax, side = int(ax_c[j]), int(side_c[j])
-        idx = tuple(nb_idx[j])
-        c_theta[j] = grid.theta[ax, side][idx]
-        c_hb[j] = hb[ax, side][idx]
-        opp = grid.theta[ax, 1 - side][idx]
-        # interpolate between two boundary values, independent of any node,
-        # where the line is cut on both sides (a sliver), or at a pair: its
-        # fixed point, which the Jacobi sweeps reach only at a rate up to 1/2
-        # per sweep
-        if np.isfinite(opp):
-            t_in, hb_in = opp, hb[ax, 1 - side][idx]
-        elif pair[j]:
-            t_in = 1.0 + grid.theta[ax, 1 - side].flat[inner[j]]
-            hb_in = _flat(hb[ax, 1 - side], dim)[inner[j]]
-        else:
-            c_inner[j] = inner[j]
-            continue
-        t_out = c_theta[j]
-        c_const[j] = (t_in * c_hb[j] + t_out * hb_in) / (t_in + t_out)
-    return BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat,
-                          c_theta=c_theta.reshape((k,) + (1,) * len(stack)),
-                          c_hb=c_hb, c_inner=c_inner, c_const=c_const)
+    sliver = np.isfinite(theta[ax, 1 - side, nb_flat])
+    # the inner neighbor, across from the canonical cut; a sliver has none
+    inner = np.where(sliver, nb_flat, nb_flat + np.where(side == 1, -1, 1) * strides[ax])
+    pair = (~sliver & nb[inner] & (grid.closure_axis.ravel()[inner] == ax)
+            & (grid.closure_side.ravel()[inner] == 1 - side))
+    const = sliver | pair
+    # a constant closure interpolates between its own boundary value and the
+    # one across the line: of a sliver, or of a pair's partner, whose cut lies
+    # one spacing further out
+    t_out = theta[ax, side, nb_flat]
+    t_in = np.where(sliver, theta[ax, 1 - side, inner], 1.0 + theta[ax, 1 - side, inner])
+    c_hb = hbf[ax, side, nb_flat]
+    c_const = ((t_in.reshape(unit) * c_hb + t_out.reshape(unit) * hbf[ax, 1 - side, inner])
+               / (t_in + t_out).reshape(unit))
+
+    # closure levels: a dependent node is set after the near-boundary node it reads
+    k = len(nb_flat)
+    pos = np.full(nb.size, -1)
+    pos[nb_flat] = np.arange(k)
+    reads = np.where(const, -1, pos[inner])
+    done = const.copy()
+    order = [np.flatnonzero(const)]
+    while not done.all():
+        ready = ~done & ((reads < 0) | done[reads])
+        if not ready.any():
+            node = np.unravel_index(nb_flat[np.argmin(done)], grid.shape)
+            raise OperatorError(f"closure of near-boundary node {tuple(map(int, node))} "
+                                "reads through a cycle of near-boundary nodes")
+        order.append(np.flatnonzero(ready))
+        done |= ready
+    level_ends = tuple(np.cumsum([len(o) for o in order]).tolist())
+    order = np.concatenate(order)
+    return BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat[order],
+                          c_theta=t_out[order].reshape(unit), c_hb=c_hb[order],
+                          c_inner=np.where(const, -1, inner)[order],
+                          c_const=c_const[order[:level_ends[0]]], level_ends=level_ends)
 
 
 class Workspace:
@@ -235,7 +244,7 @@ class Workspace:
 
 
 def _axis_slices(shape):
-    """Per-axis slice tuples: (mid, plus, minus, lo, hi, from_lo, from_hi)."""
+    """Per-axis dicts of slice tuples: mid, plus, minus, lo (face start), hi (face end)."""
     out = []
     dim = len(shape)
     for ax in range(dim):
@@ -251,57 +260,33 @@ def _axis_slices(shape):
     return out
 
 
-def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
-                  tol: float = 1e-14, max_iter: int = 64) -> np.ndarray:
+def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.ndarray:
     """Set near-boundary nodes by boundary-anchored linear interpolation.
 
-    Iterated Jacobi-style because an inner neighbor may itself be a
-    near-boundary node; the dependence coefficient theta/(1+theta) <= 1/2
-    makes the pass a contraction.  In a stack each field stops at the sweep
-    where it would stop alone: later sweeps leave it untouched.
+    One write of the constant closures, then one pass per closure level:
+    every node gets its exact interpolant, whatever near-boundary nodes it
+    reads, and every field of a stack the bits it gets alone.
     """
     flat = _flat(values, grid.dim)
-    have_const = bvals.c_inner < 0
-    dependent = ~have_const
-    if have_const.any():
-        flat[bvals.nb_flat[have_const]] = bvals.c_const[have_const]
-    if dependent.any():
-        idx = bvals.nb_flat[dependent]
-        th = bvals.c_theta[dependent]
-        hb = bvals.c_hb[dependent]
-        inner = bvals.c_inner[dependent]
-        frozen = None       # fields that converged on an earlier sweep
-        for _ in range(max_iter):
-            new = (hb + th * flat[inner]) / (1.0 + th)
-            old = flat[idx]
-            if frozen is not None:
-                new = np.where(frozen, old, new)
-            flat[idx] = new
-            change = np.max(np.abs(new - old), axis=0, keepdims=True)
-            done = [c < tol for c in change.ravel().tolist()]
-            if all(done):
-                break
-            if any(done):
-                # a frozen field changes by 0 on later sweeps, so it stays done
-                frozen = np.reshape(done, flat.shape[1:])
+    ends = bvals.level_ends
+    flat[bvals.nb_flat[:ends[0]]] = bvals.c_const
+    for a, b in zip(ends, ends[1:]):
+        th = bvals.c_theta[a:b]
+        flat[bvals.nb_flat[a:b]] = (bvals.c_hb[a:b] + th * flat[bvals.c_inner[a:b]]) / (1.0 + th)
     return values
 
 
 def boundary_trace_residual(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> float:
     """Max mismatch between the theta-interpolated trace and the boundary data."""
     flat = _flat(values, grid.dim)
+    n = bvals.level_ends[0]
     res = 0.0
-    have_const = bvals.c_inner < 0
-    if have_const.any():
-        res = float(np.max(np.abs(flat[bvals.nb_flat[have_const]] - bvals.c_const[have_const])))
-    dep = ~have_const
-    if dep.any():
-        idx = bvals.nb_flat[dep]
-        th = bvals.c_theta[dep]
-        hb = bvals.c_hb[dep]
-        inner = bvals.c_inner[dep]
-        trace = (1.0 + th) * flat[idx] - th * flat[inner]
-        res = max(res, float(np.max(np.abs(trace - hb))))
+    if n:
+        res = float(np.max(np.abs(flat[bvals.nb_flat[:n]] - bvals.c_const)))
+    if len(bvals.nb_flat) > n:
+        th = bvals.c_theta[n:]
+        trace = (1.0 + th) * flat[bvals.nb_flat[n:]] - th * flat[bvals.c_inner[n:]]
+        res = max(res, float(np.max(np.abs(trace - bvals.c_hb[n:]))))
     return res
 
 
@@ -311,7 +296,9 @@ def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
 
     Central differences on full stencils; where an axis is cut, the
     nonuniform three-point formula through the boundary value (exact on
-    quadratics) replaces it.
+    quadratics) replaces it:
+    (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
+    with an uncut side at t = 1 reading its neighbor node.
     """
     ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
@@ -322,20 +309,11 @@ def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
             g = ws.grads[ax]
             np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
             g[sl["mid"]] /= 2 * h
-            gf = _flat(g, grid.dim)
-            cuts = bvals.axis_cuts[ax]
-            if len(cuts.only_p):
-                th = cuts.op_theta
-                gf[cuts.only_p] = (cuts.op_hb - th ** 2 * flat[cuts.op_inner]
-                                   - (1 - th ** 2) * flat[cuts.only_p]) / (th * (1 + th) * h)
-            if len(cuts.only_m):
-                th = cuts.om_theta
-                gf[cuts.only_m] = (th ** 2 * flat[cuts.om_inner] - cuts.om_hb
-                                   + (1 - th ** 2) * flat[cuts.only_m]) / (th * (1 + th) * h)
-            if len(cuts.both):
-                tp, tm = cuts.b_tp, cuts.b_tm
-                gf[cuts.both] = (tm ** 2 * cuts.b_hbp - tp ** 2 * cuts.b_hbm
-                                 + (tp ** 2 - tm ** 2) * flat[cuts.both]) / (tp * tm * (tp + tm) * h)
+            c = bvals.axis_cuts[ax]
+            up, um = flat[c.ip], flat[c.im]
+            np.copyto(up, c.hb_p, where=c.cut_p)
+            np.copyto(um, c.hb_m, where=c.cut_m)
+            _flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
     return ws.grads
 
 

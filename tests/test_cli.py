@@ -119,6 +119,35 @@ def test_config_rejects_a_probe_budget_below_one(tmp_path, budget):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1e-6", "nan"])
+def test_config_rejects_a_nonpositive_tolerance(tmp_path, tolerance):
+    bad = MINIMAL_FLOW.replace("experiment = flow", "experiment = steady") \
+        + f"run.tolerance = {tolerance}\n"
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(_write(tmp_path, bad))
+    assert str(loaded.value) == f"run.tolerance must be positive, got {float(tolerance)}"
+    assert cli.main(["steady", "--config", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("eps_list, reason", [
+    ("0.1 0.2 0.05", "smoothing values must be strictly decreasing, got (0.1, 0.2, 0.05)"),
+    ("0.2 0.2 0.1", "smoothing values must be strictly decreasing, got (0.2, 0.2, 0.1)"),
+    ("0.2 0.1", "continuation needs at least 3 smoothing values, got 2"),
+    ("", "continuation needs at least 3 smoothing values, got 0"),
+])
+def test_config_rejects_a_bad_eps_list(tmp_path, eps_list, reason):
+    bad = MINIMAL_FLOW.replace("experiment = flow", "experiment = continuation") \
+        + f"run.eps_list = {eps_list}\n"
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(_write(tmp_path, bad))
+    assert str(loaded.value) == f"invalid run.eps_list: {reason}"
+    assert cli.main(["continuation", "--config", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):

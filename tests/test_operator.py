@@ -275,7 +275,7 @@ def stack_grids(grid16):
     """The disk and the ellipse (1, 0.5) at h = 1/16, and the disk with
     hand-made defects that no grid of the three domain kinds has: a node cut
     on both sides of an axis, and a chain of three near-boundary nodes each
-    closed through the next, so the closure needs three Jacobi sweeps."""
+    closed through the next, so the closure runs three levels."""
     fix = {k: getattr(grid16, k).copy()
            for k in ("theta", "interior", "near_boundary", "closure_axis", "closure_side")}
     ring = [tuple(i) for i in np.argwhere(grid16.near_boundary)
@@ -313,9 +313,8 @@ def _stack_data(unit_ball, fields):
                        min_size=1, max_size=5),
        nu=st.sampled_from((0.0, 0.3, -0.3)),
        kind=st.sampled_from(("disk", "ellipse", "defects")))
-# on the defects grid the tiny field closes in one Jacobi sweep, before the
-# chain is final, and the others take three: each field must stop at its own
-# sweep, neither at the first field's nor at the last one's
+# the defects grid closes in three levels, and a field of amplitude 1e-12
+# steps beside fields of order one
 @example(fields=["bump", "zero", 7], nu=0.0, kind="ellipse")
 @example(fields=[4, "tiny", "bump", 3], nu=0.0, kind="defects")
 def test_stacked_march_matches_separate_marches(unit_ball, stack_grids, fields, nu, kind):
@@ -324,7 +323,7 @@ def test_stacked_march_matches_separate_marches(unit_ball, stack_grids, fields, 
     data = _stack_data(unit_ball, fields)
     bv = op.boundary_values(grid, data)
     if kind == "defects":
-        assert any(len(c.both) for c in bv.axis_cuts) and (bv.c_inner < 0).any()
+        assert _two_sided_cuts(grid) and (bv.c_inner < 0).any()
         assert np.isin(bv.c_inner, bv.nb_flat).any()
     alone = []
     for f in data:
@@ -353,6 +352,25 @@ def test_stack_of_one_matches_the_unstacked_field(grid16):
         assert one.values[..., 0].tobytes() == plain.values.tobytes()
         for name in WS_FIELDS:
             assert getattr(ws1, name)[..., 0].tobytes() == getattr(ws, name).tobytes()
+
+
+def test_closure_cycle_is_rejected_naming_a_node_on_it(grid16):
+    # four interior nodes around one cell, each closed through the next
+    i, j = grid16.shape[0] // 2, grid16.shape[1] // 2
+    cycle = (((i, j), 0, 0), ((i + 1, j), 1, 0), ((i + 1, j + 1), 0, 1), ((i, j + 1), 1, 1))
+    fix = {k: getattr(grid16, k).copy()
+           for k in ("theta", "interior", "near_boundary", "closure_axis", "closure_side")}
+    for node, axis, side in cycle:
+        assert grid16.interior[node]
+        fix["theta"][axis, side][node] = 0.5
+        fix["interior"][node] = False
+        fix["near_boundary"][node] = True
+        fix["closure_axis"][node] = axis
+        fix["closure_side"][node] = side
+    grid = dataclasses.replace(grid16, **fix)
+    with pytest.raises(op.OperatorError, match="cycle") as exc:
+        op.boundary_values(grid, bump)
+    assert any(f"node {node}" in str(exc.value) for node, _, _ in cycle)
 
 
 def _blowup(grid, data, params):
@@ -395,9 +413,14 @@ def _built_domain(kind, dim, center, size, ratio):
                                center, dim)
 
 
+def _two_sided_cuts(grid):
+    """Count of (axis, node) whose grid line the boundary cuts on both sides."""
+    return int(np.isfinite(grid.theta).all(axis=1).sum())
+
+
 def _closure_branches(grid, bv):
     """(two-sided cuts, constant closures, closures that read a near-boundary node)."""
-    return (sum(len(c.both) for c in bv.axis_cuts), int((bv.c_inner < 0).sum()),
+    return (_two_sided_cuts(grid), int((bv.c_inner < 0).sum()),
             int(np.isin(bv.c_inner, bv.nb_flat).sum()))
 
 
@@ -484,12 +507,10 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
             op._flat(values, dim)[nodes] += 1.0
             assert op.boundary_trace_residual(values, grid, bv) >= 0.5
 
-    # from the raw samples, the Jacobi sweeps close the ring well before max_iter
+    # from the raw samples, one closure call closes the ring
     raw = np.full(grid.shape + (() if callable(data) else (len(data),)), np.nan)
     raw[inside] = op._sample(data, grid.points[inside])
-    sweeps = next(k for k in range(1, 65) if op.boundary_trace_residual(
-        op.apply_closure(raw.copy(), grid, bv, max_iter=k), grid, bv) <= tol)
-    assert sweeps <= 8
+    assert op.boundary_trace_residual(op.apply_closure(raw, grid, bv), grid, bv) <= tol
 
     params = mc.FlowParams(epsilon=0.1, nu=nu)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
