@@ -105,22 +105,39 @@ def _parse_kv(path) -> dict:
     return raw
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split())
+
+
+def _value(raw: dict, key: str, default=None, convert=float):
+    """``convert`` of the value of ``key``, or of ``default`` when the key is absent.
+
+    A required key (no default) that is absent raises KeyError; a value that
+    does not convert is a ConfigError naming its key.
+    """
+    text = raw[key] if default is None else raw.get(key, default)
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from None
+
+
 def _domain_from(raw: dict) -> geo.DomainSpec:
     kind = raw.get("domain.kind")
     if kind is None:
         raise ConfigError("missing field domain.kind")
-    dim = int(raw.get("domain.dim", "2"))
-    center = tuple(float(c) for c in raw.get("domain.center", "").split()) or (0.0,) * dim
+    dim = _value(raw, "domain.dim", "2", int)
+    center = _value(raw, "domain.center", "", _floats) or (0.0,) * dim
     try:
         if kind == "ball":
-            return geo.ball(float(raw["domain.radius"]), center, dim)
+            return geo.ball(_value(raw, "domain.radius"), center, dim)
         if kind == "ellipse":
-            return geo.ellipse(float(raw["domain.semi_major"]),
-                               float(raw["domain.semi_minor"]), center, dim)
+            return geo.ellipse(_value(raw, "domain.semi_major"),
+                               _value(raw, "domain.semi_minor"), center, dim)
         if kind == "smoothed-stadium":
-            return geo.smoothed_stadium(float(raw["domain.half_width"]),
-                                        float(raw["domain.straight_half_length"]),
-                                        float(raw["domain.corner_radius"]), center, dim)
+            return geo.smoothed_stadium(_value(raw, "domain.half_width"),
+                                        _value(raw, "domain.straight_half_length"),
+                                        _value(raw, "domain.corner_radius"), center, dim)
     except KeyError as exc:
         raise ConfigError(f"missing field {exc.args[0]} for domain.kind={kind}") from None
     except geo.GeometryError as exc:
@@ -131,11 +148,12 @@ def _domain_from(raw: dict) -> geo.DomainSpec:
 def load_config(path, out_dir=None) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Keys outside CONFIG_KEYS are rejected with their line, expressions are
-    smoke-tested at 10 random domain points, the smoothing parameter must
-    be strictly positive, grid.spacing must pass the grid build's
-    admissibility check, run.horizon and run.tolerance must be positive,
-    run.pairs must be at least 1, a given run.eps_list must pass
+    Keys outside CONFIG_KEYS are rejected with their line, a value that
+    does not convert (a number, a list, an expression) is rejected with its
+    key, expressions are smoke-tested at 10 random domain points, the
+    smoothing parameter must lie in (0, 1), grid.spacing must pass the grid
+    build's admissibility check, run.horizon and run.tolerance must be
+    positive, run.pairs must be at least 1, a given run.eps_list must pass
     flow.check_eps_list, and boundary/initial data must agree on the
     boundary (``IBVP`` checks it; the max mismatch is reported on rejection).
     """
@@ -145,48 +163,49 @@ def load_config(path, out_dir=None) -> RunConfig:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
     domain = _domain_from(raw)
 
-    try:
-        boundary = parse_expression(raw.get("data.boundary", "0"))
-        initial = parse_expression(raw.get("data.initial", raw.get("data.boundary", "0")))
-    except ExpressionError as exc:
-        raise ConfigError(f"bad data expression: {exc}") from None
+    boundary = _value(raw, "data.boundary", "0", parse_expression)
+    initial = _value(raw, "data.initial", raw.get("data.boundary", "0"), parse_expression)
 
     rng = np.random.default_rng(12345)
     probe = rng.uniform(-1.0, 1.0, (10, domain.dim)) * np.min(domain.half_extents) \
         + np.asarray(domain.center)
     for name, expr in (("data.boundary", boundary), ("data.initial", initial)):
-        vals = expr(probe)
+        try:
+            with np.errstate(all="ignore"):     # a non-finite value is reported below
+                vals = expr(probe)
+        except ExpressionError as exc:
+            raise ConfigError(f"invalid {name}: {exc}") from None
         if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"{name} evaluates non-finite at sample points")
+            raise ConfigError(f"invalid {name}: evaluates non-finite at sample points")
 
     try:
         params = FlowParams(
-            epsilon=float(raw.get("params.epsilon", "0.05")),
-            nu=float(raw.get("params.nu", "0")),
-            cfl_factor=float(raw.get("params.cfl_factor", "0.25")),
-            dt_override=float(raw["params.dt_override"]) if "params.dt_override" in raw else None,
+            epsilon=_value(raw, "params.epsilon", "0.05"),
+            nu=_value(raw, "params.nu", "0"),
+            cfl_factor=_value(raw, "params.cfl_factor", "0.25"),
+            dt_override=_value(raw, "params.dt_override") if "params.dt_override" in raw else None,
         )
     except OperatorError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
-    spacing = float(raw.get("grid.spacing", "0.03125"))
+    spacing = _value(raw, "grid.spacing", "0.03125")
     try:
         geo.check_spacing(domain, spacing)
     except geo.CoarseGridError as exc:
         raise ConfigError(f"invalid grid.spacing: {exc}") from None
-    horizon = float(raw.get("run.horizon", "1.0"))
+    horizon = _value(raw, "run.horizon", "1.0")
     if not horizon > 0:
         raise ConfigError(f"run.horizon must be positive, got {horizon}")
-    pairs = int(raw.get("run.pairs", "20"))
+    pairs = _value(raw, "run.pairs", "20", int)
     if pairs < 1:
         raise ConfigError(f"run.pairs must be at least 1, got {pairs}")
-    probe_budget = int(raw.get("run.probe_budget", "2000"))
+    probe_budget = _value(raw, "run.probe_budget", "2000", int)
     if probe_budget < 1:
         raise ConfigError(f"run.probe_budget must be at least 1, got {probe_budget}")
-    tolerance = float(raw.get("run.tolerance", "1e-6"))
+    tolerance = _value(raw, "run.tolerance", "1e-6")
     if not tolerance > 0:
         raise ConfigError(f"run.tolerance must be positive, got {tolerance}")
-    eps_list = tuple(float(v) for v in raw.get("run.eps_list", "").split())
+    eps_list = _value(raw, "run.eps_list", "", _floats)
     if "run.eps_list" in raw:
         try:
             fl.check_eps_list(eps_list)
@@ -202,14 +221,14 @@ def load_config(path, out_dir=None) -> RunConfig:
         experiment=experiment, domain=domain, boundary_expr=boundary,
         initial_expr=initial, problem=problem, params=params,
         spacing=spacing, horizon=horizon,
-        snapshot_times=tuple(float(v) for v in raw.get("run.snapshot_times", "").split()),
+        snapshot_times=_value(raw, "run.snapshot_times", "", _floats),
         tolerance=tolerance, eps_list=eps_list,
-        seed=int(raw.get("run.seed", "0")),
+        seed=_value(raw, "run.seed", "0", int),
         pairs=pairs,
         probe_budget=probe_budget,
-        plateau_start=float(raw.get("liouville.plateau_start", "0.25")),
-        plateau_value=float(raw.get("liouville.plateau_value", "1.0")),
-        plateau_margin=float(raw.get("liouville.plateau_margin", "0.125")),
+        plateau_start=_value(raw, "liouville.plateau_start", "0.25"),
+        plateau_value=_value(raw, "liouville.plateau_value", "1.0"),
+        plateau_margin=_value(raw, "liouville.plateau_margin", "0.125"),
         out_dir=Path(out_dir) if out_dir else Path(raw.get("run.out_dir", ".")),
         raw=raw,
     )

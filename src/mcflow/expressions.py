@@ -1,17 +1,18 @@
-"""Tiny arithmetic expression language for boundary and initial data.
+"""Data expressions: restricted Python arithmetic over the coordinates.
 
-Grammar (precedence low to high):
-
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := ('-' | '+') factor | power
-    power   := atom ('^' factor)?
-    atom    := NUMBER | VARIABLE | FUNC '(' expr (',' expr)* ')' | '(' expr ')' | '|' expr '|'
-
-Variables are x1 .. x3 (coordinates); functions: min, max, abs, sqrt, exp.
-Expressions evaluate vectorized over (N, dim) point arrays.
+Configs give boundary and initial data as text such as
+``0.3*max(0, 1 - x1^2 - x2^2)^2`` or ``|x1| - 1``.  A token pass reads
+``^`` as ``**`` and ``|e|`` as ``abs(e)``, ``ast.parse`` parses the
+result, and one walk accepts only int or float constants, the coordinates
+x1 .. x9, ``+ - * / **``, unary signs, and calls by bare name of ``min``
+and ``max`` (one or more arguments) and of ``abs``, ``sqrt`` and ``exp``
+(exactly one).  Anything else is an ExpressionError.  The walk builds
+closures that evaluate vectorized over (N, dim) point arrays; nothing
+reaches ``eval``, ``exec`` or ``compile``.
 """
 
+import ast
+import operator
 import re
 
 import numpy as np
@@ -27,30 +28,49 @@ _FUNCS = {
     "exp": lambda a: np.exp(a),
 }
 
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+
 
 class ExpressionError(ValueError):
     """Malformed data expression."""
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
+def _to_python(text: str) -> str:
+    """Python source of ``text``: ``^`` as ``**`` and ``|e|`` as ``abs(e)``.
+
+    A bar closes when it follows an operand and opens otherwise.  Bars and
+    parentheses must nest, and a closer must follow an operand.  Tokens are
+    joined by spaces, so Python reads no literal that the tokenizer split,
+    such as ``1_0``, ``0x1`` or ``1j``.
+    """
+    out, opened, pos = [], [], 0
+    operand = False                      # does the last token end an operand?
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             if text[pos:].strip():
-                raise ExpressionError(f"unexpected character at position {pos}: {text[pos:]!r}")
+                raise ExpressionError(
+                    f"unexpected character at position {pos} in expression {text!r}")
             break
-        num, name, sym = m.groups()
-        if num is not None:
-            out.append(("num", float(num)))
-        elif name is not None:
-            out.append(("name", name))
-        else:
-            out.append(("sym", "^" if sym == "**" else sym))
         pos = m.end()
-    out.append(("end", None))
-    return out
+        num, name, sym = m.groups()
+        closes = sym == ")" or (sym == "|" and operand)
+        if closes:
+            if not operand or opened[-1:] != ["(" if sym == ")" else "|"]:
+                raise ExpressionError(
+                    f"unbalanced {sym!r} at position {m.start(3)} in expression {text!r}")
+            opened.pop()
+            out.append(")")
+        elif sym in ("(", "|"):
+            opened.append(sym)
+            out.append("abs(" if sym == "|" else "(")
+        else:
+            out.append("**" if sym in ("^", "**") else num or name or sym)
+        operand = sym is None or closes
+    if opened:
+        raise ExpressionError(f"unclosed {opened[-1]!r} in expression {text!r}")
+    return " ".join(out)
 
 
 class Expression:
@@ -58,99 +78,50 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._ast = self._parse_expr()
-        if self._peek() != ("end", None):
-            raise ExpressionError(f"trailing input in expression {text!r}")
-        self.variables = sorted(self._collect_vars(self._ast))
+        src = _to_python(text)
+        try:
+            tree = ast.parse(src, mode="eval")
+        except SyntaxError as exc:
+            raise ExpressionError(f"{exc.msg} in expression {text!r}") from None
+        used = set()
 
-    # -- parsing ----------------------------------------------------------
-    def _peek(self):
-        return self._tokens[self._pos]
+        def walk(node):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                # float() of the literal as written: a 400-digit integer reads inf
+                c = float(src[node.col_offset:node.end_col_offset])
+                return lambda pts: np.full(len(pts), c)
+            if isinstance(node, ast.Name):
+                if not re.fullmatch(r"x[1-9]", node.id):
+                    raise ExpressionError(f"unknown variable {node.id!r} in expression "
+                                          f"{text!r} (coordinates are x1, x2, ...)")
+                k = int(node.id[1]) - 1
+                used.add(k)
+                return lambda pts: pts[:, k]
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+                f = walk(node.operand)
+                return f if isinstance(node.op, ast.UAdd) else lambda pts: -f(pts)
+            if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+                op, a, b = _BINOPS[type(node.op)], walk(node.left), walk(node.right)
+                return lambda pts: op(a(pts), b(pts))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None)
+                # `(min)(x1)` parses to the same Call, its name starting after the Call
+                if name not in _FUNCS or node.func.col_offset != node.col_offset:
+                    raise ExpressionError(
+                        f"unknown function {ast.unparse(node.func)!r} in expression {text!r} "
+                        f"(functions are min, max, abs, sqrt, exp, called by bare name)")
+                one = name not in ("min", "max")
+                if node.keywords or (len(node.args) != 1 if one else not node.args):
+                    raise ExpressionError(
+                        f"{name} takes {'exactly one argument' if one else 'one or more arguments'}"
+                        f" in expression {text!r}")
+                fn, args = _FUNCS[name], [walk(a) for a in node.args]
+                return lambda pts: fn(*(a(pts) for a in args))
+            raise ExpressionError(f"{type(node).__name__} not allowed in expression {text!r}")
 
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+        self._eval = walk(tree.body)
+        self.variables = sorted(used)
 
-    def _expect(self, sym):
-        kind, val = self._next()
-        if kind != "sym" or val != sym:
-            raise ExpressionError(f"expected {sym!r} in {self.text!r}")
-
-    def _parse_expr(self):
-        node = self._parse_term()
-        while self._peek() == ("sym", "+") or self._peek() == ("sym", "-"):
-            _, opr = self._next()
-            node = (opr, node, self._parse_term())
-        return node
-
-    def _parse_term(self):
-        node = self._parse_factor()
-        while self._peek() == ("sym", "*") or self._peek() == ("sym", "/"):
-            _, opr = self._next()
-            node = (opr, node, self._parse_factor())
-        return node
-
-    def _parse_factor(self):
-        if self._peek() == ("sym", "-"):
-            self._next()
-            return ("neg", self._parse_factor())
-        if self._peek() == ("sym", "+"):
-            self._next()
-            return self._parse_factor()
-        return self._parse_power()
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        if self._peek() == ("sym", "^"):
-            self._next()
-            return ("^", base, self._parse_factor())
-        return base
-
-    def _parse_atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if self._peek() == ("sym", "("):
-                if val not in _FUNCS:
-                    raise ExpressionError(f"unknown function {val!r}")
-                self._next()
-                args = [self._parse_expr()]
-                while self._peek() == ("sym", ","):
-                    self._next()
-                    args.append(self._parse_expr())
-                self._expect(")")
-                return ("call", val, args)
-            m = re.fullmatch(r"x([1-9])", val)
-            if not m:
-                raise ExpressionError(f"unknown variable {val!r} (coordinates are x1, x2, ...)")
-            return ("var", int(m.group(1)) - 1)
-        if kind == "sym" and val == "(":
-            node = self._parse_expr()
-            self._expect(")")
-            return node
-        if kind == "sym" and val == "|":
-            node = self._parse_expr()
-            self._expect("|")
-            return ("call", "abs", [node])
-        raise ExpressionError(f"unexpected token in {self.text!r}")
-
-    def _collect_vars(self, node):
-        tag = node[0]
-        if tag == "var":
-            return {node[1]}
-        if tag == "const":
-            return set()
-        if tag == "call":
-            return set().union(*(self._collect_vars(a) for a in node[2])) if node[2] else set()
-        if tag == "neg":
-            return self._collect_vars(node[1])
-        return self._collect_vars(node[1]) | self._collect_vars(node[2])
-
-    # -- evaluation --------------------------------------------------------
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
@@ -159,31 +130,7 @@ class Expression:
             raise ExpressionError(
                 f"expression {self.text!r} uses x{max(self.variables) + 1} "
                 f"but points have dimension {pts.shape[1]}")
-        return np.broadcast_to(self._eval(self._ast, pts), (len(pts),)).astype(float)
-
-    def _eval(self, node, pts):
-        tag = node[0]
-        if tag == "const":
-            return np.full(len(pts), node[1])
-        if tag == "var":
-            return pts[:, node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], pts)
-        if tag == "call":
-            return _FUNCS[node[1]](*(self._eval(a, pts) for a in node[2]))
-        a = self._eval(node[1], pts)
-        b = self._eval(node[2], pts)
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            return a / b
-        if tag == "^":
-            return a ** b
-        raise ExpressionError(f"bad node {tag!r}")
+        return np.broadcast_to(self._eval(pts), (len(pts),)).astype(float)
 
 
 def parse_expression(text: str) -> Expression:

@@ -18,6 +18,7 @@ from .operator import (FlowParams, FieldState, Workspace, boundary_values,
                        stable_dt, dt_exceeds_stability, BlowUpError)
 
 COMPATIBILITY_TOL = 1e-10
+COMPATIBILITY_SAMPLES = 512          # boundary points the data are compared at
 DEFAULT_STEP_BUDGET = 10_000_000
 
 
@@ -37,10 +38,9 @@ class IBVP:
     domain: DomainSpec
     boundary_data: Callable
     initial_data: Callable
-    check_samples: int = 512
 
     def __post_init__(self):
-        pts = boundary_points(self.domain, self.check_samples)
+        pts = boundary_points(self.domain, COMPATIBILITY_SAMPLES)
         gap = np.max(np.abs(self.boundary_data(pts) - self.initial_data(pts)))
         if gap > COMPATIBILITY_TOL:
             raise IncompatibleDataError(
@@ -385,12 +385,18 @@ class ContinuationTable:
 
 
 def check_eps_list(eps_list: Sequence[float]) -> tuple:
-    """The smoothing ladder as floats; ValueError unless 3 or more values strictly decrease."""
+    """The smoothing ladder as floats.
+
+    ValueError unless 3 or more values strictly decrease and each lies in
+    (0, 1), the range FlowParams admits for epsilon.
+    """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3:
         raise ValueError(f"continuation needs at least 3 smoothing values, got {len(eps_list)}")
     if not all(b < a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"smoothing values must be strictly decreasing, got {eps_list}")
+    if not all(0.0 < e < 1.0 for e in eps_list):
+        raise ValueError(f"smoothing values must lie in (0, 1), got {eps_list}")
     return eps_list
 
 

@@ -159,13 +159,12 @@ def degenerate_branch_bound(hess: np.ndarray, mode: str) -> float:
     raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
 
 
-def quadratic_min_on_ball_bruteforce(hess: np.ndarray, samples: int = 10000,
-                                     rounds: int = 6) -> float:
+def quadratic_min_on_ball_bruteforce(hess: np.ndarray, samples: int = 10000) -> float:
     """min over |eta| <= 1 of eta^T M eta by refined direction sampling.
 
     Independent oracle for the closed-form branch bound: coarse global
-    sweep of the unit sphere, then local refinement around the best
-    direction; eta = 0 is always a candidate.
+    sweep of the unit sphere, then six rounds of local refinement around
+    the best direction; eta = 0 is always a candidate.
     """
     hess = np.asarray(hess, dtype=float)
     dim = hess.shape[0]
@@ -185,7 +184,7 @@ def quadratic_min_on_ball_bruteforce(hess: np.ndarray, samples: int = 10000,
     best_dir = dirs[int(np.argmin(vals))]
     best = float(np.min(vals))
     spread = 0.5
-    for _ in range(rounds):
+    for _ in range(6):
         if dim == 2:
             base = np.arctan2(best_dir[1], best_dir[0])
             t = base + np.linspace(-spread, spread, 501)
@@ -219,18 +218,19 @@ class ViscosityProbe:
 
 # centres fitted and touch-tested together: bounds the (block, box) temporaries
 _BLOCK = 256
+# spatial half-width of the touch box, in nodes
+_BOX_RADIUS = 2
 
 
 def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float],
                          grid: Grid, params: FlowParams, mode: str,
-                         probe_budget: int = 2000, box_radius: int = 2,
-                         tolerance: float | None = None) -> list:
+                         probe_budget: int = 2000, tolerance: float | None = None) -> list:
     """Spot-check the discrete field against the viscosity inequalities.
 
     At sampled interior space-time points the local quadratic model
     (gradient, Hessian, time slope from central differences) is fitted;
     where the model touches the field from the correct side over the
-    space-time box (radius box_radius in space, 1 in time, with a 1e-12
+    space-time box (radius 2 nodes in space, 1 in time, with a 1e-12
     tie slack), the mode's differential inequality is tested within a
     tolerance of 10 * spacing.  A box holding a non-finite value (an
     exterior node) never touches.  Small gradients route to the degenerate
@@ -262,12 +262,12 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     # inside; a box corner may still reach an exterior node (no touch then)
     ok = grid.inside.copy()
     for ax in range(dim):
-        for shift in range(1, box_radius + 1):
+        for shift in range(1, _BOX_RADIUS + 1):
             ok &= np.roll(grid.inside, shift, axis=ax)
             ok &= np.roll(grid.inside, -shift, axis=ax)
     # guard the lattice edge
     edge = np.zeros(grid.shape, bool)
-    edge[(slice(box_radius, -box_radius),) * dim] = True
+    edge[(slice(_BOX_RADIUS, -_BOX_RADIUS),) * dim] = True
     centers = np.argwhere(ok & edge)
     if len(centers) == 0:
         return []
@@ -277,7 +277,7 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     # flat node indices: a centre, plus unit[k] per step along axis k
     flat_centers = np.ravel_multi_index(centers.T, grid.shape)
     unit = [int(np.prod(grid.shape[k + 1:])) for k in range(dim)]
-    offsets = np.array(list(product(range(-box_radius, box_radius + 1), repeat=dim)))
+    offsets = np.array(list(product(range(-_BOX_RADIUS, _BOX_RADIUS + 1), repeat=dim)))
     flat_offsets = offsets @ np.array(unit)
     dx = offsets * h
     violations = []
@@ -332,6 +332,6 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     return violations
 
 
-def replicate_steady(field: np.ndarray, spacing_t: float = 1.0):
-    """Three-snapshot trajectory of a steady field, for the spot checker."""
-    return [field, field, field], [0.0, spacing_t, 2 * spacing_t]
+def replicate_steady(field: np.ndarray):
+    """Three-snapshot trajectory of a steady field at times 0, 1, 2, for the spot checker."""
+    return [field, field, field], [0.0, 1.0, 2.0]

@@ -148,6 +148,33 @@ def test_config_rejects_a_bad_eps_list(tmp_path, eps_list, reason):
     assert not (tmp_path / "o").exists()
 
 
+# each bad line and its message; a later line overrides an earlier one
+KEYED_ERRORS = {
+    "params.nu = abc": "invalid params.nu: could not convert string to float: 'abc'",
+    "run.pairs = 2.5": "invalid run.pairs: invalid literal for int() with base 10: '2.5'",
+    "domain.radius = one": "invalid domain.radius: could not convert string to float: 'one'",
+    "run.eps_list = 2 1 0.5":
+        "invalid run.eps_list: smoothing values must lie in (0, 1), got (2.0, 1.0, 0.5)",
+    "data.boundary = abs(x1, x2)":
+        "invalid data.boundary: abs takes exactly one argument in expression 'abs(x1, x2)'",
+    "data.initial = x3":
+        "invalid data.initial: expression 'x3' uses x3 but points have dimension 2",
+    "data.initial = sqrt(x1)": "invalid data.initial: evaluates non-finite at sample points",
+}
+
+
+@pytest.mark.parametrize("line", KEYED_ERRORS)
+def test_config_error_names_its_key(tmp_path, capsys, line):
+    bad = _write(tmp_path, MINIMAL_FLOW.replace("experiment = flow", "experiment = continuation")
+                 + line + "\n")
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(bad)
+    assert str(loaded.value) == KEYED_ERRORS[line]
+    assert cli.main(["continuation", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {KEYED_ERRORS[line]}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):

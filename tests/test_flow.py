@@ -166,6 +166,12 @@ def test_continuation_needs_three_strictly_decreasing(unit_ball, grid16):
                                 (0.2, 0.2, 0.1), 0.1)
 
 
+def test_continuation_rejects_smoothing_outside_the_unit_interval(unit_ball, grid16):
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got \(2.0, 1.0, 0.5\)"):
+        mc.epsilon_continuation(prob, grid16, mc.FlowParams(epsilon=0.2), (2, 1, 0.5), 0.1)
+
+
 def test_report_series_lengths_agree(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, zero, bump)
     rep = mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05), horizon=0.02)
