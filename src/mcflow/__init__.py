@@ -5,7 +5,7 @@ steady Dirichlet limit, boundary barriers and flatness propagation."""
 from .geometry import (DomainSpec, Grid, ball, ellipse, smoothed_stadium,
                        signed_distance, boundary_points,
                        boundary_mean_curvature_bound, admissible_nu_interval,
-                       build_grid, CoarseGridError, GeometryError, ProjectionError)
+                       build_grid, CoarseGridError, GeometryError)
 from .operator import (FlowParams, FieldState, BoundaryValues, Workspace,
                        boundary_values, node_gradient, regularized_rhs,
                        rate_closed_form, diffusion_tensor, stable_dt, step,

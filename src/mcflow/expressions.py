@@ -6,9 +6,11 @@ Configs give boundary and initial data as text such as
 result, and one walk accepts only int or float constants, the coordinates
 x1 .. x9, ``+ - * / **``, unary signs, and calls by bare name of ``min``
 and ``max`` (one or more arguments) and of ``abs``, ``sqrt`` and ``exp``
-(exactly one).  Anything else is an ExpressionError.  The walk builds
-closures that evaluate vectorized over (N, dim) point arrays; nothing
-reaches ``eval``, ``exec`` or ``compile``.
+(exactly one).  Anything else is an ExpressionError, and so is an
+expression nested too deeply to parse, walk or evaluate within Python's
+recursion limit (about a thousand levels).  The walk builds closures that
+evaluate vectorized over (N, dim) point arrays; nothing reaches ``eval``,
+``exec`` or ``compile``.
 """
 
 import ast
@@ -34,6 +36,10 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 
 class ExpressionError(ValueError):
     """Malformed data expression."""
+
+
+def _too_deep(text: str) -> ExpressionError:
+    return ExpressionError(f"nested too deeply for Python's recursion limit in expression {text!r}")
 
 
 def _to_python(text: str) -> str:
@@ -79,10 +85,6 @@ class Expression:
     def __init__(self, text: str):
         self.text = text
         src = _to_python(text)
-        try:
-            tree = ast.parse(src, mode="eval")
-        except SyntaxError as exc:
-            raise ExpressionError(f"{exc.msg} in expression {text!r}") from None
         used = set()
 
         def walk(node):
@@ -119,7 +121,12 @@ class Expression:
                 return lambda pts: fn(*(a(pts) for a in args))
             raise ExpressionError(f"{type(node).__name__} not allowed in expression {text!r}")
 
-        self._eval = walk(tree.body)
+        try:
+            self._eval = walk(ast.parse(src, mode="eval").body)
+        except SyntaxError as exc:
+            raise ExpressionError(f"{exc.msg} in expression {text!r}") from None
+        except RecursionError:
+            raise _too_deep(text) from None
         self.variables = sorted(used)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -130,7 +137,11 @@ class Expression:
             raise ExpressionError(
                 f"expression {self.text!r} uses x{max(self.variables) + 1} "
                 f"but points have dimension {pts.shape[1]}")
-        return np.broadcast_to(self._eval(pts), (len(pts),)).astype(float)
+        try:
+            vals = self._eval(pts)
+        except RecursionError:
+            raise _too_deep(self.text) from None
+        return np.broadcast_to(vals, (len(pts),)).astype(float)
 
 
 def parse_expression(text: str) -> Expression:

@@ -1,14 +1,15 @@
 """Analytic convex domains, signed distances, curvature bounds and grid embedding.
 
 Domains are described analytically (no mesh input): the ball and the
-smoothed stadium have closed-form signed distances, the ellipse uses a
-damped-Newton projection onto its boundary parametrization.  All functions
-are pure and vectorized over point arrays of shape (N, dim).
+smoothed stadium have closed-form signed distances, the ellipse projects
+onto its boundary by Eberly's bracket, a bisection that cannot fail.  All
+functions are pure and vectorized over point arrays of shape (N, dim).
 
 The grid build never projects: the ellipse (and spheroid) classifies nodes
-by its quadric test and cuts grid lines at the closed-form root of the
-quadric; the ball and the stadium classify by the sign of their exact
-signed distance and bisect it for the cuts.
+by its quadric test, the ball and the stadium by the sign of their exact
+signed distance.  The ball and the ellipse cut grid lines at the
+closed-form root of their quadric; only the stadium bisects its signed
+distance for the cuts.  The curvature bounds are closed forms.
 """
 
 from dataclasses import dataclass
@@ -16,20 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SUPPORTED_DIMS = (2, 3)
-PROJECTION_TOL = 1e-12
-PROJECTION_MAX_ITER = 64
 
 
 class GeometryError(ValueError):
     """Invalid domain description."""
-
-
-class ProjectionError(RuntimeError):
-    """Boundary projection failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
 
 
 class CoarseGridError(ValueError):
@@ -41,9 +32,8 @@ class DomainSpec:
     """A smooth convex bounded domain: ball, ellipse or smoothed stadium.
 
     The stadium is the corner_radius-rounding of a box with half-extents
-    half_width (transverse axes) and straight_half_length (last axis); its
-    flat sides realize a cylindrical boundary section, so its curvature
-    lower bound is 0.
+    half_width (transverse axes) and straight_half_length (last axis); where
+    it keeps flat sides its curvature lower bound is 0.
     """
 
     kind: str
@@ -138,47 +128,37 @@ def _inside_ellipse(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _project_ellipse(a: float, b: float, u: np.ndarray, v: np.ndarray):
-    """Project planar points onto the ellipse (a cos t, b sin t), first quadrant.
+    """Closest point of the ellipse (x/a)^2 + (y/b)^2 = 1 to (|u|, |v|), a >= b.
 
-    Bisection-safeguarded damped Newton on the stationarity condition
-    f(t) = (a^2-b^2) cos t sin t - u a sin t + v b cos t of the squared
-    distance.  f(0) >= 0 >= f(pi/2) for u, v >= 0, so the bracket always
-    holds; the safeguard matters for points near the major axis inside the
-    evolute, where plain Newton is trapped at the wrong critical point.
+    Eberly's bracket.  Off the major axis the closest point is
+    (a^2 u/(s + a^2), b^2 v/(s + b^2)) for the single root s of the
+    decreasing F(s) = (a u/(s + a^2))^2 + (b v/(s + b^2))^2 - 1 on
+    [-b^2 + b v, -b^2 + hypot(a u, b v)].  The halvings run on log(s + b^2),
+    so s + b^2 is found to a relative accuracy even where it is as small as
+    b v, near the axis inside the evolute.  On the major axis the closest
+    point is x = a^2 u/(a^2 - b^2) inside the evolute (a u < a^2 - b^2, the
+    centre included) and the vertex (a, 0) elsewhere, so always when a = b.
     """
     u = np.abs(u)
     v = np.abs(v)
+    c = a * a - b * b
+    x = np.full_like(u, a)
+    off = b * v > 0
+    inner = ~off & (a * u < c)
+    x[inner] = a * a * u[inner] / c
+    y = b * np.sqrt(np.maximum(1.0 - (x / a) ** 2, 0.0))
+    au, bv = a * u[off], b * v[off]
+    lo = np.log(bv)
+    span = np.log(np.hypot(au, bv)) - lo
 
-    def f_of(t):
-        ct, st = np.cos(t), np.sin(t)
-        return (a * a - b * b) * ct * st - u * a * st + v * b * ct
+    def f_positive(q):
+        sb = np.exp(q[:, 0])                # s + b^2
+        return (au / (sb + c)) ** 2 + (bv / sb) ** 2 > 1.0
 
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, np.pi / 2)
-    # start strictly inside the bracket: endpoint equalities f(0)=0 or
-    # f(pi/2)=0 would otherwise collapse the bracket at a distance maximum
-    t = np.clip(np.arctan2(a * v, b * u), 1e-9, np.pi / 2 - 1e-9)
-    width = hi - lo
-    for _ in range(PROJECTION_MAX_ITER):
-        ct, st = np.cos(t), np.sin(t)
-        f = (a * a - b * b) * ct * st - u * a * st + v * b * ct
-        fp = (a * a - b * b) * (ct * ct - st * st) - u * a * ct - v * b * st
-        lo = np.where(f > 0, t, lo)
-        hi = np.where(f > 0, hi, t)
-        newton = t - np.divide(f, fp, out=np.zeros_like(f), where=np.abs(fp) > 1e-300)
-        inside = (newton > lo) & (newton < hi)
-        t = np.where(inside, newton, 0.5 * (lo + hi))
-        width = hi - lo
-        if width.size and width.max() < PROJECTION_TOL and np.abs(f_of(t)).max() < PROJECTION_TOL * max(a, 1.0):
-            break
-    else:
-        if width.size and width.max() >= 1e-9:
-            bad = int(np.argmax(width))
-            raise ProjectionError(
-                f"ellipse projection did not converge at point index {bad}",
-                last_iterate=t,
-            )
-    return a * np.cos(t), b * np.sin(t)
+    sb = np.exp(lo + _bisect_crossing(f_positive, lo[:, None], span[:, None]) * span)
+    x[off] = a * au / (sb + c)
+    y[off] = b * bv / sb
+    return x, y
 
 
 def _stadium_signed_distance(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
@@ -199,8 +179,9 @@ def _stadium_signed_distance(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
 def signed_distance(domain: DomainSpec, x) -> np.ndarray:
     """Signed distance to the domain boundary, positive inside.
 
-    Exact for ball and smoothed stadium; Newton projection for the ellipse
-    (accurate to ~1e-12).  Accepts a single point or an (N, dim) array.
+    Exact for ball and smoothed stadium; for the ellipse and spheroid the
+    distance to the bracketed projection of the profile point, signed by the
+    quadric test.  Accepts a single point or an (N, dim) array.
     """
     pts = _as_points(x) - np.asarray(domain.center)
     if domain.kind == "ball":
@@ -284,35 +265,26 @@ def _stadium_boundary_2d(domain: DomainSpec, count: int) -> np.ndarray:
     return pts
 
 
-def boundary_mean_curvature_bound(domain: DomainSpec, samples: int = 20000) -> float:
+def boundary_mean_curvature_bound(domain: DomainSpec) -> float:
     """Infimum over the boundary of the mean of the principal curvatures.
 
-    Closed form for ball (1/R) and planar ellipse (b/a^2); sampled minimum
-    for the spheroid and the smoothed stadium (whose flat sides force 0).
+    Closed forms, reached on the boundary: the ball 1/R; the ellipse b/a^2
+    at its major vertices; the spheroid 0.5*(b/a^2 + 1/b) at its equator,
+    since both principal curvatures fall as a^2 sin^2 t + b^2 cos^2 t grows
+    along the meridian (a cos t, b sin t) and a >= b.  The stadium is 0
+    wherever it has a flat piece (a straight side in 2D, an end disk in 3D);
+    else it is the disk or ball 1/corner_radius, or in 3D the capsule, whose
+    cylinder side of radius corner_radius gives 0.5/corner_radius.
     """
-    n = domain.dim - 1
     if domain.kind == "ball":
         return 1.0 / domain.radius
     if domain.kind == "ellipse":
         a, b = domain.semi_major, domain.semi_minor
-        if domain.dim == 2:
-            return b / a ** 2
-        # spheroid: sample the meridian, principal curvatures of the
-        # surface of revolution (x, r) = (a cos t, b sin t) about x-axis
-        t = np.linspace(1e-4, np.pi - 1e-4, samples)
-        w = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
-        k_meridian = a * b / w ** 1.5
-        k_parallel = a / (b * np.sqrt(w))  # normal's radial component over radius
-        h = 0.5 * (k_meridian + k_parallel)
-        # poles: both curvatures equal a/b^2
-        return float(min(h.min(), a / b ** 2))
-    # stadium: any flat segment (straight side in 2D, end disk in 3D)
-    # forces the infimum to 0; only the fully-degenerate disk case has
-    # positive curvature everywhere
-    flat = (domain.half_width > domain.corner_radius
-            or domain.straight_half_length > domain.corner_radius
-            or domain.dim == 3)
-    return 0.0 if flat else 1.0 / domain.corner_radius
+        return b / a ** 2 if domain.dim == 2 else 0.5 * (b / a ** 2 + 1.0 / b)
+    rc = domain.corner_radius
+    if domain.half_width > rc or (domain.dim == 2 and domain.straight_half_length > rc):
+        return 0.0
+    return 0.5 / rc if domain.straight_half_length > rc else 1.0 / rc
 
 
 def admissible_nu_interval(domain: DomainSpec) -> tuple:
@@ -399,8 +371,8 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
 
     The spacing must pass check_spacing; a coarse one sets coarse_warning.
     Nodes are inside by the ellipse's quadric test or by a positive signed
-    distance (ball, stadium); no boundary projection runs, so the build
-    cannot raise ProjectionError.
+    distance (ball, stadium); no boundary projection runs, and only the
+    stadium's cuts bisect.
     """
     coarse = check_spacing(domain, spacing)
 
@@ -469,10 +441,11 @@ def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: int,
 
     Each point is strictly inside with its neighbor at pts + direction*spacing*e_axis
     outside or on the boundary; convexity gives a single crossing in (0, 1].
-    The ellipse's crossing is the closed-form root of its quadric along the
-    axis; the ball's and the stadium's bisect their signed distance.
+    The ball's and the ellipse's crossing is the closed-form root of their
+    quadric along the axis (half_extents reads (r, r[, r]) for the ball);
+    the stadium's bisects its signed distance.
     """
-    if domain.kind == "ellipse":
+    if domain.kind in ("ball", "ellipse"):
         p = pts - np.asarray(domain.center)
         semi = domain.half_extents
         rest = np.sum(np.delete(p / semi, axis, axis=1) ** 2, axis=1)
@@ -486,7 +459,10 @@ def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: int,
 
 
 def _bisect_crossing(is_inside, pts: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Sixty halvings for the t in (0, 1] where is_inside flips along pts + t*step."""
+    """Sixty halvings for the t in (0, 1] where is_inside flips along pts + t*step.
+
+    step is one vector for all points or one row per point.
+    """
     lo = np.zeros(len(pts))
     hi = np.ones(len(pts))
     for _ in range(60):

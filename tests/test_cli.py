@@ -175,6 +175,13 @@ def test_config_error_names_its_key(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+def test_main_reports_too_deep_an_expression(tmp_path, capsys):
+    bad = _write(tmp_path, MINIMAL_FLOW.replace("data.boundary = 0", "data.boundary = "
+                                                 + " + ".join(["x1"] * 3000)))
+    assert cli.main(["flow", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid data.boundary: nested too deeply")
+
+
 def test_config_rejects_boundary_mismatch(tmp_path):
     bad = MINIMAL_FLOW.replace("data.initial = 0", "data.initial = x1 + 0.5")
     with pytest.raises(cli.ConfigError, match="differ by"):

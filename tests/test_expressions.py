@@ -63,3 +63,25 @@ def test_dimension_mismatch_reported():
 
 def test_variables_tracked():
     assert parse_expression("x1*x3 + 2").variables == [0, 2]
+
+
+def _chain(terms):
+    return " + ".join(["x1"] * terms)
+
+
+@pytest.mark.parametrize("terms", [1200, 3000])
+def test_too_deep_an_expression_is_an_expression_error(terms):
+    # 3,000 terms overflow the parser, 1,200 the walk
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression(_chain(terms))
+
+
+def test_too_deep_an_evaluation_is_an_expression_error():
+    e = parse_expression(_chain(900))
+    assert e(np.ones((3, 2))) == pytest.approx([900.0] * 3)
+
+    def nested(depth):
+        return e(np.ones((3, 2))) if depth == 0 else nested(depth - 1)
+
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        nested(300)

@@ -31,6 +31,48 @@ def test_ellipse_distance_inside_evolute():
     assert d == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 0.6), (1.0, 0.25)])
+def test_ellipse_distance_on_the_major_axis(a, b):
+    c = a * a - b * b
+    # inside the evolute |u| < c/a: the closest point is x = a^2 u/c off the axis
+    u = np.array([0.0, 0.3, -0.6, 0.9]) * c / a
+    x = a * a * np.abs(u) / c
+    inner = np.hypot(np.abs(u) - x, b * np.sqrt(1 - (x / a) ** 2))
+    # outside it, inside and outside the ellipse: the vertex (a, 0)
+    w = np.array([1.05 * c / a, -0.5 * (c / a + a), 1.5 * a, -3.0 * a])
+    for dim in (2, 3):
+        domain = mc.ellipse(a, b, (0.25,) * dim, dim)
+        pts = np.zeros((8, dim)) + 0.25
+        pts[:, 0] += np.concatenate([u, w])
+        ref = np.concatenate([inner, a - np.abs(w)])
+        assert geo.signed_distance(domain, pts) == pytest.approx(ref, abs=1e-15)
+        assert geo.signed_distance(domain, domain.center) == b
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_round_ellipse_distance_is_the_balls(dim):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.5, 1.5, size=(2000, dim))
+    pts[:4] = 0.0
+    pts[1, 0] = 0.7                      # on the axis, inside
+    pts[2, 0] = -1.2                     # on the axis, outside
+    pts[3, 1] = 1e-9                     # next to the centre, off the axis
+    d = geo.signed_distance(mc.ellipse(1.0, 1.0, dim=dim), pts)
+    assert d == pytest.approx(geo.signed_distance(mc.ball(1.0, dim=dim), pts), abs=1e-12)
+    assert d[0] == 1.0
+
+
+def test_ellipse_distance_near_the_axis_inside_the_evolute():
+    # the distance is 1-Lipschitz: off the axis by v it is within v of the axis
+    # point's, which the halvings must resolve where s + b^2 is as small as b v
+    a, b = 2.0, 1.0
+    x = a * a * 1.0 / (a * a - b * b)
+    axis = np.hypot(1.0 - x, b * np.sqrt(1 - (x / a) ** 2))
+    v = 10.0 ** -np.arange(4.0, 15.0)
+    d = geo.signed_distance(mc.ellipse(a, b), np.column_stack([np.ones_like(v), v]))
+    assert np.all(np.abs(d - axis) <= v + 1e-15)
+
+
 def test_ellipse_distance_against_dense_sampling_oracle():
     e = mc.ellipse(2.0, 1.0)
     bd = geo.boundary_points(e, 400000)
@@ -56,6 +98,7 @@ def test_curvature_bounds_closed_forms():
     assert geo.boundary_mean_curvature_bound(mc.ball(1.0)) == pytest.approx(1.0)
     assert geo.boundary_mean_curvature_bound(mc.ball(2.0, dim=3)) == pytest.approx(0.5)
     assert geo.boundary_mean_curvature_bound(mc.ellipse(2.0, 1.0)) == pytest.approx(0.25)
+    assert geo.boundary_mean_curvature_bound(mc.ellipse(1.0, 1.0, dim=3)) == 1.0
 
 
 def test_ellipse_curvature_bound_matches_dense_sampling():
@@ -66,9 +109,36 @@ def test_ellipse_curvature_bound_matches_dense_sampling():
         kappa.min(), abs=1e-9)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.6), (2.0, 1.0), (1.0, 0.25), (1.3, 1.2)])
+def test_spheroid_curvature_bound_is_the_equator_value(a, b):
+    h0 = geo.boundary_mean_curvature_bound(mc.ellipse(a, b, dim=3))
+    assert h0 == 0.5 * (b / a ** 2 + 1 / b)
+    # the meridian (a cos t, b sin t), poles and equator included
+    t = np.linspace(0, np.pi, 2_000_001)
+    w = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
+    h = 0.5 * (a * b / w ** 1.5 + a / (b * np.sqrt(w)))
+    assert h0 <= h.min()
+
+
 def test_stadium_flat_sides_force_zero_bound():
     st = mc.smoothed_stadium(0.5, 1.5, 0.25)
     assert geo.boundary_mean_curvature_bound(st) == 0.0
+    # in 3D the end disks are flat, whatever the side
+    assert geo.boundary_mean_curvature_bound(mc.smoothed_stadium(0.5, 1.5, 0.25, dim=3)) == 0.0
+    assert geo.boundary_mean_curvature_bound(mc.smoothed_stadium(0.5, 0.5, 0.25, dim=3)) == 0.0
+    # in 2D a full rounding still leaves two straight sides
+    assert geo.boundary_mean_curvature_bound(mc.smoothed_stadium(0.5, 1.5, 0.5)) == 0.0
+
+
+def test_capsule_curvature_bound_is_its_cylinder_side():
+    # full rounding in 3D: a cylinder of radius 0.5 (H = 1) capped by hemispheres (H = 2)
+    capsule = mc.smoothed_stadium(0.5, 1.5, 0.5, dim=3)
+    assert geo.boundary_mean_curvature_bound(capsule) == 1.0
+    lo, hi = geo.admissible_nu_interval(capsule)
+    assert (lo, hi) == pytest.approx((-2 / 3, 2 / 3))
+    # no straight side either: the disk and the ball
+    assert geo.boundary_mean_curvature_bound(mc.smoothed_stadium(0.5, 0.5, 0.5)) == 2.0
+    assert geo.boundary_mean_curvature_bound(mc.smoothed_stadium(0.5, 0.5, 0.5, dim=3)) == 2.0
 
 
 def test_admissible_interval_values():
@@ -118,7 +188,6 @@ def test_theta_boundary_hit_at_neighbor():
 
 
 def test_ellipse_grid_builds_without_warnings():
-    # the projection's Newton quotient is guarded, not evaluated as 0/0
     a, b = 1.0, 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -165,11 +234,6 @@ def test_distance_laplacian_bound_on_collar(grid32, unit_ball):
     n = unit_ball.dim - 1
     h0 = geo.boundary_mean_curvature_bound(unit_ball)
     assert np.all(lap <= -n * h0 + 10 * h ** 2)
-
-
-def test_projection_error_carries_iterate():
-    err = geo.ProjectionError("x", last_iterate=np.array([1.0]))
-    assert err.last_iterate is not None
 
 
 def test_domain_validation():
@@ -240,18 +304,46 @@ def test_ellipse_cuts_are_the_roots_of_the_quadric(dim, center, semi_major, rati
     assert np.all(np.abs(_quadric(domain, g.points[~signed]) - 1.0) <= 4 * eps)
 
 
+BALLS = [(mc.ball(1.0), 1 / 32), (mc.ball(1.0, (0.013, -0.021)), 1 / 32),
+         (mc.ball(1.0, dim=3), 1 / 16)]
+
+
 @pytest.mark.parametrize("domain, h", [(mc.ellipse(1.0, 0.5, (0.013, -0.021)), 1 / 16),
-                                       (mc.ellipse(1.0, 0.6, dim=3), 1 / 16)])
+                                       (mc.ellipse(1.0, 0.6, dim=3), 1 / 16)] + BALLS)
 def test_ellipse_grid_builds_without_a_projection(monkeypatch, domain, h):
     def refuse(*args):
-        raise AssertionError("the grid build projected onto the ellipse")
+        raise AssertionError("the grid build projected onto the ellipse or bisected")
     monkeypatch.setattr(geo, "_project_ellipse", refuse)
+    monkeypatch.setattr(geo, "_bisect_crossing", refuse)
     g = mc.build_grid(domain, h)
     assert g.near_boundary.any() and np.isfinite(g.theta).any()
 
 
+@pytest.mark.parametrize("domain, h", BALLS)
+def test_ball_cuts_are_the_roots_of_the_sphere(domain, h):
+    g = mc.build_grid(domain, h)
+    c = np.asarray(domain.center)
+    for axis in range(domain.dim):
+        for side in range(2):
+            mask = g.cut_mask(axis, side)
+            sign = 1.0 if side == 1 else -1.0
+            step = np.zeros(domain.dim)
+            step[axis] = sign * h
+            pts = g.points[mask]
+            # oracle: the bisection of the ball's exact signed distance
+            ref = np.clip(geo._bisect_crossing(lambda q: geo.signed_distance(domain, q) > 0,
+                                               pts, step), 1e-12, 1.0)
+            # both know the crossing to a few ulp over the slope along the line, as
+            # for the ellipse: loose only where the line is tangent, as at the node
+            # (0.013, -1.021) of the off-centre disk, on the circle to round-off
+            slope = 2 * h * np.abs(pts[:, axis] + sign * ref * h - c[axis]) / domain.radius ** 2
+            theta = g.theta[axis, side][mask]
+            assert np.all(np.abs(theta - ref) <= 1e-13 + 8 * np.finfo(float).eps / slope)
+            cut = g.cut_points(axis, side)
+            assert np.abs(np.linalg.norm(cut - c, axis=1) - domain.radius).max() <= 1e-13
+
+
 @pytest.mark.parametrize("domain, digest", [
-    (mc.ball(1.0), "1cbc96e02dca26b9758ae69815ee52c433357a9183ad13a6b2eda45c5913fb5f"),
     (mc.smoothed_stadium(0.5, 1.5, 0.25),
      "e1f5319d90692f9b9086915c6a9a3c833766d0ae97bf4bb07d6a0810f38c6118"),
 ])
