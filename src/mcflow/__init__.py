@@ -8,9 +8,7 @@ from .geometry import (DomainSpec, Grid, ball, ellipse, smoothed_stadium,
                        build_grid, CoarseGridError, GeometryError)
 from .operator import (FlowParams, FieldState, BoundaryValues, Workspace,
                        boundary_values, node_gradient, regularized_rhs,
-                       rate_closed_form, diffusion_tensor, stable_dt, step,
-                       march, init_state, apply_closure,
-                       boundary_trace_residual, quadrature, BlowUpError,
+                       stable_dt, march, init_state, apply_closure, BlowUpError,
                        OperatorError)
 from .flow import (IBVP, FlowReport, SteadyResult, ContinuationTable,
                    solve_ibvp, relax_to_steady, epsilon_continuation,
@@ -23,7 +21,7 @@ from .verify import (EnergyTrace, DissipationBudget, GradientMaxReport,
                      ViscosityProbe, energy_series, dissipation_budget,
                      ut_initial_slice_bound, gradient_interior_max_check,
                      viscosity_spot_check, degenerate_branch_bound,
-                     quadratic_min_on_ball_bruteforce, replicate_steady)
+                     replicate_steady)
 from .liouville import (CylinderProblem, EnvelopePair, LiouvilleReport,
                         ramp_problem, build_envelopes, flatness_and_sandwich,
                         EnvelopeError)

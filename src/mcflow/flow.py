@@ -90,40 +90,71 @@ def _collect_warnings(problem: IBVP, grid: Grid, params: FlowParams) -> list:
 
 
 class _Recorder:
-    """Accumulates per-step diagnostics from the live workspace."""
+    """Accumulates per-step diagnostics from the live workspace.
+
+    Node sets are taken by flat index into preallocated buffers (mode "clip"
+    does not buffer; every index is in range).  The integrals are full-box
+    sums of a buffer that stays 0 off the inside nodes.
+    """
 
     def __init__(self, grid: Grid, params: FlowParams):
         self.nu = params.nu
+        # keyed by the FlowReport series they fill
         self.rows = {k: [] for k in ("t", "sup_u", "min_u", "max_u", "sup_grad",
-                                     "sup_gi", "sup_gr", "sup_ut", "J", "D", "S", "Q")}
-        self.wvol = grid.qweight * grid.spacing ** grid.dim
-        self.inside = grid.inside
-        self.interior = grid.interior
-        self.ring = grid.near_boundary
-        self.has_ring = bool(self.ring.any())
+                                     "sup_grad_interior", "sup_grad_ring", "sup_ut",
+                                     "energy", "dissipation", "source", "ut_sq_integral")}
+        self.wvol = (grid.qweight * grid.spacing ** grid.dim).ravel()
+        self.inside, self.interior = grid.inside.ravel(), grid.interior.ravel()
+        self.idx = {name: np.flatnonzero(getattr(grid, name)) for name in
+                    ("inside", "interior", "near_boundary")}
+        self.buf, self.sq = np.empty((2, len(self.idx["inside"])))
+        # u_t, 0 off the interior; an integrand, 0 off the inside
+        self.r, self.w = np.zeros((2, self.inside.size))
+
+    def _take(self, src: np.ndarray, name: str) -> np.ndarray:
+        idx = self.idx[name]
+        return np.take(src, idx, out=self.buf[:len(idx)], mode="clip")
+
+    def _sup_grad_sq(self, grads: np.ndarray, name: str) -> float:
+        """max of g0*g0 + g1*g1 (+ g2*g2) over a node set, 0.0 if it is empty."""
+        sq = self.sq[:len(self.idx[name])]
+        sq.fill(0.0)        # 0 + x is x: a square is never -0
+        for g in grads:
+            g = self._take(g, name)
+            sq += np.multiply(g, g, out=g)
+        return float(np.max(sq)) if len(sq) else 0.0
 
     def record(self, state: FieldState, ws: Workspace):
         # ws holds the rate, gradient and smoothed norm of exactly this state
-        with np.errstate(invalid="ignore"):
-            gmag = np.sqrt(np.sum(ws.grads ** 2, axis=0))
-        r = np.where(self.interior, ws.rate, 0.0)
-        rows = self.rows
+        grads = ws.grads.reshape(len(ws.grads), -1)
+        s_node, rate = ws.s_node.ravel(), ws.rate.ravel()
+        rows, r, w = self.rows, self.r, self.w
         rows["t"].append(state.time)
-        uin = state.values[self.inside]
-        rows["sup_u"].append(float(np.max(np.abs(uin))))
-        rows["min_u"].append(float(np.min(uin)))
-        rows["max_u"].append(float(np.max(uin)))
-        rows["sup_grad"].append(float(np.max(gmag[self.inside])))
-        rows["sup_gi"].append(float(np.max(gmag[self.interior])) if self.interior.any() else 0.0)
-        rows["sup_gr"].append(float(np.max(gmag[self.ring])) if self.has_ring else 0.0)
-        rows["sup_ut"].append(float(np.max(np.abs(r[self.interior]))) if self.interior.any() else 0.0)
-        svals = np.where(self.inside, ws.s_node, 0.0)
-        rows["J"].append(float(np.sum(svals * self.wvol)))
+        u = self._take(state.values.ravel(), "inside")
+        lo, hi = float(np.min(u)), float(np.max(u))
+        rows["sup_u"].append(max(abs(lo), abs(hi)))
+        rows["min_u"].append(lo)
+        rows["max_u"].append(hi)
+        # inside = interior + ring, and sqrt commutes with max
+        gi, gr = (self._sup_grad_sq(grads, name) for name in ("interior", "near_boundary"))
+        rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
+        rows["sup_grad_interior"].append(float(np.sqrt(gi)))
+        rows["sup_grad_ring"].append(float(np.sqrt(gr)))
+        ut = self._take(rate, "interior")
+        rows["sup_ut"].append(float(np.max(np.abs(ut, out=ut))) if len(ut) else 0.0)
+        np.copyto(r, rate, where=self.interior)
+        np.multiply(s_node, self.wvol, out=w, where=self.inside)
+        rows["energy"].append(float(np.sum(w)))
+        np.multiply(r, r, out=w)
         with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(self.inside, r * r / ws.s_node, 0.0)
-        rows["D"].append(float(np.sum(d * self.wvol)))
-        rows["S"].append(self.nu * float(np.sum(r * self.wvol)))
-        rows["Q"].append(float(np.sum(r * r * self.wvol)))
+            np.divide(w, s_node, out=w, where=self.inside)
+        w *= self.wvol
+        rows["dissipation"].append(float(np.sum(w)))
+        np.multiply(r, self.wvol, out=w)
+        rows["source"].append(self.nu * float(np.sum(w)))
+        np.multiply(r, r, out=w)
+        w *= self.wvol
+        rows["ut_sq_integral"].append(float(np.sum(w)))
 
 
 def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
@@ -152,16 +183,8 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     except BlowUpError as exc:
         aborted = str(exc)
 
-    rows = rec.rows
     return FlowReport(
-        t=np.array(rows["t"]), sup_u=np.array(rows["sup_u"]),
-        min_u=np.array(rows["min_u"]), max_u=np.array(rows["max_u"]),
-        sup_grad=np.array(rows["sup_grad"]),
-        sup_grad_interior=np.array(rows["sup_gi"]),
-        sup_grad_ring=np.array(rows["sup_gr"]),
-        sup_ut=np.array(rows["sup_ut"]),
-        energy=np.array(rows["J"]), dissipation=np.array(rows["D"]),
-        source=np.array(rows["S"]), ut_sq_integral=np.array(rows["Q"]),
+        **{name: np.array(row) for name, row in rec.rows.items()},
         snapshots=snapshots, steps=k, dt=dt,
         wall_clock=_time.perf_counter() - t0, aborted=aborted,
         warnings=_collect_warnings(problem, grid, params),

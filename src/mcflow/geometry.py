@@ -396,9 +396,9 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
     for ax in range(dim):
         for side, shift in ((0, 1), (1, -1)):  # side 0: minus neighbor, side 1: plus neighbor
             nbr_inside = np.roll(inside, shift, axis=ax)
-            # roll wraps the lattice edge; edge nodes are outside the open
-            # domain for the tight bounding box, so wrapped values are safe,
-            # but mask the edge explicitly anyway
+            # roll wraps the lattice edge, where a node on the boundary to
+            # round-off can be inside; the edge mask cuts it on its edge side.
+            # The operator's flat-stride stencils depend on that mask
             edge = np.zeros(counts, bool)
             idx = [slice(None)] * dim
             idx[ax] = 0 if side == 0 else -1

@@ -17,12 +17,20 @@ closures in one write and the rest level by level, each after the closed
 node it reads.  Every time-stepped experiment advances through the one
 forward-Euler generator `march`.
 
+The stencils are contiguous shifts of the C-order flattening of the grid
+axes: along an axis of stride s, a central difference is v[2s:] - v[:-2s]
+and a face difference v[s:] - v[:-s].  A shift wraps from the end of one
+grid line to the next, onto lattice-edge nodes only.  build_grid makes each
+of those exterior or cut on its edge side, so the cut formula or the
+exterior NaN write replaces every wrapped value, and interior nodes get the
+bits of per-axis slices.
+
 The functions below also step a stack of B fields that share one grid, one
 FlowParams and one dt: values of shape (*grid.shape, B), boundary data and
 initial data given as sequences of B functions.  The stack lives on the
-trailing axis, so the flat views used for gathers are values.reshape((N, B))
-and every field gets exactly the bits it gets alone: the arithmetic,
-closure included, is elementwise.
+trailing axis, so the flat views are values.reshape((N, B)) and every field
+gets exactly the bits it gets alone: the arithmetic, closure included, is
+elementwise.
 """
 
 from dataclasses import dataclass
@@ -227,6 +235,11 @@ class Workspace:
     gradient norm of the evaluated field.  stack is the trailing shape of
     the fields it serves: () for one field, (B,) for a stack of B, which
     costs B * (5 + dim) full-grid arrays.
+
+    dn, acc and tmp are flat, (N, *stack): flat node i + strides[ax] is the
+    neighbor of i along axis ax.  Values that a shift wraps across a grid
+    line reach only lattice-edge nodes, and there the cut formula or the NaN
+    write at exterior_flat (every non-interior node) replaces them.
     """
 
     def __init__(self, grid: Grid, stack: tuple = ()):
@@ -234,30 +247,15 @@ class Workspace:
         dim = grid.dim
         self.grads = np.full((dim,) + shape, np.nan)
         self.s_node = np.full(shape, np.nan)
-        self.dn = np.full(shape, np.nan)        # face difference, then face flux
-        self.acc = np.full(shape, np.nan)
         self.rate = np.full(shape, np.nan)
-        self.tmp = np.full(shape, np.nan)
+        flat = (grid.interior.size,) + stack
+        self.dn = np.full(flat, np.nan)         # face difference, then face flux
+        self.acc = np.full(flat, np.nan)
+        self.tmp = np.full(flat, np.nan)
+        self.strides = tuple(int(np.prod(grid.shape[ax + 1:], dtype=int))
+                             for ax in range(dim))
         self.interior_flat = np.flatnonzero(grid.interior.ravel())
-        self.exterior = ~grid.interior
-        self.slices = _axis_slices(grid.shape)
-
-
-def _axis_slices(shape):
-    """Per-axis dicts of slice tuples: mid, plus, minus, lo (face start), hi (face end)."""
-    out = []
-    dim = len(shape)
-    for ax in range(dim):
-        full = [slice(None)] * dim
-        def s(a, b):
-            sl = list(full)
-            sl[ax] = slice(a, b)
-            return tuple(sl)
-        out.append({
-            "mid": s(1, -1), "plus": s(2, None), "minus": s(0, -2),
-            "lo": s(0, -1), "hi": s(1, None),
-        })
-    return out
+        self.exterior_flat = np.flatnonzero(~grid.interior.ravel())
 
 
 def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.ndarray:
@@ -276,44 +274,33 @@ def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.n
     return values
 
 
-def boundary_trace_residual(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> float:
-    """Max mismatch between the theta-interpolated trace and the boundary data."""
-    flat = _flat(values, grid.dim)
-    n = bvals.level_ends[0]
-    res = 0.0
-    if n:
-        res = float(np.max(np.abs(flat[bvals.nb_flat[:n]] - bvals.c_const)))
-    if len(bvals.nb_flat) > n:
-        th = bvals.c_theta[n:]
-        trace = (1.0 + th) * flat[bvals.nb_flat[n:]] - th * flat[bvals.c_inner[n:]]
-        res = max(res, float(np.max(np.abs(trace - bvals.c_hb[n:]))))
-    return res
-
-
 def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
                   ws: Workspace | None = None) -> np.ndarray:
-    """Gradient at every inside node, shape (dim, *values.shape), NaN outside.
+    """Gradient at every inside node, shape (dim, *values.shape).
 
     Central differences on full stencils; where an axis is cut, the
     nonuniform three-point formula through the boundary value (exact on
     quadratics) replaces it:
     (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
-    with an uncut side at t = 1 reading its neighbor node.
+    with an uncut side at t = 1 reading its neighbor node.  Every inside
+    node on a lattice edge is cut on its edge side, so the cut formula
+    replaces the wrapped central difference there.  Off the inside nodes an
+    entry is NaN or a wrapped difference, and means nothing.
     """
     ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
-    flat = _flat(values, grid.dim)
+    v = _flat(values, grid.dim)
+    grads = ws.grads.reshape((grid.dim,) + v.shape)
     with np.errstate(invalid="ignore"):
-        for ax in range(grid.dim):
-            sl = ws.slices[ax]
-            g = ws.grads[ax]
-            np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
-            g[sl["mid"]] /= 2 * h
+        for ax, s in enumerate(ws.strides):
+            g = grads[ax]
+            np.subtract(v[2 * s:], v[:-2 * s], out=g[s:-s])
+            g[s:-s] /= 2 * h
             c = bvals.axis_cuts[ax]
-            up, um = flat[c.ip], flat[c.im]
+            up, um = v[c.ip], v[c.im]
             np.copyto(up, c.hb_p, where=c.cut_p)
             np.copyto(um, c.hb_m, where=c.cut_m)
-            _flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
+            g[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * v[c.idx]) / c.den
     return ws.grads
 
 
@@ -323,74 +310,55 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
 
     Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + nu) with
     s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
-    (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).
+    (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).  The face between
+    flat nodes i and i + s sits at i in dn and acc.
     """
     ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
     eps2 = params.epsilon ** 2
-    grads = node_gradient(values, grid, bvals, ws)
+    node_gradient(values, grid, bvals, ws)
+    v = _flat(values, grid.dim)
+    grads = ws.grads.reshape((grid.dim,) + v.shape)
+    s_node, rate = _flat(ws.s_node, grid.dim), _flat(ws.rate, grid.dim)
+    dn, acc, tmp = ws.dn, ws.acc, ws.tmp
     # a blowing-up field may overflow here; euler_update's finiteness check
     # turns that into a BlowUpError
     with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(grads[0], grads[0], out=ws.s_node)
+        np.multiply(grads[0], grads[0], out=s_node)
         for j in range(1, grid.dim):
-            np.multiply(grads[j], grads[j], out=ws.tmp)
-            ws.s_node += ws.tmp
-        ws.s_node += eps2
-        np.sqrt(ws.s_node, out=ws.s_node)
+            np.multiply(grads[j], grads[j], out=tmp)
+            s_node += tmp
+        s_node += eps2
+        np.sqrt(s_node, out=s_node)
 
         # the flux divergence accumulates in rate
-        rate = ws.rate
         rate.fill(0.0)
-        for ax in range(grid.dim):
-            sl = ws.slices[ax]
-            lo, hi = sl["lo"], sl["hi"]
-            dn, acc, tmp = ws.dn, ws.acc, ws.tmp
-            np.subtract(values[hi], values[lo], out=dn[lo])
-            dn[lo] /= h
-            acc.fill(0.0)
-            for j in range(grid.dim):
-                if j == ax:
-                    continue
-                gj = grads[j]
-                # tmp holds the face-averaged tangential gradient component
-                np.add(gj[lo], gj[hi], out=tmp[lo])
-                tmp[lo] *= 0.5
-                np.multiply(tmp[lo], tmp[lo], out=tmp[lo])
-                acc[lo] += tmp[lo]
-            # acc = tangential |grad|^2 at the face; assemble s_face in place
-            np.multiply(dn[lo], dn[lo], out=tmp[lo])
-            acc[lo] += tmp[lo]
-            acc[lo] += eps2
-            np.sqrt(acc[lo], out=acc[lo])
-            # the face flux replaces the face difference in dn
-            np.divide(dn[lo], acc[lo], out=dn[lo])
-            np.subtract(dn[hi], dn[lo], out=tmp[hi])
-            rate[hi] += tmp[hi]
+        for ax, s in enumerate(ws.strides):
+            d, a, t = dn[:-s], acc[:-s], tmp[:-s]
+            np.subtract(v[s:], v[:-s], out=d)
+            d /= h
+            # a sums the squared face averages t of the tangential components
+            for k, j in enumerate(j for j in range(grid.dim) if j != ax):
+                np.add(grads[j][:-s], grads[j][s:], out=t)
+                t *= 0.5
+                if k == 0:
+                    np.multiply(t, t, out=a)
+                else:
+                    np.multiply(t, t, out=t)
+                    a += t
+            # assemble s_face in a; the face flux replaces the face difference in d
+            np.multiply(d, d, out=t)
+            a += t
+            a += eps2
+            np.sqrt(a, out=a)
+            np.divide(d, a, out=d)
+            np.subtract(dn[s:], d, out=tmp[s:])
+            rate[s:] += tmp[s:]
         rate /= h
         rate += params.nu
-        rate *= ws.s_node
-        rate[ws.exterior] = np.nan
-    return rate
-
-
-def rate_closed_form(p: np.ndarray, hess: np.ndarray, params: FlowParams) -> float:
-    """Pointwise trace-form rate for exact gradient p and Hessian hess.
-
-    Oracle for tests and barrier diagnostics:
-    (delta_kl - p_k p_l / (eps^2 + |p|^2)) hess_kl + nu * sqrt(eps^2 + |p|^2).
-    """
-    p = np.asarray(p, dtype=float)
-    s2 = params.epsilon ** 2 + float(p @ p)
-    return float(np.sum(diffusion_tensor(p, params) * np.asarray(hess, dtype=float))
-                 + params.nu * np.sqrt(s2))
-
-
-def diffusion_tensor(p: np.ndarray, params: FlowParams) -> np.ndarray:
-    """The degenerate diffusion tensor at gradient p; eigenvalues lie in (0, 1]."""
-    p = np.asarray(p, dtype=float)
-    s2 = params.epsilon ** 2 + float(p @ p)
-    return np.eye(len(p)) - np.outer(p, p) / s2
+        rate *= s_node
+        rate[ws.exterior_flat] = np.nan
+    return ws.rate
 
 
 def stable_dt(params: FlowParams, grid: Grid) -> float:
@@ -457,16 +425,6 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
         yield k, state, ws
 
 
-def step(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
-         step_index: int = 0) -> FieldState:
-    """One out-of-place forward-Euler update; boundary trace re-imposed exactly."""
-    ws = Workspace(grid, state.values.shape[grid.dim:])
-    new = state.copy()
-    euler_update(new, regularized_rhs(state.values, grid, params, bvals, ws),
-                 stable_dt(params, grid), grid, bvals, ws, step_index)
-    return new
-
-
 def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
                bvals: BoundaryValues) -> FieldState:
     """Sample initial data on inside nodes and close the boundary ring.
@@ -480,10 +438,3 @@ def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
     values[grid.inside] = _sample(g_fn, grid.points[grid.inside])
     apply_closure(values, grid, bvals)
     return FieldState(values, 0.0)
-
-
-def quadrature(field: np.ndarray, grid: Grid) -> float:
-    """Domain integral: weighted node sum with theta-fraction boundary cells."""
-    w = grid.qweight
-    vals = np.where(grid.inside & np.isfinite(field), field, 0.0)
-    return float(np.sum(vals * w) * grid.spacing ** grid.dim)

@@ -159,49 +159,6 @@ def degenerate_branch_bound(hess: np.ndarray, mode: str) -> float:
     raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
 
 
-def quadratic_min_on_ball_bruteforce(hess: np.ndarray, samples: int = 10000) -> float:
-    """min over |eta| <= 1 of eta^T M eta by refined direction sampling.
-
-    Independent oracle for the closed-form branch bound: coarse global
-    sweep of the unit sphere, then six rounds of local refinement around
-    the best direction; eta = 0 is always a candidate.
-    """
-    hess = np.asarray(hess, dtype=float)
-    dim = hess.shape[0]
-
-    def sphere(n):
-        if dim == 2:
-            t = np.linspace(0.0, np.pi, n)   # antipodal symmetry
-            return np.stack([np.cos(t), np.sin(t)], axis=1)
-        i = np.arange(n)
-        z = 1.0 - 2.0 * (i + 0.5) / n
-        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-        st = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([z, st * np.cos(phi), st * np.sin(phi)], axis=1)
-
-    dirs = sphere(samples)
-    vals = np.einsum("ni,ij,nj->n", dirs, hess, dirs)
-    best_dir = dirs[int(np.argmin(vals))]
-    best = float(np.min(vals))
-    spread = 0.5
-    for _ in range(6):
-        if dim == 2:
-            base = np.arctan2(best_dir[1], best_dir[0])
-            t = base + np.linspace(-spread, spread, 501)
-            cand = np.stack([np.cos(t), np.sin(t)], axis=1)
-        else:
-            noise = sphere(501) * spread
-            cand = best_dir[None, :] + noise
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
-        vals = np.einsum("ni,ij,nj->n", cand, hess, cand)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            best_dir = cand[k]
-        spread *= 0.25
-    return min(best, 0.0)
-
-
 @dataclass
 class ViscosityProbe:
     """One fitted touch point and its inequality margin."""

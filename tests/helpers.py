@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 
+from mcflow import operator as op
 from mcflow import verify as vf
 
 
@@ -135,3 +136,214 @@ def spot_check_loop(snapshots, times, grid, params, mode, probe_budget=2000,
                     margin=float(margin)))
     violations.sort(key=lambda v: (v.time,) + v.index)
     return violations
+
+
+def rate_closed_form(p, hess, params) -> float:
+    """Pointwise trace-form rate for exact gradient p and Hessian hess:
+    (delta_kl - p_k p_l / (eps^2 + |p|^2)) hess_kl + nu * sqrt(eps^2 + |p|^2)."""
+    p = np.asarray(p, dtype=float)
+    s2 = params.epsilon ** 2 + float(p @ p)
+    return float(np.sum(diffusion_tensor(p, params) * np.asarray(hess, dtype=float))
+                 + params.nu * np.sqrt(s2))
+
+
+def diffusion_tensor(p, params) -> np.ndarray:
+    """The degenerate diffusion tensor at gradient p; eigenvalues lie in (0, 1]."""
+    p = np.asarray(p, dtype=float)
+    s2 = params.epsilon ** 2 + float(p @ p)
+    return np.eye(len(p)) - np.outer(p, p) / s2
+
+
+def boundary_trace_residual(values, grid, bvals) -> float:
+    """Max mismatch between the theta-interpolated trace and the boundary data."""
+    flat = op._flat(values, grid.dim)
+    n = bvals.level_ends[0]
+    res = 0.0
+    if n:
+        res = float(np.max(np.abs(flat[bvals.nb_flat[:n]] - bvals.c_const)))
+    if len(bvals.nb_flat) > n:
+        th = bvals.c_theta[n:]
+        trace = (1.0 + th) * flat[bvals.nb_flat[n:]] - th * flat[bvals.c_inner[n:]]
+        res = max(res, float(np.max(np.abs(trace - bvals.c_hb[n:]))))
+    return res
+
+
+def quadrature(field, grid) -> float:
+    """Domain integral: weighted node sum with theta-fraction boundary cells."""
+    vals = np.where(grid.inside & np.isfinite(field), field, 0.0)
+    return float(np.sum(vals * grid.qweight) * grid.spacing ** grid.dim)
+
+
+def step(state, grid, params, bvals, step_index=0):
+    """One out-of-place forward-Euler update; boundary trace re-imposed exactly."""
+    ws = op.Workspace(grid, state.values.shape[grid.dim:])
+    new = state.copy()
+    op.euler_update(new, op.regularized_rhs(state.values, grid, params, bvals, ws),
+                    op.stable_dt(params, grid), grid, bvals, ws, step_index)
+    return new
+
+
+def quadratic_min_on_ball_bruteforce(hess, samples=10000) -> float:
+    """min over |eta| <= 1 of eta^T M eta by refined direction sampling.
+
+    Independent oracle for the closed-form branch bound: coarse global
+    sweep of the unit sphere, then six rounds of local refinement around
+    the best direction; eta = 0 is always a candidate.
+    """
+    hess = np.asarray(hess, dtype=float)
+    dim = hess.shape[0]
+
+    def sphere(n):
+        if dim == 2:
+            t = np.linspace(0.0, np.pi, n)   # antipodal symmetry
+            return np.stack([np.cos(t), np.sin(t)], axis=1)
+        i = np.arange(n)
+        z = 1.0 - 2.0 * (i + 0.5) / n
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        st = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.stack([z, st * np.cos(phi), st * np.sin(phi)], axis=1)
+
+    dirs = sphere(samples)
+    vals = np.einsum("ni,ij,nj->n", dirs, hess, dirs)
+    best_dir = dirs[int(np.argmin(vals))]
+    best = float(np.min(vals))
+    spread = 0.5
+    for _ in range(6):
+        if dim == 2:
+            base = np.arctan2(best_dir[1], best_dir[0])
+            t = base + np.linspace(-spread, spread, 501)
+            cand = np.stack([np.cos(t), np.sin(t)], axis=1)
+        else:
+            noise = sphere(501) * spread
+            cand = best_dir[None, :] + noise
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+        vals = np.einsum("ni,ij,nj->n", cand, hess, cand)
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            best = float(vals[k])
+            best_dir = cand[k]
+        spread *= 0.25
+    return min(best, 0.0)
+
+
+class SliceWorkspace:
+    """Scratch arrays of the per-axis slice oracle for the operator."""
+
+    def __init__(self, grid, stack=()):
+        shape = grid.shape + stack
+        self.grads = np.full((grid.dim,) + shape, np.nan)
+        self.s_node = np.full(shape, np.nan)
+        self.dn = np.full(shape, np.nan)        # face difference, then face flux
+        self.acc = np.full(shape, np.nan)
+        self.rate = np.full(shape, np.nan)
+        self.tmp = np.full(shape, np.nan)
+        self.exterior = ~grid.interior
+        self.slices = []
+        for ax in range(grid.dim):
+            def s(a, b):
+                sl = [slice(None)] * grid.dim
+                sl[ax] = slice(a, b)
+                return tuple(sl)
+            self.slices.append({"mid": s(1, -1), "plus": s(2, None), "minus": s(0, -2),
+                                "lo": s(0, -1), "hi": s(1, None)})
+
+
+def node_gradient_slices(values, grid, bvals, ws):
+    """Oracle for operator.node_gradient: the same formulas on per-axis
+    slices of the grid-shaped field, which never wrap."""
+    h = grid.spacing
+    flat = op._flat(values, grid.dim)
+    with np.errstate(invalid="ignore"):
+        for ax in range(grid.dim):
+            sl = ws.slices[ax]
+            g = ws.grads[ax]
+            np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
+            g[sl["mid"]] /= 2 * h
+            c = bvals.axis_cuts[ax]
+            up, um = flat[c.ip], flat[c.im]
+            np.copyto(up, c.hb_p, where=c.cut_p)
+            np.copyto(um, c.hb_m, where=c.cut_m)
+            op._flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
+    return ws.grads
+
+
+def regularized_rhs_slices(values, grid, params, bvals, ws):
+    """Oracle for operator.regularized_rhs on per-axis slices; fills ws."""
+    h = grid.spacing
+    eps2 = params.epsilon ** 2
+    grads = node_gradient_slices(values, grid, bvals, ws)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(grads[0], grads[0], out=ws.s_node)
+        for j in range(1, grid.dim):
+            np.multiply(grads[j], grads[j], out=ws.tmp)
+            ws.s_node += ws.tmp
+        ws.s_node += eps2
+        np.sqrt(ws.s_node, out=ws.s_node)
+        rate = ws.rate
+        rate.fill(0.0)
+        for ax in range(grid.dim):
+            sl = ws.slices[ax]
+            lo, hi = sl["lo"], sl["hi"]
+            dn, acc, tmp = ws.dn, ws.acc, ws.tmp
+            np.subtract(values[hi], values[lo], out=dn[lo])
+            dn[lo] /= h
+            acc.fill(0.0)
+            for j in range(grid.dim):
+                if j == ax:
+                    continue
+                gj = grads[j]
+                np.add(gj[lo], gj[hi], out=tmp[lo])
+                tmp[lo] *= 0.5
+                np.multiply(tmp[lo], tmp[lo], out=tmp[lo])
+                acc[lo] += tmp[lo]
+            np.multiply(dn[lo], dn[lo], out=tmp[lo])
+            acc[lo] += tmp[lo]
+            acc[lo] += eps2
+            np.sqrt(acc[lo], out=acc[lo])
+            np.divide(dn[lo], acc[lo], out=dn[lo])
+            np.subtract(dn[hi], dn[lo], out=tmp[hi])
+            rate[hi] += tmp[hi]
+        rate /= h
+        rate += params.nu
+        rate *= ws.s_node
+        rate[ws.exterior] = np.nan
+    return rate
+
+
+class RecorderOracle:
+    """Oracle for flow._Recorder: each row from whole-grid masked arrays."""
+
+    def __init__(self, grid, params):
+        self.nu = params.nu
+        self.rows = {k: [] for k in ("t", "sup_u", "min_u", "max_u", "sup_grad",
+                                     "sup_grad_interior", "sup_grad_ring", "sup_ut",
+                                     "energy", "dissipation", "source", "ut_sq_integral")}
+        self.wvol = grid.qweight * grid.spacing ** grid.dim
+        self.inside = grid.inside
+        self.interior = grid.interior
+        self.ring = grid.near_boundary
+        self.has_ring = bool(self.ring.any())
+
+    def record(self, state, ws):
+        with np.errstate(invalid="ignore"):
+            gmag = np.sqrt(np.sum(ws.grads ** 2, axis=0))
+        r = np.where(self.interior, ws.rate, 0.0)
+        rows = self.rows
+        rows["t"].append(state.time)
+        uin = state.values[self.inside]
+        rows["sup_u"].append(float(np.max(np.abs(uin))))
+        rows["min_u"].append(float(np.min(uin)))
+        rows["max_u"].append(float(np.max(uin)))
+        rows["sup_grad"].append(float(np.max(gmag[self.inside])))
+        has_interior = self.interior.any()
+        rows["sup_grad_interior"].append(float(np.max(gmag[self.interior]))
+                                         if has_interior else 0.0)
+        rows["sup_grad_ring"].append(float(np.max(gmag[self.ring])) if self.has_ring else 0.0)
+        rows["sup_ut"].append(float(np.max(np.abs(r[self.interior]))) if has_interior else 0.0)
+        svals = np.where(self.inside, ws.s_node, 0.0)
+        rows["energy"].append(float(np.sum(svals * self.wvol)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = np.where(self.inside, r * r / ws.s_node, 0.0)
+        rows["dissipation"].append(float(np.sum(d * self.wvol)))
+        rows["source"].append(self.nu * float(np.sum(r * self.wvol)))
+        rows["ut_sq_integral"].append(float(np.sum(r * r * self.wvol)))

@@ -16,7 +16,8 @@ from mcflow import liouville as lv
 from mcflow import operator as op
 from mcflow import verify as vf
 
-from helpers import zero, linear_x1, quadratic_r2, bump, observed_orders
+from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders,
+                     quadratic_min_on_ball_bruteforce)
 
 EPS = 0.05
 H32 = 1 / 32
@@ -314,7 +315,7 @@ def test_criterion_11_checker_soundness(unit_ball, grid32):
         dim = 2 if i % 2 == 0 else 3
         a = rng.normal(size=(dim, dim))
         m = 0.5 * (a + a.T)
-        brute = vf.quadratic_min_on_ball_bruteforce(m, samples=10000)
+        brute = quadratic_min_on_ball_bruteforce(m, samples=10000)
         closed = min(float(np.linalg.eigvalsh(m)[0]), 0.0)
         worst = max(worst, abs(brute - closed))
 

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mcflow as mc
 from mcflow import flow as fl
 
-from helpers import zero, linear_x1, bump, linear_plus_bump
+from helpers import zero, linear_x1, bump, linear_plus_bump, RecorderOracle
 
 # first converged run of the drift steady state, kept as a scheme anchor
 STEADY_CENTER_H16_NU03 = 0.148835559260
@@ -180,3 +183,52 @@ def test_report_series_lengths_agree(unit_ball, grid16):
                 rep.energy, rep.dissipation, rep.source, rep.ut_sq_integral):
         assert len(arr) == n
         assert np.all(np.isfinite(arr))
+
+
+def _recorder_grids():
+    """The disk at h = 1/16, the spheroid (1, 0.6) at h = 1/8, and the disk
+    seen without interior nodes and without ring nodes."""
+    disk = mc.build_grid(mc.ball(1.0), 1 / 16)
+    no_interior = dataclasses.replace(disk, interior=np.zeros_like(disk.interior),
+                                      near_boundary=disk.inside.copy())
+    no_ring = dataclasses.replace(disk, interior=disk.inside.copy(),
+                                  near_boundary=np.zeros_like(disk.inside))
+    spheroid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 8)
+    return {"disk": (disk, disk), "spheroid": (spheroid, spheroid),
+            "no-interior": (disk, no_interior), "no-ring": (disk, no_ring)}
+
+
+@pytest.mark.parametrize("kind", ["disk", "spheroid", "no-interior", "no-ring"])
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_recorder_matches_masked_oracle(kind, nu):
+    grid, seen = _recorder_grids()[kind]
+    params = mc.FlowParams(epsilon=0.05, nu=nu)
+    bv = mc.boundary_values(grid, linear_plus_bump)
+    rec, ref = fl._Recorder(seen, params), RecorderOracle(seen, params)
+    for _, state, ws in mc.march(mc.init_state(grid, linear_plus_bump, bv), grid, params,
+                                 bv, 50):
+        rec.record(state, ws)
+        ref.record(state, ws)
+    assert rec.rows.keys() == ref.rows.keys()
+    for name, row in ref.rows.items():
+        assert len(row) == 51
+        assert np.array(rec.rows[name]).tobytes() == np.array(row).tobytes(), name
+
+
+def test_record_temporaries_stay_small():
+    # the spheroid (1, 0.6) at h = 1/16: a 33 x 21 x 21 box, 113 KiB a field
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
+    params = mc.FlowParams(epsilon=0.05)
+    bv = mc.boundary_values(grid, bump)
+    state = mc.init_state(grid, bump, bv)
+    ws = mc.Workspace(grid)
+    mc.regularized_rhs(state.values, grid, params, bv, ws)
+    rec = fl._Recorder(grid, params)
+    rec.record(state, ws)     # warm caches
+    tracemalloc.start()
+    try:
+        rec.record(state, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.values.nbytes, f"allocation peak {peak} B"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import mcflow as mc
 from mcflow import barriers as ba
 from mcflow import operator as op
 
-from helpers import zero, linear_x1, quadratic_r2, bump, observed_orders
+from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
+                     boundary_trace_residual, rate_closed_form, diffusion_tensor,
+                     quadrature, SliceWorkspace, regularized_rhs_slices)
 
 WS_FIELDS = ("rate", "grads", "s_node")
 
@@ -56,7 +59,7 @@ def test_gradient_exact_on_quadratic_interior(grid32):
 def test_rate_closed_form_quadratic():
     # shrinking-circle field: rate = 4 - 8 r^2/(eps^2 + 4 r^2)
     params = mc.FlowParams(epsilon=0.1, nu=0.0)
-    val = op.rate_closed_form([1.0, 0.0], 2 * np.eye(2), params)
+    val = rate_closed_form([1.0, 0.0], 2 * np.eye(2), params)
     assert val == pytest.approx(4 - 8 * 0.25 / (0.01 + 1.0), abs=1e-12)
     assert val == pytest.approx(2.019801980198020, abs=1e-12)
 
@@ -116,7 +119,7 @@ def test_step_constant_stationary_when_nu_zero(grid32):
     fn = lambda p: np.full(len(p), c)
     bv = op.boundary_values(grid32, fn)
     st = op.init_state(grid32, fn, bv)
-    new = op.step(st, grid32, params, bv)
+    new = step(st, grid32, params, bv)
     assert np.nanmax(np.abs(new.values[grid32.inside] - c)) < 1e-14
 
 
@@ -126,7 +129,7 @@ def test_step_constant_drifts_at_eps_nu(grid32):
     fn = lambda p: np.full(len(p), c)
     bv = op.boundary_values(grid32, fn)
     st = op.init_state(grid32, fn, bv)
-    new = op.step(st, grid32, params, bv)
+    new = step(st, grid32, params, bv)
     dt = op.stable_dt(params, grid32)
     drift = new.values[grid32.interior] - c
     assert np.max(np.abs(drift - dt * 0.05 * 0.3)) < 1e-12
@@ -136,7 +139,7 @@ def test_step_quadratic_moves_by_closed_form_rate(grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     bv = op.boundary_values(grid32, quadratic_r2)
     st = op.init_state(grid32, quadratic_r2, bv)
-    new = op.step(st, grid32, params, bv)
+    new = step(st, grid32, params, bv)
     dt = op.stable_dt(params, grid32)
     idx = _node_index(grid32, 0.5, 0.0)
     expect = st.values[idx] + dt * (4 - 8 * 0.25 / (0.05 ** 2 + 1.0))
@@ -148,8 +151,8 @@ def test_boundary_trace_exact_after_steps(grid32):
     bv = op.boundary_values(grid32, linear_x1)
     st = op.init_state(grid32, linear_x1, bv)
     for k in range(5):
-        st = op.step(st, grid32, params, bv, k)
-    assert op.boundary_trace_residual(st.values, grid32, bv) < 1e-12
+        st = step(st, grid32, params, bv, k)
+    assert boundary_trace_residual(st.values, grid32, bv) < 1e-12
 
 
 def test_diffusion_tensor_eigenvalues_in_unit_interval(grid32):
@@ -157,7 +160,7 @@ def test_diffusion_tensor_eigenvalues_in_unit_interval(grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     for _ in range(50):
         p = rng.normal(scale=2.0, size=2)
-        lam = np.linalg.eigvalsh(op.diffusion_tensor(p, params))
+        lam = np.linalg.eigvalsh(diffusion_tensor(p, params))
         assert lam[0] > 0.0
         assert lam[-1] <= 1.0 + 1e-14
 
@@ -204,8 +207,8 @@ def test_per_step_ordering_preserved(grid16):
     lo = op.init_state(grid16, fn_lo, bv_lo)
     hi = op.init_state(grid16, fn_hi, bv_hi)
     for k in range(20):
-        lo = op.step(lo, grid16, params, bv_lo, k)
-        hi = op.step(hi, grid16, params, bv_hi, k)
+        lo = step(lo, grid16, params, bv_lo, k)
+        hi = step(hi, grid16, params, bv_hi, k)
     gap = (lo.values - hi.values)[grid16.inside]
     assert np.max(gap) <= 1e-10
 
@@ -216,7 +219,7 @@ def test_blowup_error_names_node_and_step(grid16):
     st = op.init_state(grid16, zero, bv)
     st.values[grid16.interior] = np.inf
     with pytest.raises(op.BlowUpError) as exc:
-        op.step(st, grid16, params, bv, step_index=7)
+        step(st, grid16, params, bv, step_index=7)
     assert "step 7" in str(exc.value)
     assert exc.value.node is not None
 
@@ -234,8 +237,8 @@ def test_march_keeps_ordered_pairs_ordered(unit_ball, grid16, seed, nu):
     for (_, lo, _), (_, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
                                       op.march(hi0, grid16, params, bv_hi, 40)):
         assert np.max(lo.values[inside] - hi.values[inside]) <= 1e-10
-        assert op.boundary_trace_residual(lo.values, grid16, bv_lo) < 1e-12
-        assert op.boundary_trace_residual(hi.values, grid16, bv_hi) < 1e-12
+        assert boundary_trace_residual(lo.values, grid16, bv_lo) < 1e-12
+        assert boundary_trace_residual(hi.values, grid16, bv_hi) < 1e-12
 
 
 def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
@@ -247,9 +250,9 @@ def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
     bv = op.boundary_values(grid16, bump)
     st_ = op.init_state(grid16, bump, bv)
     for k in range(1, n + 1):
-        st_ = op.step(st_, grid16, params, bv, k)
-    step, t, values = rep.snapshots[-1]
-    assert step == rep.steps == n
+        st_ = step(st_, grid16, params, bv, k)
+    snap_step, t, values = rep.snapshots[-1]
+    assert snap_step == rep.steps == n
     assert t == rep.t[-1] == st_.time
     assert values.tobytes() == st_.values.tobytes()
 
@@ -400,7 +403,7 @@ def test_blowup_in_a_stack_names_earliest_step_lowest_field(unit_ball, grid16):
 
 def test_quadrature_measures_disk_area(grid32):
     one = np.where(grid32.inside, 1.0, np.nan)
-    assert op.quadrature(one, grid32) == pytest.approx(np.pi, rel=0.01)
+    assert quadrature(one, grid32) == pytest.approx(np.pi, rel=0.01)
 
 
 def _built_domain(kind, dim, center, size, ratio):
@@ -442,6 +445,20 @@ def _branch_grid(i):
     return dict(zip(("kind", "dim", "center", "size", "ratio", "fraction"), BRANCH_GRIDS[i]))
 
 
+def _built_grid(kind, dim, center, size, ratio, fraction):
+    if dim == 3:
+        fraction = max(fraction, 1 / 12)     # keeps the 3D boxes small
+    domain = _built_domain(kind, dim, center, size, ratio)
+    return mc.build_grid(domain, fraction * min(domain.shape_parameters))
+
+
+BUILT_GRIDS = dict(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium")),
+                   dim=st.sampled_from((2, 3)),
+                   center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+                   size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
+                   fraction=st.floats(1 / 16, 1 / 2))
+
+
 @pytest.mark.parametrize("i, reached", [(0, (True, True, True)), (1, (True, True, True)),
                                        (2, (False, False, True)), (3, (True, False, False)),
                                        (4, (False, True, False))])
@@ -463,12 +480,7 @@ def _closure_fields(dim):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium")),
-       dim=st.sampled_from((2, 3)),
-       center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
-       size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
-       fraction=st.floats(1 / 16, 1 / 2), stacked=st.booleans(),
-       nu=st.sampled_from((0.0, 0.3)))
+@given(**BUILT_GRIDS, stacked=st.booleans(), nu=st.sampled_from((0.0, 0.3)))
 @example(**_branch_grid(0), stacked=True, nu=0.0)
 @example(**_branch_grid(1), stacked=False, nu=0.3)
 @example(**_branch_grid(2), stacked=True, nu=0.3)
@@ -476,10 +488,7 @@ def _closure_fields(dim):
 @example(**_branch_grid(4), stacked=False, nu=0.0)
 @example(**_branch_grid(5), stacked=True, nu=0.0)
 def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacked, nu):
-    if dim == 3:
-        fraction = max(fraction, 1 / 12)     # keeps the 3D boxes small
-    domain = _built_domain(kind, dim, center, size, ratio)
-    grid = mc.build_grid(domain, fraction * min(domain.shape_parameters))
+    grid = _built_grid(kind, dim, center, size, ratio, fraction)
     inside = grid.inside
     tol = 1e-12
     slope, linear, fields = _closure_fields(dim)
@@ -505,14 +514,83 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
         if len(nodes):
             values = op.init_state(grid, data, bv).values
             op._flat(values, dim)[nodes] += 1.0
-            assert op.boundary_trace_residual(values, grid, bv) >= 0.5
+            assert boundary_trace_residual(values, grid, bv) >= 0.5
 
     # from the raw samples, one closure call closes the ring
     raw = np.full(grid.shape + (() if callable(data) else (len(data),)), np.nan)
     raw[inside] = op._sample(data, grid.points[inside])
-    assert op.boundary_trace_residual(op.apply_closure(raw, grid, bv), grid, bv) <= tol
+    assert boundary_trace_residual(op.apply_closure(raw, grid, bv), grid, bv) <= tol
 
     params = mc.FlowParams(epsilon=0.1, nu=nu)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
-        assert op.boundary_trace_residual(state.values, grid, bv) <= tol
+        assert boundary_trace_residual(state.values, grid, bv) <= tol
         assert np.isfinite(ws.grads[:, inside]).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**BUILT_GRIDS)
+@example(**_branch_grid(3))
+@example(**_branch_grid(5))
+def test_lattice_edge_nodes_are_cut_on_their_edge_side(kind, dim, center, size, ratio,
+                                                       fraction):
+    # the flat-stride operator lets stencils wrap from one grid line to the
+    # next; the wrapped values land only on lattice-edge nodes, which must be
+    # exterior or take the cut formula on their edge side
+    grid = _built_grid(kind, dim, center, size, ratio, fraction)
+    for ax in range(dim):
+        for side, edge in ((0, 0), (1, -1)):
+            at_edge = (slice(None),) * ax + (edge,)
+            assert not grid.interior[at_edge].any()
+            assert np.isfinite(grid.theta[ax, side][at_edge][grid.inside[at_edge]]).all()
+
+
+def _assert_matches_slice_oracle(grid, data, params, steps):
+    """Rate at interior nodes, gradient and smoothed norm at inside nodes,
+    bit for bit against the slice oracle, on every state of a short march."""
+    bv = op.boundary_values(grid, data)
+    for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, steps):
+        ref = SliceWorkspace(grid, state.values.shape[grid.dim:])
+        regularized_rhs_slices(state.values, grid, params, bv, ref)
+        assert ws.rate[grid.interior].tobytes() == ref.rate[grid.interior].tobytes()
+        assert ws.s_node[grid.inside].tobytes() == ref.s_node[grid.inside].tobytes()
+        assert ws.grads[:, grid.inside].tobytes() == ref.grads[:, grid.inside].tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(**BUILT_GRIDS, stacked=st.booleans(), nu=st.sampled_from((0.0, 0.3)))
+@example(**_branch_grid(0), stacked=True, nu=0.0)
+@example(**_branch_grid(1), stacked=False, nu=0.3)
+@example(**_branch_grid(2), stacked=True, nu=0.3)
+@example(**_branch_grid(3), stacked=False, nu=0.0)
+@example(**_branch_grid(4), stacked=True, nu=0.0)
+@example(**_branch_grid(5), stacked=True, nu=0.3)
+def test_flat_operator_matches_slice_oracle(kind, dim, center, size, ratio, fraction,
+                                            stacked, nu):
+    grid = _built_grid(kind, dim, center, size, ratio, fraction)
+    _, _, fields = _closure_fields(dim)
+    _assert_matches_slice_oracle(grid, fields if stacked else fields[0],
+                                 mc.FlowParams(epsilon=0.1, nu=nu), 3)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_flat_operator_matches_slice_oracle_on_defects(stack_grids, stacked):
+    _, _, fields = _closure_fields(2)
+    _assert_matches_slice_oracle(stack_grids["defects"], fields if stacked else fields[0],
+                                 mc.FlowParams(epsilon=0.1, nu=0.3), 3)
+
+
+def test_rhs_temporaries_stay_small():
+    # the spheroid (1, 0.6) at h = 1/16: a 33 x 21 x 21 box, 113 KiB a field
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
+    params = mc.FlowParams(epsilon=0.05)
+    bv = op.boundary_values(grid, bump)
+    state = op.init_state(grid, bump, bv)
+    ws = op.Workspace(grid)
+    op.regularized_rhs(state.values, grid, params, bv, ws)     # warm caches
+    tracemalloc.start()
+    try:
+        op.regularized_rhs(state.values, grid, params, bv, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.values.nbytes // 2, f"allocation peak {peak} B"
