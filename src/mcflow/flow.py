@@ -288,16 +288,75 @@ def _gmres(matvec: Callable, b: np.ndarray, target: float, budget: int,
     return s, used
 
 
+class _BoxLaplacianInverse:
+    """Inverse of the (2 dim + 1)-point Laplacian on the grid box, zero
+    beyond it, applied to a vector of interior node values.
+
+    The Laplacian's eigenvectors are products of sines, so its inverse is the
+    orthonormal sine transform along each axis (a dense symmetric n x n
+    matrix, its own inverse, shared by axes of equal length), a division by
+    the eigenvalue, and the same transform again.  The interior vector is
+    embedded in a zero box and the result restricted to the interior.  All
+    buffers are allocated once: a call returns the same output array,
+    which the next call overwrites.
+    """
+
+    def __init__(self, grid: Grid, interior_flat: np.ndarray):
+        self.idx = interior_flat
+        self.sines, self.views = [], []
+        sines = {}
+        lam = np.zeros(grid.shape)
+        for ax, n in enumerate(grid.shape):
+            k = np.arange(1, n + 1)
+            if n not in sines:
+                sine = np.pi * np.outer(k, k)
+                sine /= n + 1
+                np.sin(sine, out=sine)
+                sine *= np.sqrt(2.0 / (n + 1))
+                sines[n] = sine
+            self.sines.append(sines[n])
+            axis = [1] * grid.dim
+            axis[ax] = n
+            lam += ((2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / grid.spacing ** 2).reshape(axis)
+            post = int(np.prod(grid.shape[ax + 1:], dtype=int))
+            self.views.append((-1, n, post) if post > 1 else (-1, n))
+        self.scale = np.divide(-1.0, lam, out=lam).ravel()
+        self.box, self.tmp = np.zeros((2, self.scale.size))
+        self.out = np.empty(len(interior_flat))
+
+    def _transform(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The sine transform of src along every axis; ends in src or dst."""
+        for sine, view in zip(self.sines, self.views):
+            a, b = src.reshape(view), dst.reshape(view)
+            if len(view) == 2:
+                np.matmul(a, sine, out=b)     # the last axis; sine is symmetric
+            else:
+                np.matmul(sine, a, out=b)
+            src, dst = dst, src
+        return src
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        self.box.fill(0.0)
+        self.box[self.idx] = v
+        coef = self._transform(self.box, self.tmp)
+        coef *= self.scale
+        box = self._transform(coef, self.tmp if coef is self.box else self.box)
+        return np.take(box, self.idx, out=self.out)
+
+
 def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
                    bvals, ws: Workspace, tol: float, budget: int) -> _NewtonOutcome:
     """Jacobian-free Newton-GMRES on the interior equation rate = 0.
 
     The unknowns are the interior node values; the ring follows by closure.
-    Jacobian products are forward differences costing one residual
-    evaluation each, the forcing term follows Eisenstat-Walker, and a
-    backtracking line search on |F| globalises.  Returns the iterate of
-    least sup-residual once it is below tol, or when the budget runs out, a
-    value turns non-finite, the line search fails or the iteration stalls.
+    GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1 is the
+    inverse box Laplacian; preconditioning from the right keeps its residual
+    the true linear residual.  Jacobian products are forward differences
+    costing one residual evaluation each, the forcing term follows
+    Eisenstat-Walker, and a backtracking line search on |F| globalises.
+    Returns the iterate of least sup-residual once it is below tol, or when
+    the budget runs out, a value turns non-finite, the line search fails or
+    the iteration stalls.
     """
     idx = ws.interior_flat
     values = state.values
@@ -307,6 +366,7 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
     best_state, best_rate, best_it = state, rate.copy(), 0
     evals = 0
     basis = np.empty((GMRES_RESTART + 1, len(idx)))
+    precondition = _BoxLaplacianInverse(grid, idx)
 
     def residual(x, out):
         """Rate of the field with interior x, closed in place in out."""
@@ -329,9 +389,16 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
         scratch = values.copy()
 
         def matvec(v):
-            return (residual(x + delta * v, scratch).ravel()[idx] - f) / delta
+            z = precondition(v)
+            z *= delta
+            z += x
+            w = residual(z, scratch).ravel()[idx]
+            w -= f
+            w /= delta
+            return w
 
-        step, used = _gmres(matvec, -f, eta * fnorm, budget - evals - 1, basis)
+        y, used = _gmres(matvec, -f, eta * fnorm, budget - evals - 1, basis)
+        step = precondition(y).copy()
         evals += used
         accepted = None
         lam = 1.0
