@@ -15,13 +15,15 @@ import numpy as np
 
 from .geometry import (DomainSpec, Grid, signed_distance, boundary_points,
                        boundary_mean_curvature_bound)
-from .flow import IBVP, relax_to_steady
+from .flow import IBVP, COMPATIBILITY_SAMPLES, data_range, relax_to_steady
 from .operator import (FlowParams, BlowUpError, boundary_values, init_state, march,
-                       stable_dt)
+                       stable_dt, whole_steps)
+from .verify import difference_jet
 
 H0_THRESHOLD = 1e-3
 LIPSCHITZ_SAFETY = 1.5
 MIN_SLOPE = 1.0
+SUP_NORM_TOL = 1e-5      # steady residual of the comparison fields in sup_norm_bound
 
 
 class BarrierError(ValueError):
@@ -81,32 +83,6 @@ def _sampled_lipschitz(w: np.ndarray, grid: Grid, collar: np.ndarray) -> float:
     return LIPSCHITZ_SAFETY * best
 
 
-def _fd_gradient_hessian(f: Callable, pts: np.ndarray, h: float):
-    """Grid-spacing finite-difference gradient and Hessian of an analytic field."""
-    n, dim = pts.shape
-    f0 = f(pts)
-    grad = np.empty((n, dim))
-    hess = np.empty((n, dim, dim))
-    for k in range(dim):
-        ek = np.zeros(dim)
-        ek[k] = h
-        fp = f(pts + ek)
-        fm = f(pts - ek)
-        grad[:, k] = (fp - fm) / (2 * h)
-        hess[:, k, k] = (fp - 2 * f0 + fm) / h ** 2
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            ek = np.zeros(dim)
-            el = np.zeros(dim)
-            ek[k] = h
-            el[l] = h
-            cross = (f(pts + ek + el) - f(pts + ek - el)
-                     - f(pts - ek + el) + f(pts - ek - el)) / (4 * h ** 2)
-            hess[:, k, l] = cross
-            hess[:, l, k] = cross
-    return grad, hess
-
-
 def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: Grid,
                                    h_fn: Callable, params: FlowParams) -> float:
     """Minimum over the collar of the barrier's supersolution margin.
@@ -121,8 +97,8 @@ def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: G
     def f(p):
         return h_fn(p) + sign * lam * signed_distance(domain, p)
 
-    pts = grid.points[barrier.collar]
-    grad, hess = _fd_gradient_hessian(f, pts, grid.spacing)
+    pts, h = grid.points[barrier.collar], grid.spacing
+    grad, hess = difference_jet(f(pts), lambda off: f(pts + off * h), h, grid.dim)
     s2 = params.epsilon ** 2 + np.sum(grad ** 2, axis=1)
     trace = np.trace(hess, axis1=1, axis2=2)
     pmp = np.einsum("ni,nij,nj->n", grad, hess, grad)
@@ -163,11 +139,8 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
     # shifted value the flow can reach there
     if sup_u_bound is None:
         if params.nu == 0.0:
-            bpts = boundary_points(domain, 512)
-            sup_u_bound = max(
-                float(np.max(np.abs(g_fn(grid.points[grid.inside])))) if grid.inside.any() else 0.0,
-                float(np.max(np.abs(h_fn(bpts)))),
-            )
+            lo, hi = data_range(domain, grid, h_fn, g_fn)
+            sup_u_bound = max(abs(lo), abs(hi))
         else:
             sup_u_bound = sup_norm_bound(
                 IBVP(domain, h_fn, g_fn), grid, params).value
@@ -221,20 +194,17 @@ class SupNormBound:
     relax_steps: int
 
 
-def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams,
-                   tol: float = 1e-5) -> SupNormBound:
+def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBound:
     """Certified sup bound for the flow from a steady comparison field.
 
     Relaxes the steady problem with boundary value 1 (for the driving
-    speed and its negation), shifts by the data sup, and returns
-    C = max(steady field) + shift.  For nu = 0 the steady field is the
-    constant 1 and the relaxation returns immediately.
+    speed and its negation) to SUP_NORM_TOL, shifts by the data sup, and
+    returns C = max(steady field) + shift.  For nu = 0 the steady field is
+    the constant 1 and the relaxation returns immediately.
     """
     one = lambda p: np.ones(len(p))
-    kappa = max(
-        float(np.max(np.abs(problem.initial_data(grid.points[grid.inside])))),
-        float(np.max(np.abs(problem.boundary_data(boundary_points(problem.domain, 512))))),
-    )
+    lo, hi = data_range(problem.domain, grid, problem.boundary_data, problem.initial_data)
+    kappa = max(abs(lo), abs(hi))
     vmax = -np.inf
     steps = 0
     ok = True
@@ -242,7 +212,7 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams,
         # the auxiliary problem steps at its own stable dt, never the override
         p = replace(params, nu=nu, dt_override=None)
         aux = IBVP(problem.domain, one, one)
-        res = relax_to_steady(aux, grid, p, tol=tol)
+        res = relax_to_steady(aux, grid, p, tol=SUP_NORM_TOL)
         ok &= res.converged
         steps += res.steps
         vmax = max(vmax, float(np.max(res.state.values[grid.inside])))
@@ -280,7 +250,7 @@ def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
                          f"got {len(lows)} and {len(highs)}")
     inside_pts = grid.points[grid.inside]
     for low, high in zip(lows, highs):
-        bpts = boundary_points(low.domain, 512)
+        bpts = boundary_points(low.domain, COMPATIBILITY_SAMPLES)
         if np.min(high.initial_data(inside_pts) - low.initial_data(inside_pts)) < -1e-12:
             raise ValueError("initial data are not ordered: g_low > g_high somewhere")
         if np.min(high.boundary_data(bpts) - low.boundary_data(bpts)) < -1e-12:
@@ -288,7 +258,7 @@ def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
 
     fields = [prob for pair in zip(lows, highs) for prob in pair]
     bvals = boundary_values(grid, [prob.boundary_data for prob in fields])
-    n_steps = max(int(np.floor(horizon / stable_dt(params, grid) + 1e-12)), 0)
+    n_steps = max(whole_steps(horizon, stable_dt(params, grid)), 0)
     inside = grid.inside
 
     viol = []

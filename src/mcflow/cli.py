@@ -10,7 +10,7 @@ structural fact it tests, its tolerance and the measured value.
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,13 @@ from .operator import FlowParams, OperatorError, BlowUpError
 
 SNAPSHOT_MAGIC = b"MCFGRID1"
 CSV_HEADER = "t,sup_u,sup_grad,sup_ut,J,diss,src,resid"
-EXPERIMENTS = ("flow", "steady", "continuation", "barrier", "comparison",
-               "viscosity", "liouville")
 CONFIG_KEYS = frozenset((
     "experiment",
     "domain.kind", "domain.dim", "domain.center", "domain.radius", "domain.semi_major",
     "domain.semi_minor", "domain.half_width", "domain.straight_half_length",
     "domain.corner_radius",
     "data.boundary", "data.initial",
-    "params.epsilon", "params.nu", "params.cfl_factor", "params.dt_override",
+    "params.epsilon", "params.nu", "params.dt_override",
     "grid.spacing",
     "run.horizon", "run.snapshot_times", "run.tolerance", "run.eps_list", "run.seed",
     "run.pairs", "run.probe_budget", "run.out_dir",
@@ -54,18 +52,18 @@ class RunConfig:
     problem: fl.IBVP           # built once from domain and data, compatibility checked
     params: FlowParams
     spacing: float
-    horizon: float = 1.0
-    snapshot_times: tuple = ()
-    tolerance: float = 1e-6
-    eps_list: tuple = ()
-    seed: int = 0
-    pairs: int = 20
-    probe_budget: int = 2000
-    plateau_start: float = 0.25
-    plateau_value: float = 1.0
-    plateau_margin: float = 0.125
-    out_dir: Path = Path(".")
-    raw: dict = dc_field(default_factory=dict)
+    horizon: float
+    snapshot_times: tuple
+    tolerance: float
+    eps_list: tuple
+    seed: int
+    pairs: int
+    probe_budget: int
+    plateau_start: float
+    plateau_value: float
+    plateau_margin: float
+    out_dir: Path
+    raw: dict
 
 
 @dataclass
@@ -153,9 +151,11 @@ def load_config(path, out_dir=None) -> RunConfig:
     key, expressions are smoke-tested at 10 random domain points, the
     smoothing parameter must lie in (0, 1), grid.spacing must pass the grid
     build's admissibility check, run.horizon and run.tolerance must be
-    positive, run.pairs must be at least 1, a given run.eps_list must pass
-    flow.check_eps_list, and boundary/initial data must agree on the
-    boundary (``IBVP`` checks it; the max mismatch is reported on rejection).
+    positive, run.snapshot_times must lie in [0, run.horizon], run.seed
+    must be at least 0, run.pairs and run.probe_budget at least 1, a given
+    run.eps_list must pass flow.check_eps_list, and boundary/initial data
+    must agree on the boundary (``IBVP`` checks it; the max mismatch is
+    reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -182,7 +182,6 @@ def load_config(path, out_dir=None) -> RunConfig:
         params = FlowParams(
             epsilon=_value(raw, "params.epsilon", "0.05"),
             nu=_value(raw, "params.nu", "0"),
-            cfl_factor=_value(raw, "params.cfl_factor", "0.25"),
             dt_override=_value(raw, "params.dt_override") if "params.dt_override" in raw else None,
         )
     except OperatorError as exc:
@@ -196,6 +195,14 @@ def load_config(path, out_dir=None) -> RunConfig:
     horizon = _value(raw, "run.horizon", "1.0")
     if not horizon > 0:
         raise ConfigError(f"run.horizon must be positive, got {horizon}")
+    snapshot_times = _value(raw, "run.snapshot_times", "", _floats)
+    for t in snapshot_times:
+        if not 0 <= t <= horizon:
+            raise ConfigError(f"run.snapshot_times must lie in [0, run.horizon = {horizon}], "
+                              f"got {t}")
+    seed = _value(raw, "run.seed", "0", int)
+    if seed < 0:
+        raise ConfigError(f"run.seed must be at least 0, got {seed}")
     pairs = _value(raw, "run.pairs", "20", int)
     if pairs < 1:
         raise ConfigError(f"run.pairs must be at least 1, got {pairs}")
@@ -221,9 +228,9 @@ def load_config(path, out_dir=None) -> RunConfig:
         experiment=experiment, domain=domain, boundary_expr=boundary,
         initial_expr=initial, problem=problem, params=params,
         spacing=spacing, horizon=horizon,
-        snapshot_times=_value(raw, "run.snapshot_times", "", _floats),
+        snapshot_times=snapshot_times,
         tolerance=tolerance, eps_list=eps_list,
-        seed=_value(raw, "run.seed", "0", int),
+        seed=seed,
         pairs=pairs,
         probe_budget=probe_budget,
         plateau_start=_value(raw, "liouville.plateau_start", "0.25"),
@@ -323,12 +330,8 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
         "rate-ceiling", "time-derivative bound from the initial slice",
         b0 + 10 * h, float(report.sup_ut.max()), bool(report.sup_ut.max() <= b0 + 10 * h)))
     if cfg.params.nu == 0.0:
-        inside_pts = grid.points[grid.inside]
-        bpts = geo.boundary_points(cfg.domain, 512)
-        data_max = max(float(np.max(cfg.initial_expr(inside_pts))),
-                       float(np.max(cfg.boundary_expr(bpts))))
-        data_min = min(float(np.min(cfg.initial_expr(inside_pts))),
-                       float(np.min(cfg.boundary_expr(bpts))))
+        data_min, data_max = fl.data_range(cfg.domain, grid, cfg.boundary_expr,
+                                           cfg.initial_expr)
         over = max(float(report.max_u.max()) - data_max,
                    data_min - float(report.min_u.min()), 0.0)
         checks.append(PropertyCheck(
@@ -492,6 +495,7 @@ _RUNNERS = {
     "viscosity": _run_viscosity,
     "liouville": _run_liouville,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> RunSummary:
@@ -519,8 +523,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", action="append", required=True,
                        help="config file (repeatable)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     args = parser.parse_args(argv)
 
     configs = []
@@ -537,8 +539,6 @@ def main(argv=None) -> int:
             print(f"error: config {path} declares experiment={cfg.experiment}, "
                   f"but the {args.command} subcommand was invoked", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            cfg.seed = args.seed
         configs.append(cfg)
 
     ok = True

@@ -1,5 +1,5 @@
-"""Initial-boundary value problem driver, steady-state solve and
-continuation in the smoothing parameter.
+"""Initial-boundary value problem driver, steady-state solve (Newton-GMRES
+with an explicit fallback) and continuation in the smoothing parameter.
 
 One run is sequential in time; independent runs share no mutable state.
 Per-step diagnostics are reduced in a fixed order so reports are
@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Grid, DomainSpec, boundary_points, admissible_nu_interval
 from .operator import (FlowParams, FieldState, Workspace, boundary_values,
                        init_state, regularized_rhs, apply_closure, march,
-                       stable_dt, dt_exceeds_stability, BlowUpError)
+                       stable_dt, whole_steps, dt_exceeds_stability, BlowUpError)
 
 COMPATIBILITY_TOL = 1e-10
 COMPATIBILITY_SAMPLES = 512          # boundary points the data are compared at
@@ -24,6 +24,16 @@ DEFAULT_STEP_BUDGET = 10_000_000
 
 class IncompatibleDataError(ValueError):
     """Boundary and initial data disagree on the boundary."""
+
+
+def data_range(domain: DomainSpec, grid: Grid, boundary_data: Callable,
+               initial_data: Callable) -> tuple:
+    """(min, max) over the initial data at the inside nodes and the boundary
+    data at COMPATIBILITY_SAMPLES boundary points: the range a bound starts from."""
+    vals = [boundary_data(boundary_points(domain, COMPATIBILITY_SAMPLES))]
+    if grid.inside.any():
+        vals.append(initial_data(grid.points[grid.inside]))
+    return (min(float(np.min(v)) for v in vals), max(float(np.max(v)) for v in vals))
 
 
 @dataclass
@@ -169,8 +179,8 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     bvals = boundary_values(grid, problem.boundary_data)
     state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
-    n_steps = max(int(np.floor(horizon / dt + 1e-12)), 0)
-    snap_steps = {min(int(np.floor(ts / dt + 1e-12)), n_steps) for ts in snapshot_times}
+    n_steps = max(whole_steps(horizon, dt), 0)
+    snap_steps = {min(whole_steps(ts, dt), n_steps) for ts in snapshot_times}
 
     rec = _Recorder(grid, params)
     snapshots = []
@@ -195,11 +205,10 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
 class SteadyResult:
     """Terminal field of a steady solve and its certificate.
 
-    steps counts residual evaluations after the initial one (on the
-    explicit path, one per Euler step; the fallback's restart evaluation is
-    not counted); residual is sup|regularized_rhs|
-    over the interior nodes of the returned field; method names the solver
-    that produced the field.
+    steps counts residual evaluations after the initial one (one per
+    Euler step of the fallback, whose restart evaluation is not counted);
+    residual is sup|regularized_rhs| over the interior nodes of the
+    returned field; method names the solver that produced the field.
     """
 
     state: FieldState
@@ -211,7 +220,6 @@ class SteadyResult:
     warnings: list = dc_field(default_factory=list)
 
 
-STEADY_METHODS = ("newton", "explicit")
 GMRES_RESTART = 40           # Krylov basis size between restarts
 GMRES_MAX_CYCLES = 20        # restart cycles per linear solve
 NEWTON_MAX_ITERATIONS = 50   # more means the iteration stalled
@@ -427,33 +435,29 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
 
 
 def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
-                    max_steps: int = DEFAULT_STEP_BUDGET,
-                    method: str = "newton") -> SteadyResult:
+                    max_steps: int = DEFAULT_STEP_BUDGET) -> SteadyResult:
     """Solve the steady equation until sup|rate| < tol at the interior nodes.
 
-    method="newton" runs Jacobian-free Newton-GMRES and, if it fails,
-    explicit relaxation from its best iterate with the remaining budget;
-    method="explicit" relaxes by Euler steps of the flow from the start.
-    max_steps caps the residual evaluations after the initial one on both
-    paths; exhaustion returns the best field with converged=False.  The
-    result names the method that produced the field: "explicit" once the
-    fallback has taken a step.
+    Runs Jacobian-free Newton-GMRES and, if it fails, relaxes by Euler
+    steps of the flow from its best iterate with the remaining budget.
+    max_steps caps the residual evaluations after the initial one over both
+    phases; exhaustion returns the best field with converged=False.  The
+    result names the solver that produced the field: "explicit" once the
+    fallback has taken a step, else "newton".
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if method not in STEADY_METHODS:
-        raise ValueError(f"method must be one of {STEADY_METHODS}, got {method!r}")
     bvals = boundary_values(grid, problem.boundary_data)
     state = init_state(grid, problem.initial_data, bvals)
     used, iterations, steps, res = 0, 0, 0, np.inf
-    if method == "newton" and grid.interior.any():
+    if grid.interior.any():
         ws = Workspace(grid)
         rate = regularized_rhs(state.values, grid, params, bvals, ws)
         nk = _newton_steady(state, rate, grid, params, bvals, ws, tol, max_steps)
         state, used, iterations = nk.state, nk.evals, nk.iterations
         res = float(np.max(np.abs(nk.rate.ravel()[ws.interior_flat])))
     if res >= tol:
-        # Euler steps from the data or from Newton's best iterate
+        # Euler steps from Newton's best iterate
         for k, state, ws in march(state, grid, params, bvals, max_steps - used, used + 1):
             idx = ws.interior_flat
             res = float(np.max(np.abs(ws.rate.ravel()[idx]))) if len(idx) else 0.0
@@ -461,7 +465,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
                 break
         steps = k - used
     return SteadyResult(state=state, steps=used + steps, converged=res < tol, residual=res,
-                        method="explicit" if steps else method,
+                        method="explicit" if steps else "newton",
                         newton_iterations=iterations,
                         warnings=_collect_warnings(problem, grid, params))
 

@@ -10,14 +10,14 @@ plateau near the data corner, so the quantitative target used here is
          <= epsilon * |nu| * t + 10 * spacing * Lip(data).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .geometry import DomainSpec, Grid, smoothed_stadium
 from .flow import IBVP
-from .operator import FlowParams, boundary_values, init_state, march, stable_dt
+from .operator import FlowParams, boundary_values, init_state, march, stable_dt, whole_steps
 
 ENVELOPE_SAMPLES = 1000
 
@@ -41,7 +41,7 @@ class CylinderProblem:
     plateau_start: float          # axial coordinate where the data plateau begins
     plateau_value: float
     plateau_margin: float         # envelope shift, > 0
-    data_lipschitz: float = 0.0
+    data_lipschitz: float = dc_field(init=False)   # max axial slope of the data profile
 
     def __post_init__(self):
         if self.domain.kind != "smoothed-stadium":
@@ -62,8 +62,7 @@ class CylinderProblem:
         plateau = taus >= self.plateau_start
         if plateau.any() and np.max(np.abs(prof[plateau] - self.plateau_value)) > 1e-12:
             raise ValueError("initial data does not sit at the plateau value past plateau_start")
-        if self.data_lipschitz == 0.0:
-            self.data_lipschitz = float(np.max(np.abs(np.diff(prof) / np.diff(taus))))
+        self.data_lipschitz = float(np.max(np.abs(np.diff(prof) / np.diff(taus))))
 
     def axial_profile(self, taus: np.ndarray) -> np.ndarray:
         """Data along the axis at the transverse center."""
@@ -211,7 +210,7 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     bvals = boundary_values(grid, ibvp.boundary_data)
     state = init_state(grid, ibvp.initial_data, bvals)
     dt = stable_dt(params, grid)
-    n_steps = max(int(np.floor(horizon / dt + 1e-12)), 0)
+    n_steps = max(whole_steps(horizon, dt), 0)
 
     tau = grid.points[..., -1]
     inside = grid.inside

@@ -40,6 +40,8 @@ import numpy as np
 
 from .geometry import Grid
 
+CFL_FACTOR = 0.25        # explicit step in units of h^2 / dim; stability allows 0.5
+
 
 class OperatorError(ValueError):
     """Invalid operator parameters."""
@@ -65,14 +67,11 @@ class FlowParams:
 
     epsilon: float
     nu: float = 0.0
-    cfl_factor: float = 0.25
     dt_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise OperatorError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.cfl_factor <= 0.5:
-            raise OperatorError(f"cfl_factor must lie in (0, 0.5], got {self.cfl_factor}")
         if self.dt_override is not None and self.dt_override <= 0:
             raise OperatorError("dt_override must be positive")
 
@@ -362,10 +361,15 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
 
 
 def stable_dt(params: FlowParams, grid: Grid) -> float:
-    """Explicit step: cfl_factor * h^2 / dim unless overridden."""
+    """Explicit step: CFL_FACTOR * h^2 / dim unless overridden."""
     if params.dt_override is not None:
         return params.dt_override
-    return params.cfl_factor * grid.spacing ** 2 / grid.dim
+    return CFL_FACTOR * grid.spacing ** 2 / grid.dim
+
+
+def whole_steps(duration: float, dt: float) -> int:
+    """Completed steps of size dt within duration, forgiving a 1e-12 step of round-off."""
+    return int(np.floor(duration / dt + 1e-12))
 
 
 def dt_exceeds_stability(params: FlowParams, grid: Grid) -> bool:

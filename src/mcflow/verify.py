@@ -15,7 +15,7 @@ of flags is evidence, not proof.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,6 +159,28 @@ def degenerate_branch_bound(hess: np.ndarray, mode: str) -> float:
     raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
 
 
+def difference_jet(center: np.ndarray, at: Callable, h: float, dim: int):
+    """Central-difference gradient and Hessian at spacing h.
+
+    center holds the values at the N centres and at(offset) those at the
+    integer offset vector (in spacings) from each.  Returns the (N, dim)
+    gradient (u+ - u-) / 2h and the (N, dim, dim) Hessian: the diagonal
+    (u+ - 2 u0 + u-) / h^2 and the cross terms by the four-point rule.
+    """
+    grad = np.empty((len(center), dim))
+    hess = np.empty((len(center), dim, dim))
+    unit = np.eye(dim, dtype=int)
+    for k in range(dim):
+        up, um = at(unit[k]), at(-unit[k])
+        grad[:, k] = (up - um) / (2 * h)
+        hess[:, k, k] = (up - 2 * center + um) / h ** 2
+    for k, l in combinations(range(dim), 2):
+        a, b = unit[k], unit[l]
+        hess[:, k, l] = hess[:, l, k] = (at(a + b) - at(a - b) - at(-a + b)
+                                         + at(-a - b)) / (4 * h ** 2)
+    return grad, hess
+
+
 @dataclass
 class ViscosityProbe:
     """One fitted touch point and its inequality margin."""
@@ -233,9 +255,9 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
 
     # flat node indices: a centre, plus unit[k] per step along axis k
     flat_centers = np.ravel_multi_index(centers.T, grid.shape)
-    unit = [int(np.prod(grid.shape[k + 1:])) for k in range(dim)]
+    unit = np.array([int(np.prod(grid.shape[k + 1:])) for k in range(dim)])
     offsets = np.array(list(product(range(-_BOX_RADIUS, _BOX_RADIUS + 1), repeat=dim)))
-    flat_offsets = offsets @ np.array(unit)
+    flat_offsets = offsets @ unit
     dx = offsets * h
     violations = []
     sign = 1.0 if mode == "sub" else -1.0
@@ -247,16 +269,7 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
             fc = flat_centers[b0:b0 + _BLOCK]
             uc = u[fc]
             q = (u_next[fc] - u_prev[fc]) / (2.0 * dtv)
-            p = np.empty((len(fc), dim))
-            hess = np.empty((len(fc), dim, dim))
-            for k in range(dim):
-                up, um = u[fc + unit[k]], u[fc - unit[k]]
-                p[:, k] = (up - um) / (2 * h)
-                hess[:, k, k] = (up - 2 * uc + um) / h ** 2
-            for k, l in combinations(range(dim), 2):
-                a, b = unit[k], unit[l]
-                hess[:, k, l] = hess[:, l, k] = (u[fc + a + b] - u[fc + a - b] - u[fc - a + b]
-                                                 + u[fc - a - b]) / (4 * h ** 2)
+            p, hess = difference_jet(uc, lambda off: u[fc + off @ unit], h, dim)
 
             # does the quadratic model touch from the mode's side over the box?
             box = fc[:, None] + flat_offsets

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 
+import mcflow as mc
+from mcflow import flow as fl
 from mcflow import operator as op
 from mcflow import verify as vf
 
@@ -61,6 +63,19 @@ def fd_laplacian(f, pts, step):
         e[k] = step
         out = out + f(pts + e) + f(pts - e)
     return out / step ** 2
+
+
+def relax_explicit(problem, grid, params, tol, max_steps=fl.DEFAULT_STEP_BUDGET):
+    """Oracle for relax_to_steady: Euler steps of the flow from the data
+    until sup|rate| < tol at the interior nodes, at most max_steps of them."""
+    bvals = op.boundary_values(grid, problem.boundary_data)
+    for k, state, ws in op.march(op.init_state(grid, problem.initial_data, bvals),
+                                 grid, params, bvals, max_steps):
+        res = float(np.max(np.abs(ws.rate[grid.interior])))
+        if res < tol:
+            break
+    return mc.SteadyResult(state=state, steps=k, converged=res < tol, residual=res,
+                           method="explicit", newton_iterations=0)
 
 
 def spot_check_loop(snapshots, times, grid, params, mode, probe_budget=2000,

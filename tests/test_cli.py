@@ -119,6 +119,34 @@ def test_config_rejects_a_probe_budget_below_one(tmp_path, budget):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_config_rejects_a_negative_seed(tmp_path, seed):
+    bad = BLOWUP_COMPARISON + f"run.seed = {seed}\n"
+    with pytest.raises(cli.ConfigError, match=f"run.seed must be at least 0, got {seed}"):
+        cli.load_config(_write(tmp_path, bad))
+    assert cli.main(["comparison", "--config", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("times, bad", [("-0.5 0.005", -0.5), ("0.005 0.02", 0.02)])
+def test_config_rejects_a_snapshot_time_outside_the_run(tmp_path, times, bad):
+    text = MINIMAL_FLOW + f"run.snapshot_times = {times}\n"
+    with pytest.raises(cli.ConfigError) as loaded:
+        cli.load_config(_write(tmp_path, text))
+    assert str(loaded.value) == (f"run.snapshot_times must lie in [0, run.horizon = 0.01], "
+                                 f"got {bad}")
+    assert cli.main(["flow", "--config", str(_write(tmp_path, text)),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "demos" / "configs")
+                                        .glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    cli.load_config(path)
+
+
 @pytest.mark.parametrize("tolerance", ["0", "-1e-6", "nan"])
 def test_config_rejects_a_nonpositive_tolerance(tmp_path, tolerance):
     bad = MINIMAL_FLOW.replace("experiment = flow", "experiment = steady") \
@@ -200,7 +228,7 @@ def test_config_bad_expression_reported(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    for line in ("params.sigma = 0.5", "params.epsilom = 0.05"):
+    for line in ("params.sigma = 0.5", "params.epsilom = 0.05", "params.cfl_factor = 0.25"):
         text = "experiment = flow\n" + line + "\n" + MINIMAL_FLOW
         with pytest.raises(cli.ConfigError, match=f":2: unknown key '{line.split()[0]}'"):
             cli.load_config(_write(tmp_path, text))

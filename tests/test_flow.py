@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mcflow as mc
 from mcflow import flow as fl
 
-from helpers import zero, linear_x1, bump, linear_plus_bump, RecorderOracle
+from helpers import zero, linear_x1, bump, linear_plus_bump, relax_explicit, RecorderOracle
 
 # first converged run of the drift steady state, kept as a scheme anchor
 STEADY_CENTER_H16_NU03 = 0.148835559260
@@ -100,13 +100,6 @@ def test_relax_rejects_bad_tolerance(unit_ball, grid16):
         mc.relax_to_steady(prob, grid16, mc.FlowParams(epsilon=0.05), tol=0.0)
 
 
-def test_relax_rejects_unknown_method(unit_ball, grid16):
-    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
-    with pytest.raises(ValueError, match="method"):
-        mc.relax_to_steady(prob, grid16, mc.FlowParams(epsilon=0.05), tol=1e-6,
-                           method="multigrid")
-
-
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(h=st.sampled_from((1 / 8, 1 / 16)),
        angle=st.floats(-np.pi / 6, np.pi / 6),
@@ -124,7 +117,7 @@ def test_newton_matches_explicit_oracle(unit_ball, h, angle, nu):
                                mc.boundary_values(grid, data))
     assert newton.residual == float(np.max(np.abs(fresh[grid.interior])))
     assert newton.residual < tol
-    explicit = mc.relax_to_steady(prob, grid, params, tol=tol, method="explicit")
+    explicit = relax_explicit(prob, grid, params, tol)
     assert explicit.method == "explicit" and explicit.converged
     gap = np.max(np.abs(newton.state.values[grid.inside] - explicit.state.values[grid.inside]))
     assert gap <= 1e-6

@@ -26,8 +26,6 @@ def test_params_validation():
         mc.FlowParams(epsilon=0.0)
     with pytest.raises(op.OperatorError):
         mc.FlowParams(epsilon=1.0)
-    with pytest.raises(op.OperatorError):
-        mc.FlowParams(epsilon=0.1, cfl_factor=0.6)
 
 
 def test_gradient_zero_on_constants(grid32):
@@ -102,6 +100,24 @@ def test_stable_dt_formula(grid32, grid16):
     g3 = mc.build_grid(mc.ball(1.0, dim=3), 1 / 16)
     assert op.stable_dt(mc.FlowParams(epsilon=0.1), g3) == pytest.approx(
         0.25 * (1 / 256) / 3)
+
+
+@pytest.mark.parametrize("domain, h, horizon, steps", [
+    (mc.ball(1.0), 1 / 32, 1.0, 8192),
+    (mc.ellipse(1.0, 0.6, dim=3), 1 / 16, 0.5, 1536),
+    (mc.ball(1.0), 1 / 16, 0.25, 512),
+    (mc.ball(1.0), 1 / 16, 0.5, 1024),
+    (mc.smoothed_stadium(0.5, 1.5, 0.25), 1 / 32, 0.5, 4096),
+])
+def test_whole_steps_of_the_benchmark_runs(domain, h, horizon, steps):
+    grid = mc.build_grid(domain, h)
+    assert op.whole_steps(horizon, op.stable_dt(mc.FlowParams(epsilon=0.05), grid)) == steps
+
+
+def test_whole_steps_forgives_round_off():
+    assert 0.3 / 0.1 < 3
+    assert op.whole_steps(0.3, 0.1) == 3
+    assert op.whole_steps(0.25, 0.1) == 2
 
 
 def test_dt_override_warning_threshold(grid32):
