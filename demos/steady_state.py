@@ -1,10 +1,15 @@
 """Newton solve of the steady Dirichlet problem, checked against explicit
-relaxation, its cost under grid refinement, and the one-sided differential
-spot checks on the terminal field."""
+relaxation; its cost with the plain and the frozen-coefficient
+preconditioner; and the one-sided differential spot checks on the terminal
+field.  The cost table is the one in the README; its counts are for one BLAS
+thread (OMP_NUM_THREADS=1)."""
+
+from unittest import mock
 
 import numpy as np
 
 import mcflow as mc
+from mcflow import flow as fl
 from mcflow import verify as vf
 
 ball = mc.ball(1.0)
@@ -33,12 +38,36 @@ print(f"  method={res.method}, newton_iterations={res.newton_iterations}, "
 gap = np.max(np.abs(res.state.values[grid.inside] - oracle.values[grid.inside]))
 print(f"  sup|newton - explicit| = {gap:.2e}")
 
-print("\n== refinement at nu=0.3: preconditioned Newton cost per spacing ==")
-for h in (1 / 16, 1 / 32, 1 / 64):
-    r = mc.relax_to_steady(prob, mc.build_grid(ball, h), params, tol=1e-6)
-    print(f"  h=1/{round(1 / h)}: method={r.method}, evaluations={r.steps}, "
-          f"residual={r.residual:.2e}")
+print("\n== residual evaluations to sup|rate| < 1e-6, plain -> frozen-coefficient M^-1 ==")
 
+
+def rotated(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return lambda p: c * p[:, 0] + s * p[:, 1]
+
+
+disk, ball3 = mc.ball(1.0), mc.ball(1.0, dim=3)
+rows = [(f"disk, nu={nu}, h=1/{n}", disk, 1 / n, nu, lin)
+        for nu in (0.3, 1.5) for n in (16, 32, 64)]
+rows += [("disk, nu=0.9, h=1/32", disk, 1 / 32, 0.9, lin),
+         ("3D ball, nu=0.3, h=1/16", ball3, 1 / 16, 0.3, lin),
+         ("disk, data rotated by +pi/6, nu=0.3, h=1/32", disk, 1 / 32, 0.3, rotated(np.pi / 6)),
+         ("disk, data rotated by -pi/6, nu=0.3, h=1/32", disk, 1 / 32, 0.3, rotated(-np.pi / 6))]
+# unit coefficients make M the plain box Laplacian
+unit = lambda ws: np.ones(len(ws.grads))
+for label, domain, h, nu, data in rows:
+    g = mc.build_grid(domain, h)
+    solve = lambda: mc.relax_to_steady(mc.IBVP(domain, data, data), g,
+                                       mc.FlowParams(epsilon=0.05, nu=nu), tol=1e-6,
+                                       max_steps=20_000)
+    with mock.patch.object(fl, "_frozen_coefficients", unit):
+        plain = solve()
+    frozen = solve()
+    gap = np.max(np.abs(frozen.state.values[g.inside] - plain.state.values[g.inside]))
+    print(f"  {label}: {plain.steps} -> {frozen.steps} evaluations "
+          f"(converged {plain.converged}, {frozen.converged}), sup|difference| = {gap:.1e}")
+
+print("\n== one-sided spot checks on the nu=0.3, h=1/16 field ==")
 snaps, times = vf.replicate_steady(res.state.values)
 for mode in ("sub", "super"):
     bad = vf.viscosity_spot_check(snaps, times, grid, params, mode)

@@ -171,16 +171,19 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
                snapshot_times: Sequence[float] = ()) -> FlowReport:
     """Evolve the problem to the horizon, recording diagnostics each step.
 
-    Snapshot times are rounded down to the nearest completed step.  A
-    non-finite update aborts the run and returns the partial report with
-    the abort reason set.
+    Snapshot times are rounded down to the nearest completed step; one
+    outside [0, horizon] is a ValueError naming it.  A non-finite update
+    aborts the run and returns the partial report with the abort reason set.
     """
+    for ts in snapshot_times:
+        if not 0 <= ts <= horizon:
+            raise ValueError(f"snapshot time {ts} lies outside [0, horizon = {horizon}]")
     t0 = _time.perf_counter()
     bvals = boundary_values(grid, problem.boundary_data)
     state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
     n_steps = max(whole_steps(horizon, dt), 0)
-    snap_steps = {min(whole_steps(ts, dt), n_steps) for ts in snapshot_times}
+    snap_steps = {whole_steps(ts, dt) for ts in snapshot_times}
 
     rec = _Recorder(grid, params)
     snapshots = []
@@ -297,23 +300,25 @@ def _gmres(matvec: Callable, b: np.ndarray, target: float, budget: int,
 
 
 class _BoxLaplacianInverse:
-    """Inverse of the (2 dim + 1)-point Laplacian on the grid box, zero
-    beyond it, applied to a vector of interior node values.
+    """Inverse of M = sum_k a_k delta^2_k, the (2 dim + 1)-point Laplacian on
+    the grid box with one positive coefficient a_k per axis, zero beyond the
+    box, applied to a vector of interior node values.
 
-    The Laplacian's eigenvectors are products of sines, so its inverse is the
-    orthonormal sine transform along each axis (a dense symmetric n x n
-    matrix, its own inverse, shared by axes of equal length), a division by
-    the eigenvalue, and the same transform again.  The interior vector is
-    embedded in a zero box and the result restricted to the interior.  All
-    buffers are allocated once: a call returns the same output array,
+    Whatever the coefficients, M's eigenvectors are products of sines, so its
+    inverse is the orthonormal sine transform along each axis (a dense
+    symmetric n x n matrix, its own inverse, shared by axes of equal length),
+    a division by the eigenvalue sum_k a_k (2 - 2 cos(pi m / (n_k + 1))) / h^2
+    and the same transform again.  The interior vector is embedded in a zero
+    box and the result restricted to the interior.  The coefficients start at
+    1, the plain Laplacian; set_coefficients rewrites the division in place.
+    All buffers are allocated once: a call returns the same output array,
     which the next call overwrites.
     """
 
     def __init__(self, grid: Grid, interior_flat: np.ndarray):
         self.idx = interior_flat
-        self.sines, self.views = [], []
+        self.sines, self.views, self.eigs = [], [], []
         sines = {}
-        lam = np.zeros(grid.shape)
         for ax, n in enumerate(grid.shape):
             k = np.arange(1, n + 1)
             if n not in sines:
@@ -325,12 +330,23 @@ class _BoxLaplacianInverse:
             self.sines.append(sines[n])
             axis = [1] * grid.dim
             axis[ax] = n
-            lam += ((2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / grid.spacing ** 2).reshape(axis)
+            self.eigs.append(((2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / grid.spacing ** 2)
+                             .reshape(axis))
             post = int(np.prod(grid.shape[ax + 1:], dtype=int))
             self.views.append((-1, n, post) if post > 1 else (-1, n))
-        self.scale = np.divide(-1.0, lam, out=lam).ravel()
+        self.shape = grid.shape
+        self.scale = np.empty(int(np.prod(grid.shape, dtype=int)))
+        self.set_coefficients(np.ones(grid.dim))
         self.box, self.tmp = np.zeros((2, self.scale.size))
         self.out = np.empty(len(interior_flat))
+
+    def set_coefficients(self, coef: Sequence[float]):
+        """Make M = sum_k coef[k] delta^2_k by rewriting scale, -1 / eigenvalue."""
+        lam = self.scale.reshape(self.shape)
+        lam.fill(0.0)
+        for a, eig in zip(coef, self.eigs):
+            lam += a * eig
+        np.divide(-1.0, lam, out=lam)
 
     def _transform(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """The sine transform of src along every axis; ends in src or dst."""
@@ -352,14 +368,30 @@ class _BoxLaplacianInverse:
         return np.take(box, self.idx, out=self.out)
 
 
+def _frozen_coefficients(ws: Workspace) -> np.ndarray:
+    """Per axis k, the mean over the interior nodes of 1 - g_k^2 / s^2, from
+    the node gradient g and smoothed norm s that ws holds.
+
+    These are the diagonal entries of the steady Jacobian's principal part
+    (I - grad u grad u^T / s^2) : D^2, frozen at the field ws last evaluated.
+    Each lies in (0, 1], and they sum to more than dim - 1, so the box
+    operator they weight stays positive definite.
+    """
+    idx = ws.interior_flat
+    s2 = np.square(ws.s_node.ravel()[idx])
+    return np.array([np.mean(1.0 - np.square(g.ravel()[idx]) / s2) for g in ws.grads])
+
+
 def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
                    bvals, ws: Workspace, tol: float, budget: int) -> _NewtonOutcome:
     """Jacobian-free Newton-GMRES on the interior equation rate = 0.
 
     The unknowns are the interior node values; the ring follows by closure.
     GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1 is the
-    inverse box Laplacian; preconditioning from the right keeps its residual
-    the true linear residual.  Jacobian products are forward differences
+    inverse box Laplacian weighted per axis by the frozen coefficients of
+    the current iterate; preconditioning from the right keeps its residual
+    the true linear residual.  ws must hold the evaluation of state, whose
+    interior rate is rate.  Jacobian products are forward differences
     costing one residual evaluation each, the forcing term follows
     Eisenstat-Walker, and a backtracking line search on |F| globalises.
     Returns the iterate of least sup-residual once it is below tol, or when
@@ -387,6 +419,8 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
     for it in range(1, NEWTON_MAX_ITERATIONS + 1):
         if best_sup < tol or budget - evals < 2:
             break
+        # ws holds the evaluation of values: the initial one, or the accepted trial
+        precondition.set_coefficients(_frozen_coefficients(ws))
         if fnorm_prev is not None:
             eta_ew = EW_GAMMA * (fnorm / fnorm_prev) ** EW_ALPHA
             if EW_GAMMA * eta ** EW_ALPHA > 0.1:

@@ -3,6 +3,7 @@
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 import mcflow as mc
 from mcflow import flow as fl
@@ -362,3 +363,30 @@ class RecorderOracle:
         rows["dissipation"].append(float(np.sum(d * self.wvol)))
         rows["source"].append(self.nu * float(np.sum(r * self.wvol)))
         rows["ut_sq_integral"].append(float(np.sum(r * r * self.wvol)))
+
+
+def built_domain(kind, dim, center, size, ratio):
+    """A ball, ellipse or smoothed stadium of the given size, aspect ratio and centre."""
+    center = tuple(center[:dim])
+    if kind == "ball":
+        return mc.ball(size, center, dim)
+    if kind == "ellipse":
+        return mc.ellipse(size, ratio * size, center, dim)
+    return mc.smoothed_stadium(0.5 * size, 1.25 * size, 0.5 * size * max(ratio, 0.4),
+                               center, dim)
+
+
+def built_grid(kind, dim, center, size, ratio, fraction):
+    """The grid of built_domain at spacing fraction times its smallest shape parameter."""
+    if dim == 3:
+        fraction = max(fraction, 1 / 12)     # keeps the 3D boxes small
+    domain = built_domain(kind, dim, center, size, ratio)
+    return mc.build_grid(domain, fraction * min(domain.shape_parameters))
+
+
+# hypothesis strategies for the arguments of built_grid
+BUILT_GRIDS = dict(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium")),
+                   dim=st.sampled_from((2, 3)),
+                   center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+                   size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
+                   fraction=st.floats(1 / 16, 1 / 2))

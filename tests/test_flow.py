@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mcflow as mc
 from mcflow import flow as fl
 
-from helpers import zero, linear_x1, bump, linear_plus_bump, relax_explicit, RecorderOracle
+from helpers import (zero, linear_x1, bump, linear_plus_bump, relax_explicit, RecorderOracle,
+                     built_grid, BUILT_GRIDS)
 
 # first converged run of the drift steady state, kept as a scheme anchor
 STEADY_CENTER_H16_NU03 = 0.148835559260
@@ -43,6 +44,14 @@ def test_snapshots_at_requested_steps(unit_ball, grid16):
     for step, t, _v in rep.snapshots:
         assert t == pytest.approx(step * dt)
         assert step * dt <= 0.02 + 1e-12
+
+
+@pytest.mark.parametrize("bad", [-0.5, 0.0125])
+def test_snapshot_time_outside_the_run_rejected(unit_ball, grid16, bad):
+    prob = mc.IBVP(unit_ball, zero, bump)
+    with pytest.raises(ValueError, match=rf"snapshot time {bad} lies outside"):
+        mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05), horizon=0.01,
+                      snapshot_times=(bad, 0.005, 0.01))
 
 
 def test_max_principle_nu_zero(unit_ball, grid16):
@@ -125,7 +134,8 @@ def test_newton_matches_explicit_oracle(unit_ball, h, angle, nu):
 
 def test_newton_failure_falls_back_to_explicit(unit_ball, grid16, monkeypatch):
     # Newton cut off after 30 residual evaluations: the explicit loop must
-    # finish from its best iterate and count both phases in steps
+    # finish from its best iterate and count both phases in steps.  Newton
+    # stops once fewer than 2 evaluations remain, so it spends 29 or 30
     real = fl._newton_steady
     outcomes = []
 
@@ -141,7 +151,8 @@ def test_newton_failure_falls_back_to_explicit(unit_ball, grid16, monkeypatch):
     assert res.method == "explicit"
     assert res.converged and res.residual < 1e-6
     assert res.newton_iterations == outcomes[0].iterations
-    assert res.steps > outcomes[0].evals == 30
+    assert 29 <= outcomes[0].evals <= 30
+    assert res.steps > outcomes[0].evals
     center = res.state.values[tuple(np.array(grid16.shape) // 2)]
     assert center == pytest.approx(STEADY_CENTER_H16_NU03, abs=1e-6)
 
@@ -150,24 +161,55 @@ def test_newton_failure_falls_back_to_explicit(unit_ball, grid16, monkeypatch):
                                          (mc.ellipse(1.0, 0.6, dim=3), 1 / 8)])
 def test_box_laplacian_inverse_undoes_the_box_laplacian(domain, h):
     # a random field on the grid box, zero on the edge of the box one node
-    # wider; a box unlike in every axis pins which sine matrix acts where
+    # wider; a box unlike in every axis pins which sine matrix acts where,
+    # and unequal coefficients which eigenvalue factor
     grid = mc.build_grid(domain, h)
     inner = tuple(slice(1, -1) for _ in grid.shape)
     u = np.zeros(tuple(n + 2 for n in grid.shape))
     u[inner] = np.random.default_rng(0).standard_normal(grid.shape)
-    lap = -2 * grid.dim * u[inner]
-    for ax in range(grid.dim):
-        lap += np.roll(u, 1, ax)[inner] + np.roll(u, -1, ax)[inner]
-    lap /= h ** 2
-    every_node = np.arange(lap.size)
-    back = fl._BoxLaplacianInverse(grid, every_node)(lap.ravel())
-    assert np.max(np.abs(back - u[inner].ravel())) < 1e-12 * np.max(np.abs(u))
+    every_node = np.arange(u[inner].size)
+    inverse = fl._BoxLaplacianInverse(grid, every_node)
+    unequal = {2: (0.05, 1.0), 3: (1.0, 0.3, 0.02)}[grid.dim]
+    for coef in ((1.0,) * grid.dim, unequal):
+        lap = np.zeros(grid.shape)
+        for ax, a in enumerate(coef):
+            lap += a * (np.roll(u, 1, ax)[inner] - 2 * u[inner] + np.roll(u, -1, ax)[inner])
+        lap /= h ** 2
+        inverse.set_coefficients(coef)
+        back = inverse(lap.ravel())
+        assert np.max(np.abs(back - u[inner].ravel())) < 1e-12 * np.max(np.abs(u)), coef
 
 
-def _steady_x1(h, nu, dim=2):
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(**BUILT_GRIDS, seed=st.integers(0, 10_000), amplitude=st.floats(0.0, 1.0),
+       slope=st.floats(-100.0, 100.0), eps=st.floats(0.01, 0.5))
+def test_frozen_coefficients_lie_in_the_unit_interval(kind, dim, center, size, ratio,
+                                                       fraction, seed, amplitude, slope, eps):
+    # a steep ramp along x1 under random node noise: the x1 coefficient
+    # falls towards eps^2 / s^2 but stays positive
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
+    assume(grid.interior.any())
+    ramp = lambda p: slope * p[:, 0]
+    bv = mc.boundary_values(grid, ramp)
+    values = mc.init_state(grid, ramp, bv).values
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    values[grid.interior] += amplitude * noise[grid.interior]
+    mc.apply_closure(values, grid, bv)
+    ws = mc.Workspace(grid)
+    mc.regularized_rhs(values, grid, mc.FlowParams(epsilon=eps), bv, ws)
+    coef = fl._frozen_coefficients(ws)
+    assert coef.shape == (dim,)
+    assert np.all(coef > 0.0) and np.all(coef <= 1.0), coef
+    assert coef.sum() > dim - 1, coef       # dim - mean |g|^2 / s^2
+
+
+def _steady_x1(h, nu, dim=2, angle=0.0):
+    """The steady solve of x1 data, rotated towards x2 by angle, on the unit ball."""
     domain = mc.ball(1.0, dim=dim)
     grid = mc.build_grid(domain, h)
-    prob = mc.IBVP(domain, linear_x1, linear_x1)
+    c, s = np.cos(angle), np.sin(angle)
+    data = (lambda p: c * p[:, 0] + s * p[:, 1]) if angle else linear_x1
+    prob = mc.IBVP(domain, data, data)
     return mc.relax_to_steady(prob, grid, mc.FlowParams(epsilon=0.05, nu=nu), tol=1e-6,
                               max_steps=20_000)
 
@@ -184,6 +226,18 @@ def test_newton_converges_where_the_unpreconditioned_solve_stalled():
 def test_preconditioned_newton_cost(h, dim, bound):
     # unpreconditioned: 1,615 evaluations on the disk, 193 on the 3D ball
     res = _steady_x1(h, 0.3, dim)
+    assert res.method == "newton" and res.converged
+    assert res.steps <= bound
+
+
+@pytest.mark.parametrize("h, dim, angle, bound", [(1 / 32, 2, 0.0, 70),
+                                                 (1 / 32, 2, np.pi / 6, 80),
+                                                 (1 / 32, 2, -np.pi / 6, 80),
+                                                 (1 / 16, 3, 0.0, 50)])
+def test_frozen_coefficients_cut_the_newton_cost(h, dim, angle, bound):
+    # with unit coefficients: 131, 84 and 68 evaluations on the disk (x1,
+    # then rotated by +-pi/6), 92 on the 3D ball
+    res = _steady_x1(h, 0.3, dim, angle)
     assert res.method == "newton" and res.converged
     assert res.steps <= bound
 

@@ -11,7 +11,8 @@ from mcflow import operator as op
 
 from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
                      boundary_trace_residual, rate_closed_form, diffusion_tensor,
-                     quadrature, SliceWorkspace, regularized_rhs_slices)
+                     quadrature, SliceWorkspace, regularized_rhs_slices,
+                     built_domain, built_grid, BUILT_GRIDS)
 
 WS_FIELDS = ("rate", "grads", "s_node")
 
@@ -422,16 +423,6 @@ def test_quadrature_measures_disk_area(grid32):
     assert quadrature(one, grid32) == pytest.approx(np.pi, rel=0.01)
 
 
-def _built_domain(kind, dim, center, size, ratio):
-    center = tuple(center[:dim])
-    if kind == "ball":
-        return mc.ball(size, center, dim)
-    if kind == "ellipse":
-        return mc.ellipse(size, ratio * size, center, dim)
-    return mc.smoothed_stadium(0.5 * size, 1.25 * size, 0.5 * size * max(ratio, 0.4),
-                               center, dim)
-
-
 def _two_sided_cuts(grid):
     """Count of (axis, node) whose grid line the boundary cuts on both sides."""
     return int(np.isfinite(grid.theta).all(axis=1).sum())
@@ -461,26 +452,12 @@ def _branch_grid(i):
     return dict(zip(("kind", "dim", "center", "size", "ratio", "fraction"), BRANCH_GRIDS[i]))
 
 
-def _built_grid(kind, dim, center, size, ratio, fraction):
-    if dim == 3:
-        fraction = max(fraction, 1 / 12)     # keeps the 3D boxes small
-    domain = _built_domain(kind, dim, center, size, ratio)
-    return mc.build_grid(domain, fraction * min(domain.shape_parameters))
-
-
-BUILT_GRIDS = dict(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium")),
-                   dim=st.sampled_from((2, 3)),
-                   center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
-                   size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
-                   fraction=st.floats(1 / 16, 1 / 2))
-
-
 @pytest.mark.parametrize("i, reached", [(0, (True, True, True)), (1, (True, True, True)),
                                        (2, (False, False, True)), (3, (True, False, False)),
                                        (4, (False, True, False))])
 def test_built_grids_reach_every_closure_branch(i, reached):
     kind, dim, center, size, ratio, fraction = BRANCH_GRIDS[i]
-    domain = _built_domain(kind, dim, center, size, ratio)
+    domain = built_domain(kind, dim, center, size, ratio)
     grid = mc.build_grid(domain, fraction * min(domain.shape_parameters))
     counts = _closure_branches(grid, op.boundary_values(grid, linear_x1))
     assert tuple(n > 0 for n in counts) == reached
@@ -504,7 +481,7 @@ def _closure_fields(dim):
 @example(**_branch_grid(4), stacked=False, nu=0.0)
 @example(**_branch_grid(5), stacked=True, nu=0.0)
 def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacked, nu):
-    grid = _built_grid(kind, dim, center, size, ratio, fraction)
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
     inside = grid.inside
     tol = 1e-12
     slope, linear, fields = _closure_fields(dim)
@@ -552,7 +529,7 @@ def test_lattice_edge_nodes_are_cut_on_their_edge_side(kind, dim, center, size, 
     # the flat-stride operator lets stencils wrap from one grid line to the
     # next; the wrapped values land only on lattice-edge nodes, which must be
     # exterior or take the cut formula on their edge side
-    grid = _built_grid(kind, dim, center, size, ratio, fraction)
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
     for ax in range(dim):
         for side, edge in ((0, 0), (1, -1)):
             at_edge = (slice(None),) * ax + (edge,)
@@ -582,7 +559,7 @@ def _assert_matches_slice_oracle(grid, data, params, steps):
 @example(**_branch_grid(5), stacked=True, nu=0.3)
 def test_flat_operator_matches_slice_oracle(kind, dim, center, size, ratio, fraction,
                                             stacked, nu):
-    grid = _built_grid(kind, dim, center, size, ratio, fraction)
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
     _, _, fields = _closure_fields(dim)
     _assert_matches_slice_oracle(grid, fields if stacked else fields[0],
                                  mc.FlowParams(epsilon=0.1, nu=nu), 3)
