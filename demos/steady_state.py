@@ -1,9 +1,11 @@
 """Newton solve of the steady Dirichlet problem, checked against explicit
 relaxation; its cost with the plain and the frozen-coefficient
-preconditioner; and the one-sided differential spot checks on the terminal
-field.  The cost table is the one in the README; its counts are for one BLAS
-thread (OMP_NUM_THREADS=1)."""
+preconditioner, and from a cold start at small smoothing; and the one-sided
+differential spot checks on the terminal field.  The cost tables are the
+ones in the README; their counts are for one BLAS thread
+(OMP_NUM_THREADS=1)."""
 
+import time
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ prob = mc.IBVP(ball, lin, lin)
 
 print("== no drift: linear data is already steady ==")
 res = mc.relax_to_steady(prob, grid, mc.FlowParams(epsilon=0.05, nu=0.0), tol=1e-6)
-print(f"  method={res.method}, steps={res.steps}, residual={res.residual:.2e}")
+print(f"  steps={res.steps}, residual={res.residual:.2e}")
 
 print("\n== drift nu=0.3: solve until sup|rate| < 1e-6 ==")
 params = mc.FlowParams(epsilon=0.05, nu=0.3)
@@ -32,7 +34,7 @@ for k, oracle, ws in mc.march(mc.init_state(grid, lin, bvals), grid, params, bva
 print(f"  explicit relaxation: steps={k}, residual={residual:.2e}, "
       f"value at the center = {oracle.values[mid]:.8f}")
 res = mc.relax_to_steady(prob, grid, params, tol=1e-6)
-print(f"  method={res.method}, newton_iterations={res.newton_iterations}, "
+print(f"  newton_iterations={res.newton_iterations}, "
       f"steps={res.steps}, residual={res.residual:.2e}, "
       f"value at the center = {res.state.values[mid]:.8f}")
 gap = np.max(np.abs(res.state.values[grid.inside] - oracle.values[grid.inside]))
@@ -66,6 +68,16 @@ for label, domain, h, nu, data in rows:
     gap = np.max(np.abs(frozen.state.values[g.inside] - plain.state.values[g.inside]))
     print(f"  {label}: {plain.steps} -> {frozen.steps} evaluations "
           f"(converged {plain.converged}, {frozen.converged}), sup|difference| = {gap:.1e}")
+
+print("\n== cold start from x1^2 data, nu=0: residual evaluations to sup|rate| < 1e-6 ==")
+square = lambda p: p[:, 0] ** 2
+for n, eps in ((32, 0.025), (32, 0.0125), (32, 0.00625), (64, 0.025)):
+    g = mc.build_grid(disk, 1 / n)
+    t0 = time.perf_counter()
+    cold = mc.relax_to_steady(mc.IBVP(disk, square, square), g, mc.FlowParams(epsilon=eps),
+                              tol=1e-6, max_steps=20_000)
+    print(f"  h=1/{n}, eps={eps}: {cold.steps} evaluations, converged {cold.converged}, "
+          f"{time.perf_counter() - t0:.2f} s")
 
 print("\n== one-sided spot checks on the nu=0.3, h=1/16 field ==")
 snaps, times = vf.replicate_steady(res.state.values)

@@ -42,6 +42,7 @@ class Barrier:
     collar: np.ndarray          # bool mask of collar nodes
     intro_bound_violated: bool = False
     sup_u_bound: float | None = None   # flow sup bound the slope was sized for
+    margin: float | None = None        # barrier_supersolution_residual at the slope
 
 
 def reach_estimate(domain: DomainSpec) -> float:
@@ -171,18 +172,20 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
 
     return Barrier(sign=1, slope=lam, collar_width=rho, data_lipschitz=beta,
                    psi=lam * d, collar=collar, intro_bound_violated=intro_violated,
-                   sup_u_bound=sup_u_bound)
+                   sup_u_bound=sup_u_bound, margin=res)
 
 
 def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
                         params: FlowParams, sup_u_bound: float | None = None) -> Barrier:
-    """Lower barrier via the symmetry (u, nu) -> (-u, -nu)."""
+    """Lower barrier via the symmetry (u, nu) -> (-u, -nu).
+
+    The mirrored field is the negated one, exactly, so the upper barrier's
+    margin on the mirrored problem is the lower barrier's own.
+    """
     flipped = replace(params, nu=-params.nu)
     up = build_upper_barrier(domain, grid, lambda p: -h_fn(p), lambda p: -g_fn(p),
                              flipped, sup_u_bound=sup_u_bound)
-    return Barrier(sign=-1, slope=up.slope, collar_width=up.collar_width,
-                   data_lipschitz=up.data_lipschitz, psi=-up.psi, collar=up.collar,
-                   intro_bound_violated=up.intro_bound_violated, sup_u_bound=up.sup_u_bound)
+    return replace(up, sign=-1, psi=-up.psi)
 
 
 @dataclass

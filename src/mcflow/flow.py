@@ -1,5 +1,5 @@
-"""Initial-boundary value problem driver, steady-state solve (Newton-GMRES
-with an explicit fallback) and continuation in the smoothing parameter.
+"""Initial-boundary value problem driver, steady-state solve (Jacobian-free
+Newton-GMRES) and continuation in the smoothing parameter.
 
 One run is sequential in time; independent runs share no mutable state.
 Per-step diagnostics are reduced in a fixed order so reports are
@@ -19,7 +19,7 @@ from .operator import (FlowParams, FieldState, Workspace, boundary_values,
 
 COMPATIBILITY_TOL = 1e-10
 COMPATIBILITY_SAMPLES = 512          # boundary points the data are compared at
-DEFAULT_STEP_BUDGET = 10_000_000
+DEFAULT_STEP_BUDGET = 20_000         # residual evaluations of a steady solve
 
 
 class IncompatibleDataError(ValueError):
@@ -208,37 +208,22 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
 class SteadyResult:
     """Terminal field of a steady solve and its certificate.
 
-    steps counts residual evaluations after the initial one (one per
-    Euler step of the fallback, whose restart evaluation is not counted);
-    residual is sup|regularized_rhs| over the interior nodes of the
-    returned field; method names the solver that produced the field.
+    steps counts residual evaluations after the initial one; residual is
+    sup|regularized_rhs| over the interior nodes of the returned field;
+    newton_iterations counts the Newton steps up to it.
     """
 
     state: FieldState
     steps: int
     converged: bool
     residual: float
-    method: str
     newton_iterations: int
     warnings: list = dc_field(default_factory=list)
 
 
 GMRES_RESTART = 40           # Krylov basis size between restarts
 GMRES_MAX_CYCLES = 20        # restart cycles per linear solve
-NEWTON_MAX_ITERATIONS = 50   # more means the iteration stalled
-LINE_SEARCH_HALVINGS = 10
 EW_GAMMA, EW_ALPHA, EW_ETA_MAX = 0.9, 2.0, 0.9   # Eisenstat-Walker choice 2
-ARMIJO = 1e-4
-
-
-@dataclass
-class _NewtonOutcome:
-    """Least-residual iterate of a Newton solve and its full-grid rate."""
-
-    state: FieldState
-    rate: np.ndarray
-    evals: int              # residual evaluations, the initial one excluded
-    iterations: int         # Newton steps up to the returned iterate
 
 
 def _gmres(matvec: Callable, b: np.ndarray, target: float, budget: int,
@@ -382,29 +367,33 @@ def _frozen_coefficients(ws: Workspace) -> np.ndarray:
     return np.array([np.mean(1.0 - np.square(g.ravel()[idx]) / s2) for g in ws.grads])
 
 
-def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: FlowParams,
-                   bvals, ws: Workspace, tol: float, budget: int) -> _NewtonOutcome:
-    """Jacobian-free Newton-GMRES on the interior equation rate = 0.
+def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
+                    max_steps: int = DEFAULT_STEP_BUDGET) -> SteadyResult:
+    """Solve the steady equation until sup|rate| < tol at the interior nodes.
 
-    The unknowns are the interior node values; the ring follows by closure.
-    GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1 is the
-    inverse box Laplacian weighted per axis by the frozen coefficients of
-    the current iterate; preconditioning from the right keeps its residual
-    the true linear residual.  ws must hold the evaluation of state, whose
-    interior rate is rate.  Jacobian products are forward differences
-    costing one residual evaluation each, the forcing term follows
-    Eisenstat-Walker, and a backtracking line search on |F| globalises.
-    Returns the iterate of least sup-residual once it is below tol, or when
-    the budget runs out, a value turns non-finite, the line search fails or
-    the iteration stalls.
+    Jacobian-free Newton-GMRES on the interior node values; the ring follows
+    by closure.  GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1
+    is the inverse box Laplacian weighted per axis by the frozen coefficients
+    of the current iterate; preconditioning from the right keeps its
+    residual the true linear residual.  Jacobian products are forward
+    differences costing one residual evaluation each, the forcing term
+    follows Eisenstat-Walker, and every finite full step is taken.
+    max_steps caps the residual evaluations after the initial one.  Returns
+    the iterate of least sup-residual, with converged=False when the budget
+    runs out or a step turns a value non-finite first.
     """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    bvals = boundary_values(grid, problem.boundary_data)
+    state = init_state(grid, problem.initial_data, bvals)
+    ws = Workspace(grid)
     idx = ws.interior_flat
     values = state.values
-    f = rate.ravel()[idx]
+    f = regularized_rhs(values, grid, params, bvals, ws).ravel()[idx]
     fnorm = float(np.linalg.norm(f))
-    best_sup = float(np.max(np.abs(f)))
-    best_state, best_rate, best_it = state, rate.copy(), 0
-    evals = 0
+    best_sup = float(np.max(np.abs(f))) if len(idx) else 0.0
+    best_state, best_it = state, 0
+    evals = it = 0
     basis = np.empty((GMRES_RESTART + 1, len(idx)))
     precondition = _BoxLaplacianInverse(grid, idx)
 
@@ -416,10 +405,9 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
 
     eta = EW_ETA_MAX
     fnorm_prev = None
-    for it in range(1, NEWTON_MAX_ITERATIONS + 1):
-        if best_sup < tol or budget - evals < 2:
-            break
-        # ws holds the evaluation of values: the initial one, or the accepted trial
+    while best_sup >= tol and max_steps - evals >= 2:
+        it += 1
+        # ws holds the evaluation of values: the initial one, or the last step's
         precondition.set_coefficients(_frozen_coefficients(ws))
         if fnorm_prev is not None:
             eta_ew = EW_GAMMA * (fnorm / fnorm_prev) ** EW_ALPHA
@@ -439,68 +427,19 @@ def _newton_steady(state: FieldState, rate: np.ndarray, grid: Grid, params: Flow
             w /= delta
             return w
 
-        y, used = _gmres(matvec, -f, eta * fnorm, budget - evals - 1, basis)
-        step = precondition(y).copy()
-        evals += used
-        accepted = None
-        lam = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS + 1):
-            if evals >= budget:
-                break
-            trial = values.copy()
-            trial_rate = residual(x + lam * step, trial)
-            ftrial = trial_rate.ravel()[idx]
-            evals += 1
-            if not np.all(np.isfinite(ftrial)):
-                break
-            tnorm = float(np.linalg.norm(ftrial))
-            if tnorm <= (1.0 - ARMIJO * lam * (1.0 - eta)) * fnorm:
-                accepted = trial
-                break
-            lam *= 0.5
-        if accepted is None:
+        y, used = _gmres(matvec, -f, eta * fnorm, max_steps - evals - 1, basis)
+        values = values.copy()
+        f = residual(x + precondition(y), values).ravel()[idx]
+        evals += used + 1
+        if not np.all(np.isfinite(f)):
             break
-        values, f, fnorm_prev, fnorm = accepted, ftrial, fnorm, tnorm
+        fnorm_prev, fnorm = fnorm, float(np.linalg.norm(f))
         sup = float(np.max(np.abs(f)))
         if sup < best_sup:
             best_sup, best_it = sup, it
-            best_state, best_rate = FieldState(values, state.time), trial_rate.copy()
-    return _NewtonOutcome(best_state, best_rate, evals, best_it)
-
-
-def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
-                    max_steps: int = DEFAULT_STEP_BUDGET) -> SteadyResult:
-    """Solve the steady equation until sup|rate| < tol at the interior nodes.
-
-    Runs Jacobian-free Newton-GMRES and, if it fails, relaxes by Euler
-    steps of the flow from its best iterate with the remaining budget.
-    max_steps caps the residual evaluations after the initial one over both
-    phases; exhaustion returns the best field with converged=False.  The
-    result names the solver that produced the field: "explicit" once the
-    fallback has taken a step, else "newton".
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    bvals = boundary_values(grid, problem.boundary_data)
-    state = init_state(grid, problem.initial_data, bvals)
-    used, iterations, steps, res = 0, 0, 0, np.inf
-    if grid.interior.any():
-        ws = Workspace(grid)
-        rate = regularized_rhs(state.values, grid, params, bvals, ws)
-        nk = _newton_steady(state, rate, grid, params, bvals, ws, tol, max_steps)
-        state, used, iterations = nk.state, nk.evals, nk.iterations
-        res = float(np.max(np.abs(nk.rate.ravel()[ws.interior_flat])))
-    if res >= tol:
-        # Euler steps from Newton's best iterate
-        for k, state, ws in march(state, grid, params, bvals, max_steps - used, used + 1):
-            idx = ws.interior_flat
-            res = float(np.max(np.abs(ws.rate.ravel()[idx]))) if len(idx) else 0.0
-            if res < tol:
-                break
-        steps = k - used
-    return SteadyResult(state=state, steps=used + steps, converged=res < tol, residual=res,
-                        method="explicit" if steps else "newton",
-                        newton_iterations=iterations,
+            best_state = FieldState(values, state.time)
+    return SteadyResult(state=best_state, steps=evals, converged=best_sup < tol,
+                        residual=best_sup, newton_iterations=best_it,
                         warnings=_collect_warnings(problem, grid, params))
 
 

@@ -6,9 +6,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 import mcflow as mc
-from mcflow import flow as fl
 from mcflow import operator as op
 from mcflow import verify as vf
+
+
+# Euler steps relax_explicit may take: 13,082 reach tol 1e-7 at h = 1/16, nu = +-0.3
+EXPLICIT_MAX_STEPS = 200_000
 
 
 def zero(pts):
@@ -66,7 +69,7 @@ def fd_laplacian(f, pts, step):
     return out / step ** 2
 
 
-def relax_explicit(problem, grid, params, tol, max_steps=fl.DEFAULT_STEP_BUDGET):
+def relax_explicit(problem, grid, params, tol, max_steps=EXPLICIT_MAX_STEPS):
     """Oracle for relax_to_steady: Euler steps of the flow from the data
     until sup|rate| < tol at the interior nodes, at most max_steps of them."""
     bvals = op.boundary_values(grid, problem.boundary_data)
@@ -76,7 +79,7 @@ def relax_explicit(problem, grid, params, tol, max_steps=fl.DEFAULT_STEP_BUDGET)
         if res < tol:
             break
     return mc.SteadyResult(state=state, steps=k, converged=res < tol, residual=res,
-                           method="explicit", newton_iterations=0)
+                           newton_iterations=0)
 
 
 def spot_check_loop(snapshots, times, grid, params, mode, probe_budget=2000,

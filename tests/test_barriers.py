@@ -115,6 +115,18 @@ def test_lower_barrier_mirrors_upper(unit_ball, grid32):
     assert res >= 0.0
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_barrier_carries_its_supersolution_margin(unit_ball, grid32, nu):
+    # the CLI certifies both barriers by the margin they carry; the lower
+    # one takes it from the upper barrier of the mirrored problem
+    data = lambda p: p[:, 0] + 0.3 * p[:, 1] ** 2
+    params = mc.FlowParams(epsilon=0.05, nu=nu)
+    for build in (ba.build_upper_barrier, ba.build_lower_barrier):
+        bar = build(unit_ball, grid32, data, data, params)
+        assert bar.margin == ba.barrier_supersolution_residual(bar, unit_ball, grid32,
+                                                               data, params)
+
+
 def test_sup_norm_bound_nu_zero_is_data_plus_one(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     sb = ba.sup_norm_bound(prob, grid16, mc.FlowParams(epsilon=0.05, nu=0.0))

@@ -90,6 +90,14 @@ def test_ut_bound_closed_form_for_driven_linear(unit_ball, grid16):
     assert b0 == pytest.approx(0.3 * np.sqrt(0.05 ** 2 + p @ p), abs=1e-11)
 
 
+def test_first_recorded_rate_is_the_initial_slice_bound(unit_ball, grid16):
+    # the CLI's rate ceiling is the report's step-0 sup|u_t|, bit for bit
+    prob = mc.IBVP(unit_ball, zero, bump)
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    rep = mc.solve_ibvp(prob, grid16, params, horizon=0.001)
+    assert rep.sup_ut[0] == vf.ut_initial_slice_bound(prob, grid16, params) > 0.0
+
+
 def test_flow_rate_stays_under_initial_bound(unit_ball, grid16, bump_report):
     params = mc.FlowParams(epsilon=0.05)
     prob = mc.IBVP(unit_ball, zero, bump)
