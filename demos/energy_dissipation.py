@@ -16,21 +16,19 @@ print("== energy identity residual under grid refinement ==")
 for h in (1 / 16, 1 / 32):
     grid = mc.build_grid(ball, h)
     rep = mc.solve_ibvp(mc.IBVP(ball, zero, bump), grid, params, horizon=0.25)
-    tr = vf.energy_series(rep, params)
-    settled = vf.max_settled_residual(tr, settle_time=0.05)
-    print(f"  h={h:7.5f}: J(0)={tr.energy[0]:.4f} -> J(T)={tr.energy[-1]:.4f}, "
+    settled = vf.max_settled_residual(rep, settle_time=0.05)
+    print(f"  h={h:7.5f}: J(0)={rep.energy[0]:.4f} -> J(T)={rep.energy[-1]:.4f}, "
           f"settled max|R| = {settled:.3e}")
 
 print("\n== dissipation budget, h = 1/32 ==")
 grid = mc.build_grid(ball, 1 / 32)
 rep = mc.solve_ibvp(mc.IBVP(ball, zero, bump), grid, params, horizon=1.0)
-tr = vf.energy_series(rep, params)
-bud = vf.dissipation_budget(tr, rep, params, grid, split_time=0.5)
-dt = np.gradient(tr.t)
-weighted = float(np.sum(tr.dissipation * dt))
+bud = vf.dissipation_budget(rep, params, grid, split_time=0.5)
+dt = np.gradient(rep.t)
+weighted = float(np.sum(rep.dissipation * dt))
 print(f"  integral of u_t^2 over space-time: {bud.total:.5f} <= bound {bud.bound:.4f}")
 print(f"  head [0, 0.5] = {bud.head:.5f}, tail [0.5, 1.0] = {bud.tail:.2e} "
       f"(ratio {bud.tail / bud.head:.4f})")
 print(f"  weighted dissipation {weighted:.5f} vs energy drop "
-      f"{tr.energy[0] - tr.energy[-1]:.5f} (identity integrated in time)")
+      f"{rep.energy[0] - rep.energy[-1]:.5f} (identity integrated in time)")
 print(f"  max J increase per step: {np.diff(rep.energy).max():.2e} (descent)")

@@ -17,11 +17,9 @@ from .barriers import (Barrier, SupNormBound, ComparisonReport, BarrierError,
                        build_upper_barrier, build_lower_barrier,
                        barrier_supersolution_residual, sup_norm_bound,
                        comparison_experiment, random_ordered_pair)
-from .verify import (EnergyTrace, DissipationBudget, GradientMaxReport,
-                     ViscosityProbe, energy_series, dissipation_budget,
-                     ut_initial_slice_bound, gradient_interior_max_check,
-                     viscosity_spot_check, degenerate_branch_bound,
-                     replicate_steady)
+from .verify import (DissipationBudget, GradientMaxReport, ViscosityProbe,
+                     energy_series, dissipation_budget, gradient_interior_max_check,
+                     viscosity_spot_check, degenerate_branch_bound, replicate_steady)
 from .liouville import (CylinderProblem, EnvelopePair, LiouvilleReport,
                         ramp_problem, build_envelopes, flatness_and_sandwich,
                         EnvelopeError)

@@ -45,42 +45,24 @@ class Barrier:
     margin: float | None = None        # barrier_supersolution_residual at the slope
 
 
-def reach_estimate(domain: DomainSpec) -> float:
-    """Smallest radius of curvature of the boundary (distance stays smooth below it)."""
-    if domain.kind == "ball":
-        return domain.radius
-    if domain.kind == "ellipse":
-        return domain.semi_minor ** 2 / domain.semi_major
-    return domain.corner_radius
-
-
-def inradius(domain: DomainSpec) -> float:
-    if domain.kind == "ball":
-        return domain.radius
-    if domain.kind == "ellipse":
-        return domain.semi_minor
-    return domain.half_width
-
-
 def _sampled_lipschitz(w: np.ndarray, grid: Grid, collar: np.ndarray) -> float:
-    """Max difference quotient of w over collar node pairs within 3 spacings."""
+    """Max difference quotient of w over collar node pairs within 3 spacings.
+
+    Each offset pairs the nodes of two overlapping slices of the lattice,
+    so no pair wraps the lattice edge and both nodes of every pair lie in
+    the collar.
+    """
     h = grid.spacing
-    dim = grid.dim
     best = 0.0
-    offsets = [off for off in product(range(-3, 4), repeat=dim)
+    offsets = [off for off in product(range(-3, 4), repeat=grid.dim)
                if 0 < sum(o * o for o in off) <= 9]
     for off in offsets:
-        shifted = w
-        mask = collar.copy()
-        for ax, o in enumerate(off):
-            if o:
-                shifted = np.roll(shifted, -o, axis=ax)
-                mask &= np.roll(collar, -o, axis=ax)
-        if not mask.any():
-            continue
-        dist = h * float(np.sqrt(sum(o * o for o in off)))
-        q = np.max(np.abs(shifted[mask] - w[mask])) / dist
-        best = max(best, float(q))
+        lo = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, grid.shape))
+        hi = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, grid.shape))
+        mask = collar[lo] & collar[hi]
+        if mask.any():
+            dist = h * float(np.sqrt(sum(o * o for o in off)))
+            best = max(best, float(np.max(np.abs(w[hi][mask] - w[lo][mask]))) / dist)
     return LIPSCHITZ_SAFETY * best
 
 
@@ -128,7 +110,7 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
 
     d = np.where(grid.inside, signed_distance(domain, grid.points.reshape(-1, grid.dim))
                  .reshape(grid.shape), np.nan)
-    rho = min(1.0 / (2 * h0), 0.5 * reach_estimate(domain), 0.9 * inradius(domain))
+    rho = min(1.0 / (2 * h0), 0.5 * domain.reach_estimate, 0.9 * domain.inradius)
     collar = grid.inside & (d < rho)
 
     # data Lipschitz bound near the boundary, for the shifted field g - h
@@ -194,7 +176,6 @@ class SupNormBound:
     available: bool
     steady_max: float
     data_shift: float
-    relax_steps: int
 
 
 def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBound:
@@ -209,7 +190,6 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBoun
     lo, hi = data_range(problem.domain, grid, problem.boundary_data, problem.initial_data)
     kappa = max(abs(lo), abs(hi))
     vmax = -np.inf
-    steps = 0
     ok = True
     for nu in {params.nu, -params.nu}:
         # the auxiliary problem steps at its own stable dt, never the override
@@ -217,14 +197,12 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBoun
         aux = IBVP(problem.domain, one, one)
         res = relax_to_steady(aux, grid, p, tol=SUP_NORM_TOL)
         ok &= res.converged
-        steps += res.steps
         vmax = max(vmax, float(np.max(res.state.values[grid.inside])))
         # both comparison fields must stay nonnegative for the shifted
         # field to dominate the data
         if float(np.min(res.state.values[grid.inside])) < -1e-8:
             ok = False
-    return SupNormBound(value=vmax + kappa, available=ok, steady_max=vmax,
-                        data_shift=kappa, relax_steps=steps)
+    return SupNormBound(value=vmax + kappa, available=ok, steady_max=vmax, data_shift=kappa)
 
 
 @dataclass

@@ -278,14 +278,14 @@ def read_snapshot(path):
     return shape, lo, hi, values
 
 
-def write_series_csv(path, report: fl.FlowReport, params: FlowParams) -> None:
+def write_series_csv(path, report: fl.FlowReport) -> None:
     """Time series in the pinned column order t,sup_u,sup_grad,sup_ut,J,diss,src,resid."""
-    trace = vf.energy_series(report, params)
+    residual = vf.energy_series(report)
     rows = [CSV_HEADER]
     for i in range(len(report.t)):
         cells = [report.t[i], report.sup_u[i], report.sup_grad[i], report.sup_ut[i],
                  report.energy[i], report.dissipation[i], report.source[i],
-                 trace.residual[i]]
+                 residual[i]]
         rows.append(",".join(f"{c:.17g}" for c in cells))
     Path(path).write_text("\n".join(rows) + "\n")
 
@@ -304,11 +304,10 @@ def write_summary(path, summary: RunSummary) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_flow(out: Path, report: fl.FlowReport, grid: geo.Grid,
-                params: FlowParams) -> list:
+def _write_flow(out: Path, report: fl.FlowReport, grid: geo.Grid) -> list:
     """Emit the series and the snapshots of one flow run; returns their paths."""
     files = [out / "series.csv"]
-    write_series_csv(files[0], report, params)
+    write_series_csv(files[0], report)
     for step, _t, values in report.snapshots:
         files.append(out / f"snapshot_{step:08d}.mcfgrid")
         write_snapshot(files[-1], grid, values)
@@ -325,7 +324,7 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
     report = fl.solve_ibvp(problem, grid, cfg.params, cfg.horizon, cfg.snapshot_times)
     checks = []
     h = grid.spacing
-    b0 = float(report.sup_ut[0])     # vf.ut_initial_slice_bound, as recorded at step 0
+    b0 = float(report.sup_ut[0])     # the rate on the initial slice, the rate ceiling
     checks.append(PropertyCheck(
         "rate-ceiling", "time-derivative bound from the initial slice",
         b0 + 10 * h, float(report.sup_ut.max()), bool(report.sup_ut.max() <= b0 + 10 * h)))
@@ -343,14 +342,13 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
             "max-norm-bound", "steady comparison field dominates the flow",
             bound.value, float(report.sup_u.max()),
             bool(report.sup_u.max() <= bound.value) and bound.available))
-    trace = vf.energy_series(report, cfg.params)
     scalars = {
         "steps": report.steps, "dt": report.dt,
-        "max_energy_residual": trace.max_interior_residual,
+        "max_energy_residual": vf.max_settled_residual(report, report.t[0]),
         "sup_u": float(report.sup_u.max()), "sup_grad": float(report.sup_grad.max()),
         "aborted": float(bool(report.aborted)),
     }
-    return checks, scalars, _write_flow(out, report, grid, cfg.params), report.warnings
+    return checks, scalars, _write_flow(out, report, grid), report.warnings
 
 
 def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -411,7 +409,7 @@ def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
         "upper_slope": upper.slope, "lower_slope": lower.slope,
         "collar_width": upper.collar_width, "data_lipschitz": upper.data_lipschitz,
     }
-    return checks, scalars, _write_flow(out, report, grid, cfg.params), report.warnings
+    return checks, scalars, _write_flow(out, report, grid), report.warnings
 
 
 def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -450,7 +448,6 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
         plateau_start=cfg.plateau_start, plateau_value=cfg.plateau_value,
         plateau_margin=cfg.plateau_margin)
     report = lv.flatness_and_sandwich(problem, grid, cfg.params, cfg.horizon)
-    bound = report.flatness_bound(cfg.params, grid.spacing, problem.data_lipschitz)
     env = report.envelopes
     upper_field = np.where(grid.inside, env.upper_value, np.nan)
     lower_field = np.where(grid.inside,
@@ -464,7 +461,8 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
                                         cfg.probe_budget))
     checks = [
         PropertyCheck("flatness-bound", "plateau deviation under drift plus grid slack",
-                      bound, report.sup_flatness, report.sup_flatness <= bound),
+                      report.bound, report.sup_flatness,
+                      report.sup_flatness <= report.bound),
         PropertyCheck("envelope-upper-super", "upper envelope passes the super check",
                       0.0, float(n_super), n_super == 0),
         PropertyCheck("envelope-lower-sub", "lower envelope passes the sub check",
@@ -477,7 +475,7 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
                     f"{report.lower_violation[i]:.17g},{report.upper_violation[i]:.17g}")
     cpath.write_text("\n".join(rows) + "\n")
     scalars = {
-        "sup_flatness": report.sup_flatness, "bound": bound,
+        "sup_flatness": report.sup_flatness, "bound": report.bound,
         "max_monotone_violation": float(report.monotone_violation.max()),
     }
     return checks, scalars, [cpath], []

@@ -88,6 +88,24 @@ class DomainSpec:
         out[-1] = self.straight_half_length
         return out
 
+    @property
+    def reach_estimate(self) -> float:
+        """Smallest radius of curvature of the boundary (distance stays smooth below it)."""
+        if self.kind == "ball":
+            return self.radius
+        if self.kind == "ellipse":
+            return self.semi_minor ** 2 / self.semi_major
+        return self.corner_radius
+
+    @property
+    def inradius(self) -> float:
+        """Radius of the largest inscribed ball."""
+        if self.kind == "ball":
+            return self.radius
+        if self.kind == "ellipse":
+            return self.semi_minor
+        return self.half_width
+
 
 def ball(radius: float, center=None, dim: int = 2) -> DomainSpec:
     center = (0.0,) * dim if center is None else tuple(center)
@@ -221,15 +239,11 @@ def boundary_points(domain: DomainSpec, count: int) -> np.ndarray:
         # scaled sphere is not the exact spheroid normal map, but the image
         # lies on the surface, which is all sampling needs
         return dirs * scale + c
-    # rounded cylinder: sweep the 2D profile around the axis
-    prof = _stadium_boundary_2d(_profile_stadium(domain), max(count // 36, 8))
-    ang = np.linspace(0.0, 2 * np.pi, 36, endpoint=False)
-    rho, zax = prof[:, 0], prof[:, 1]
-    pts = []
-    for aa in ang:
-        pts.append(np.stack([rho * np.cos(aa), rho * np.sin(aa), zax], axis=1))
-    out = np.concatenate(pts, axis=0)
-    return out[:count] + c if len(out) >= count else out + c
+    # rounded cylinder: the i-th arc-length-uniform point of the planar
+    # profile, turned about the axis by i golden angles
+    prof = _stadium_boundary_2d(_profile_stadium(domain), count)
+    return np.stack([prof[:, 0] * np.cos(phi), prof[:, 0] * np.sin(phi), prof[:, 1]],
+                    axis=1) + c
 
 
 def _profile_stadium(domain: DomainSpec) -> DomainSpec:

@@ -75,33 +75,25 @@ class CylinderProblem:
         return IBVP(self.domain, self.initial_data, self.initial_data)
 
 
-def ramp_problem(plateau_value: float = 1.0, ramp_width: float = 0.5,
-                 half_width: float = 0.5, straight_half_length: float = 1.5,
-                 corner_radius: float = 0.25, plateau_start: float = 0.25,
-                 plateau_margin: float = 0.125, dim: int = 2) -> CylinderProblem:
-    """The standard monotone ramp: 0 below, linear rise, plateau above."""
-    dom = smoothed_stadium(half_width, straight_half_length, corner_radius, dim=dim)
-    lam, w, m = plateau_value, ramp_width, plateau_start
+def ramp_problem() -> CylinderProblem:
+    """The standard monotone ramp on the stadium (0.5, 1.5, 0.25): 0 below
+    the axial coordinate -0.25, a linear rise, the plateau 1 from 0.25 on."""
+    start, width = 0.25, 0.5
 
     def g(pts):
-        tau = pts[:, -1]
-        return np.minimum(lam, np.maximum(0.0, lam * (tau - m + w) / w))
+        return np.minimum(1.0, np.maximum(0.0, (pts[:, -1] - start + width) / width))
 
-    return CylinderProblem(domain=dom, initial_data=g, plateau_start=m,
-                           plateau_value=lam, plateau_margin=plateau_margin)
+    return CylinderProblem(domain=smoothed_stadium(0.5, 1.5, 0.25), initial_data=g,
+                           plateau_start=start, plateau_value=1.0, plateau_margin=0.125)
 
 
 @dataclass
 class EnvelopePair:
     """One-dimensional axial profiles bracketing the data, level past the margin."""
 
-    lower: Callable               # g-(tau), non-decreasing, C2, <= axial max of data
+    lower_profile: Callable       # g-(tau), non-decreasing, C2, <= axial max of data
     upper_value: float            # g+ is the constant plateau value
-    margin: float
     ramp_steepness: float
-
-    def lower_profile(self, taus: np.ndarray) -> np.ndarray:
-        return self.lower(np.asarray(taus, dtype=float))
 
 
 def _smoothed_ramp(lam: float, corner: float, steep: float, width: float):
@@ -141,7 +133,7 @@ def build_envelopes(problem: CylinderProblem) -> EnvelopePair:
 
     if np.min(data_profile) >= lam - 1e-12:
         flat = lambda tau: np.full(np.shape(tau), lam)
-        return EnvelopePair(lower=flat, upper_value=lam, margin=delta, ramp_steepness=np.inf)
+        return EnvelopePair(lower_profile=flat, upper_value=lam, ramp_steepness=np.inf)
 
     corner = m + delta
     width = delta / 4.0
@@ -149,8 +141,7 @@ def build_envelopes(problem: CylinderProblem) -> EnvelopePair:
     for _ in range(60):
         prof = _smoothed_ramp(lam, corner, steep, width)
         if np.all(prof(taus) <= data_profile + 1e-12):
-            return EnvelopePair(lower=prof, upper_value=lam, margin=delta,
-                                ramp_steepness=steep)
+            return EnvelopePair(lower_profile=prof, upper_value=lam, ramp_steepness=steep)
         steep *= 0.5
     gap = prof(taus) - data_profile
     bad = taus[int(np.argmax(gap))]
@@ -185,13 +176,10 @@ class LiouvilleReport:
     lower_violation: np.ndarray     # max (g-(tau) - u)+ per step
     upper_violation: np.ndarray     # max (u - g+(tau + nu t) - eps*nu*t)+ per step
     monotone_violation: np.ndarray  # max axial ordering defect per step
-    sup_flatness: float = 0.0
-    steps: int = 0
-    dt: float = 0.0
-    envelopes: EnvelopePair | None = None
-
-    def flatness_bound(self, params: FlowParams, spacing: float, lip: float) -> float:
-        return params.epsilon * abs(params.nu) * float(self.t[-1]) + 10.0 * spacing * lip
+    sup_flatness: float
+    bound: float                    # eps * |nu| * T + 10 * spacing * Lip(data)
+    steps: int
+    envelopes: EnvelopePair
 
 
 def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowParams,
@@ -235,9 +223,11 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
                             if pair.any() else 0.0)
 
     flat = np.array(rows["F"])
+    bound = (params.epsilon * abs(params.nu) * float(rows["t"][-1])
+             + 10.0 * grid.spacing * problem.data_lipschitz)
     return LiouvilleReport(t=np.array(rows["t"]), flatness=flat,
                            lower_violation=np.array(rows["lo"]),
                            upper_violation=np.array(rows["hi"]),
                            monotone_violation=np.array(rows["mono"]),
-                           sup_flatness=float(flat.max()), steps=n_steps, dt=dt,
+                           sup_flatness=float(flat.max()), bound=bound, steps=n_steps,
                            envelopes=env)

@@ -407,8 +407,8 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
 
 
 def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
-          n_steps: int, first_step: int = 1):
-    """Forward-Euler march yielding (k, state, ws), the start as k = first_step - 1.
+          n_steps: int):
+    """Forward-Euler march yielding (k, state, ws) for k = 0 (the start) to n_steps.
 
     The start state is copied once and advanced in place, so the caller's
     state is never changed.  ws.rate, ws.grads and ws.s_node belong to the
@@ -422,8 +422,8 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
     dt = stable_dt(params, grid)
     state = state.copy()
     regularized_rhs(state.values, grid, params, bvals, ws)
-    yield first_step - 1, state, ws
-    for k in range(first_step, first_step + n_steps):
+    yield 0, state, ws
+    for k in range(1, n_steps + 1):
         euler_update(state, ws.rate, dt, grid, bvals, ws, k)
         regularized_rhs(state.values, grid, params, bvals, ws)
         yield k, state, ws

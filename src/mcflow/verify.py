@@ -1,5 +1,6 @@
 """Numerical certification of the flow's a priori structure: the energy
-identity and dissipation budget, the rate and gradient maximum principles,
+identity, the dissipation budget and the gradient maximum principle, each
+read from a run's FlowReport (whose step-0 sup|u_t| is the rate ceiling),
 and pointwise viscosity-inequality spot checks on discrete fields.
 
 The spot checker is sound but deliberately not complete: it fits the local
@@ -20,32 +21,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Grid
-from .flow import FlowReport, IBVP
-from .operator import FlowParams, boundary_values, init_state, regularized_rhs
+from .flow import FlowReport
+from .operator import FlowParams
 
 TOUCH_SLACK = 1e-12
 
 
-@dataclass
-class EnergyTrace:
-    """Discrete energy-identity series: J' + dissipation - source = residual."""
+def energy_series(report: FlowReport) -> np.ndarray:
+    """Residual J' + dissipation - source of the energy identity, per recorded step.
 
-    t: np.ndarray
-    energy: np.ndarray
-    dissipation: np.ndarray
-    source: np.ndarray
-    residual: np.ndarray          # endpoints use one-sided J', excluded from maxima
-    max_interior_residual: float
-    ut_sq_integral: np.ndarray
-    dt: float
-
-
-def energy_series(report: FlowReport, params: FlowParams) -> EnergyTrace:
-    """Assemble the energy identity residual from a flow report.
-
-    J' is a centered time difference (one-sided at the endpoints); the
-    residual maximum skips the endpoints where the one-sided stencil
-    carries O(dt) error by construction.
+    J' is a centered time difference, one-sided at the endpoints, where the
+    stencil carries O(dt) error by construction; max_settled_residual skips
+    the endpoints.
     """
     t, j = report.t, report.energy
     n = len(t)
@@ -55,26 +42,23 @@ def energy_series(report: FlowReport, params: FlowParams) -> EnergyTrace:
         jp[-1] = (j[-1] - j[-2]) / (t[-1] - t[-2])
     if n >= 3:
         jp[1:-1] = (j[2:] - j[:-2]) / (t[2:] - t[:-2])
-    residual = jp + report.dissipation - report.source
-    interior_max = float(np.max(np.abs(residual[1:-1]))) if n >= 3 else 0.0
-    return EnergyTrace(t=t, energy=j, dissipation=report.dissipation,
-                       source=report.source, residual=residual,
-                       max_interior_residual=interior_max,
-                       ut_sq_integral=report.ut_sq_integral, dt=report.dt)
+    return jp + report.dissipation - report.source
 
 
-def max_settled_residual(trace: EnergyTrace, settle_time: float) -> float:
-    """Max identity residual after the initial adjustment layer.
+def max_settled_residual(report: FlowReport, settle_time: float) -> float:
+    """Max identity residual after the initial adjustment layer, endpoints excluded.
 
     The first steps carry the flow's instantaneous boundary-layer reaction
     to the initial data, a transient of O(sqrt(dt)) width that no centered
     time stencil resolves; comparing residual maxima across grids is
-    meaningful on a fixed window that starts past it.
+    meaningful on a fixed window that starts past it.  A settle_time of
+    report.t[0] takes every interior step.
     """
-    mask = (trace.t >= settle_time) & (trace.t < trace.t[-1]) & (trace.t > trace.t[0])
+    t = report.t
+    mask = (t >= settle_time) & (t < t[-1]) & (t > t[0])
     if not mask.any():
         return 0.0
-    return float(np.max(np.abs(trace.residual[mask])))
+    return float(np.max(np.abs(energy_series(report)[mask])))
 
 
 @dataclass
@@ -86,41 +70,28 @@ class DissipationBudget:
     tail: float = 0.0
 
 
-def dissipation_budget(trace: EnergyTrace, report: FlowReport, params: FlowParams,
-                       grid: Grid, split_time: float | None = None) -> DissipationBudget:
+def dissipation_budget(report: FlowReport, params: FlowParams, grid: Grid,
+                       split_time: float | None = None) -> DissipationBudget:
     """Total squared-rate dissipation and the a priori bound check.
 
     The bound mirrors the chain that controls the weighted dissipation by
     the initial energy and the driving term's displacement:
     total <= (sup|grad u| + eps) * (J(0) + |nu| * |D| * 2 * sup|u|).
     """
-    dt = np.gradient(trace.t) if len(trace.t) > 1 else np.array([0.0])
-    total = float(np.sum(trace.ut_sq_integral * dt))
+    dt = np.gradient(report.t) if len(report.t) > 1 else np.array([0.0])
+    total = float(np.sum(report.ut_sq_integral * dt))
     sup_grad = float(np.max(report.sup_grad))
     sup_u = float(np.max(report.sup_u))
     measure = grid.domain_measure()
-    bound = (sup_grad + params.epsilon) * (trace.energy[0]
+    bound = (sup_grad + params.epsilon) * (report.energy[0]
                                            + abs(params.nu) * measure * 2 * sup_u)
     head = tail = 0.0
     if split_time is not None:
-        head_mask = trace.t <= split_time
-        head = float(np.sum((trace.ut_sq_integral * dt)[head_mask]))
+        head_mask = report.t <= split_time
+        head = float(np.sum((report.ut_sq_integral * dt)[head_mask]))
         tail = total - head
     return DissipationBudget(total=total, bound=bound + 1e-12,
                              within_bound=total <= bound + 1e-12, head=head, tail=tail)
-
-
-def ut_initial_slice_bound(problem: IBVP, grid: Grid, params: FlowParams) -> float:
-    """Sup of the discrete rate on the initial state, the flow's rate ceiling.
-
-    Evaluated on the state exactly as the solver initializes it (data
-    sampled inside, boundary ring closed), so the bound is attained by the
-    first recorded step and the later steps must stay under it.
-    """
-    bvals = boundary_values(grid, problem.boundary_data)
-    state = init_state(grid, problem.initial_data, bvals)
-    rate = regularized_rhs(state.values, grid, params, bvals)
-    return float(np.max(np.abs(rate[grid.interior]))) if grid.interior.any() else 0.0
 
 
 @dataclass

@@ -245,6 +245,37 @@ def quadratic_min_on_ball_bruteforce(hess, samples=10000) -> float:
     return min(best, 0.0)
 
 
+def ut_initial_slice_bound(problem, grid, params) -> float:
+    """Sup of the discrete rate on the initial state, the flow's rate ceiling.
+
+    Oracle for the report's step-0 sup|u_t|: the state is rebuilt exactly
+    as the solver initializes it (data sampled inside, boundary ring
+    closed) and the rate evaluated once.
+    """
+    bvals = op.boundary_values(grid, problem.boundary_data)
+    state = op.init_state(grid, problem.initial_data, bvals)
+    rate = op.regularized_rhs(state.values, grid, params, bvals)
+    return float(np.max(np.abs(rate[grid.interior]))) if grid.interior.any() else 0.0
+
+
+def sampled_lipschitz_bruteforce(w, grid, collar) -> float:
+    """Max of |w(x) - w(y)| / |x - y| over collar node pairs within 3 spacings.
+
+    Oracle for the barrier's sampled data Lipschitz bound (before its safety
+    factor): every collar node against every other collar node, by index
+    distance.
+    """
+    nodes = np.argwhere(collar)
+    best = 0.0
+    for node in nodes:
+        d2 = np.sum((nodes - node) ** 2, axis=1)
+        near = (d2 > 0) & (d2 <= 9)
+        if near.any():
+            diff = np.abs(w[tuple(nodes[near].T)] - w[tuple(node)])
+            best = max(best, float(np.max(diff / (grid.spacing * np.sqrt(d2[near])))))
+    return best
+
+
 class SliceWorkspace:
     """Scratch arrays of the per-axis slice oracle for the operator."""
 

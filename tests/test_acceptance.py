@@ -17,7 +17,7 @@ from mcflow import operator as op
 from mcflow import verify as vf
 
 from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders,
-                     quadratic_min_on_ball_bruteforce)
+                     quadratic_min_on_ball_bruteforce, ut_initial_slice_bound)
 
 EPS = 0.05
 H32 = 1 / 32
@@ -140,8 +140,7 @@ def test_criterion_4_energy_identity(unit_ball, grid16, grid32):
     for grid in (grid16, grid32):
         prob = mc.IBVP(unit_ball, zero, bump)
         rep = mc.solve_ibvp(prob, grid, params, horizon=0.25)
-        tr = vf.energy_series(rep, params)
-        maxr.append(vf.max_settled_residual(tr, settle_time=0.05))
+        maxr.append(vf.max_settled_residual(rep, settle_time=0.05))
         worst_rise = max(worst_rise, float(np.diff(rep.energy).max()))
     factor = maxr[0] / maxr[1]
     ok = factor >= 2.0 and worst_rise <= 1e-8
@@ -156,8 +155,7 @@ def test_criterion_5_dissipation_bound(unit_ball, grid32):
     params = mc.FlowParams(epsilon=EPS, nu=0.0)
     prob = mc.IBVP(unit_ball, zero, bump)
     rep = mc.solve_ibvp(prob, grid32, params, horizon=1.0)
-    tr = vf.energy_series(rep, params)
-    bud = vf.dissipation_budget(tr, rep, params, grid32, split_time=0.5)
+    bud = vf.dissipation_budget(rep, params, grid32, split_time=0.5)
     ratio = bud.tail / bud.head
     ok = np.isfinite(bud.total) and bud.within_bound and ratio <= 0.2
     _line(5, ok, f"total={bud.total:.4f} (finite, <= bound {bud.bound:.3f}), "
@@ -176,7 +174,7 @@ def test_criterion_6_rate_ceiling(unit_ball, grid32):
     for name, h_fn, g_fn, nu in cases:
         params = mc.FlowParams(epsilon=EPS, nu=nu)
         prob = mc.IBVP(unit_ball, h_fn, g_fn)
-        b0 = vf.ut_initial_slice_bound(prob, grid32, params)
+        b0 = ut_initial_slice_bound(prob, grid32, params)
         rep = mc.solve_ibvp(prob, grid32, params, horizon=0.5)
         rows.append((name, float(rep.sup_ut.max()), b0))
     ok = all(s <= b + tol for _n, s, b in rows)
@@ -245,8 +243,7 @@ def test_criterion_10a_flatness_bound(ramp):
     for nu in (0.0, 0.2):
         params = mc.FlowParams(epsilon=EPS, nu=nu)
         rep = lv.flatness_and_sandwich(ramp, grid, params, horizon=0.5)
-        bound = rep.flatness_bound(params, grid.spacing, ramp.data_lipschitz)
-        rows.append((nu, rep.sup_flatness, bound))
+        rows.append((nu, rep.sup_flatness, rep.bound))
     ok = all(f <= b for _nu, f, b in rows)
     _line("10a", ok, "; ".join(f"nu={nu}: sup F={f:.4f} <= {b:.4f}"
                                for nu, f, b in rows))

@@ -5,7 +5,7 @@ import mcflow as mc
 from mcflow import barriers as ba
 from mcflow import geometry as geo
 
-from helpers import zero, linear_x1, fd_gradient
+from helpers import zero, linear_x1, fd_gradient, sampled_lipschitz_bruteforce
 
 
 def test_zero_data_barrier_slope_floor(unit_ball, grid32):
@@ -39,6 +39,23 @@ def test_linear_data_barrier_certified(unit_ball, grid32):
     assert bar.collar_width == pytest.approx(0.5)
     res = ba.barrier_supersolution_residual(bar, unit_ball, grid32, linear_x1, params)
     assert res >= 0.0
+
+
+@pytest.mark.parametrize("domain, h, g_fn", [
+    (mc.ellipse(1.0, 0.5), 1 / 32, lambda p: (1 - p[:, 0] ** 2 - 4 * p[:, 1] ** 2) * p[:, 0]),
+    (mc.ellipse(1.0, 0.5), 1 / 16, lambda p: (1 - p[:, 0] ** 2 - 4 * p[:, 1] ** 2) * p[:, 1] ** 3),
+    (mc.ball(1.0, dim=3), 1 / 8, lambda p: (1 - np.sum(p ** 2, axis=1)) * (p[:, 0] - p[:, 2])),
+], ids=["ellipse-x1", "ellipse-x2-cubed", "ball-3d"])
+def test_data_lipschitz_is_the_max_over_collar_pairs(domain, h, g_fn):
+    # every pair of collar nodes within 3 spacings counts, none across the
+    # lattice edge and none with an exterior node
+    grid = mc.build_grid(domain, h)
+    bar = ba.build_upper_barrier(domain, grid, zero, g_fn, mc.FlowParams(epsilon=0.05))
+    w = np.full(grid.shape, np.nan)
+    w[grid.inside] = g_fn(grid.points[grid.inside])
+    oracle = sampled_lipschitz_bruteforce(w, grid, bar.collar)
+    assert oracle > 0.0
+    assert bar.data_lipschitz == ba.LIPSCHITZ_SAFETY * oracle
 
 
 def test_weak_slope_fails_certification(unit_ball, grid32):

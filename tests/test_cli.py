@@ -271,7 +271,7 @@ def test_series_csv_header_and_rows(tmp_path, unit_ball, grid16):
                    lambda p: 0.3 * (1 - np.sum(p ** 2, axis=1)) ** 2)
     rep = mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05), horizon=0.01)
     p = tmp_path / "series.csv"
-    cli.write_series_csv(p, rep, mc.FlowParams(epsilon=0.05))
+    cli.write_series_csv(p, rep)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "t,sup_u,sup_grad,sup_ut,J,diss,src,resid"
     assert len(lines) == len(rep.t) + 1
@@ -286,7 +286,7 @@ def test_empty_series_csv_header_only(tmp_path, grid16):
                         dissipation=np.array([]), source=np.array([]),
                         ut_sq_integral=np.array([]))
     p = tmp_path / "empty.csv"
-    cli.write_series_csv(p, rep, mc.FlowParams(epsilon=0.05))
+    cli.write_series_csv(p, rep)
     assert p.read_text() == "t,sup_u,sup_grad,sup_ut,J,diss,src,resid\n"
 
 

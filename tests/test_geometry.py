@@ -94,6 +94,25 @@ def test_stadium_distance_exact_formula():
     assert geo.signed_distance(st, p) == pytest.approx(0.25 - np.linalg.norm(p - corner))
 
 
+@pytest.mark.parametrize("count", [37, 100, 512])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["ball", "ellipse", "smoothed-stadium"])
+def test_boundary_points_count_and_distance(kind, dim, count):
+    center = (0.1, -0.2, 0.05)[:dim]
+    domain = {"ball": lambda: mc.ball(0.8, center, dim),
+              "ellipse": lambda: mc.ellipse(1.0, 0.5, center, dim),
+              "smoothed-stadium": lambda: mc.smoothed_stadium(0.5, 1.5, 0.25, center,
+                                                              dim)}[kind]()
+    pts = geo.boundary_points(domain, count)
+    assert pts.shape == (count, dim)
+    assert np.max(np.abs(geo.signed_distance(domain, pts))) <= 1e-12
+    if dim == 3 and kind == "smoothed-stadium":
+        # every eighth of the azimuths about the axis holds a point
+        rel = pts - np.asarray(center)
+        octant = np.floor(np.arctan2(rel[:, 1], rel[:, 0]) / (np.pi / 4)) % 8
+        assert set(octant) == set(range(8))
+
+
 def test_curvature_bounds_closed_forms():
     assert geo.boundary_mean_curvature_bound(mc.ball(1.0)) == pytest.approx(1.0)
     assert geo.boundary_mean_curvature_bound(mc.ball(2.0, dim=3)) == pytest.approx(0.5)

@@ -90,8 +90,7 @@ def test_flat_problem_stays_flat():
 def test_flatness_bound_driftless(ramp, stadium_grid):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     rep = lv.flatness_and_sandwich(ramp, stadium_grid, params, horizon=0.5)
-    bound = rep.flatness_bound(params, stadium_grid.spacing, ramp.data_lipschitz)
-    assert rep.sup_flatness <= bound
+    assert rep.sup_flatness <= rep.bound
     assert rep.upper_violation.max() <= 1e-12
     assert rep.monotone_violation.max() <= 1e-10
 
@@ -99,8 +98,7 @@ def test_flatness_bound_driftless(ramp, stadium_grid):
 def test_flatness_bound_with_drift(ramp, stadium_grid):
     params = mc.FlowParams(epsilon=0.05, nu=0.2)
     rep = lv.flatness_and_sandwich(ramp, stadium_grid, params, horizon=0.5)
-    bound = rep.flatness_bound(params, stadium_grid.spacing, ramp.data_lipschitz)
-    assert rep.sup_flatness <= bound
+    assert rep.sup_flatness <= rep.bound
     # flat regions drift no faster than eps*nu, so the corrected upper
     # sandwich holds tightly
     assert rep.upper_violation.max() <= 1e-10

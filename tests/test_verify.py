@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import mcflow as mc
 from mcflow import verify as vf
 
-from helpers import zero, linear_x1, bump, spot_check_loop, quadratic_min_on_ball_bruteforce
+from helpers import (zero, linear_x1, bump, spot_check_loop, quadratic_min_on_ball_bruteforce,
+                     ut_initial_slice_bound)
 
 
 @pytest.fixture(scope="module")
@@ -20,10 +21,9 @@ def bump_report(unit_ball, grid16):
 def test_energy_series_stationary_all_zero(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     rep = mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05), horizon=0.02)
-    tr = vf.energy_series(rep, mc.FlowParams(epsilon=0.05))
-    assert np.max(np.abs(tr.energy - tr.energy[0])) < 1e-12
-    assert np.max(tr.dissipation) < 1e-12
-    assert tr.max_interior_residual < 1e-12
+    assert np.max(np.abs(rep.energy - rep.energy[0])) < 1e-12
+    assert np.max(rep.dissipation) < 1e-12
+    assert vf.max_settled_residual(rep, rep.t[0]) < 1e-12
 
 
 def test_energy_descent_without_drift(bump_report):
@@ -37,8 +37,7 @@ def test_energy_residual_halves_with_refinement(unit_ball, grid16, grid32):
     for grid in (grid16, grid32):
         prob = mc.IBVP(unit_ball, zero, bump)
         rep = mc.solve_ibvp(prob, grid, params, horizon=0.25)
-        tr = vf.energy_series(rep, params)
-        maxr.append(vf.max_settled_residual(tr, settle_time=0.05))
+        maxr.append(vf.max_settled_residual(rep, settle_time=0.05))
     assert maxr[0] / maxr[1] >= 2.0
 
 
@@ -46,8 +45,7 @@ def test_dissipation_budget_stationary_zero(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     params = mc.FlowParams(epsilon=0.05)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.02)
-    tr = vf.energy_series(rep, params)
-    bud = vf.dissipation_budget(tr, rep, params, grid16)
+    bud = vf.dissipation_budget(rep, params, grid16)
     assert bud.total < 1e-20
     assert bud.within_bound
 
@@ -57,19 +55,17 @@ def test_weighted_dissipation_matches_energy_drop(unit_ball, grid16):
     params = mc.FlowParams(epsilon=0.05)
     prob = mc.IBVP(unit_ball, zero, bump)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.5)
-    tr = vf.energy_series(rep, params)
-    dt = np.gradient(tr.t)
-    weighted = float(np.sum(tr.dissipation * dt))
-    drop = float(tr.energy[0] - tr.energy[-1])
-    assert weighted == pytest.approx(drop, abs=0.02 * max(tr.energy[0], 1.0))
+    dt = np.gradient(rep.t)
+    weighted = float(np.sum(rep.dissipation * dt))
+    drop = float(rep.energy[0] - rep.energy[-1])
+    assert weighted == pytest.approx(drop, abs=0.02 * max(rep.energy[0], 1.0))
 
 
 def test_dissipation_budget_bounded_with_drift(unit_ball, grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.5)
-    tr = vf.energy_series(rep, params)
-    bud = vf.dissipation_budget(tr, rep, params, grid16, split_time=0.25)
+    bud = vf.dissipation_budget(rep, params, grid16, split_time=0.25)
     assert np.isfinite(bud.total)
     assert bud.within_bound
     assert bud.head + bud.tail == pytest.approx(bud.total)
@@ -77,7 +73,7 @@ def test_dissipation_budget_bounded_with_drift(unit_ball, grid16):
 
 def test_ut_bound_zero_for_stationary_linear(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
-    b0 = vf.ut_initial_slice_bound(prob, grid16, mc.FlowParams(epsilon=0.05))
+    b0 = ut_initial_slice_bound(prob, grid16, mc.FlowParams(epsilon=0.05))
     assert b0 < 1e-12
 
 
@@ -86,7 +82,7 @@ def test_ut_bound_closed_form_for_driven_linear(unit_ball, grid16):
     fn = lambda q: q @ p
     prob = mc.IBVP(unit_ball, fn, fn)
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
-    b0 = vf.ut_initial_slice_bound(prob, grid16, params)
+    b0 = ut_initial_slice_bound(prob, grid16, params)
     assert b0 == pytest.approx(0.3 * np.sqrt(0.05 ** 2 + p @ p), abs=1e-11)
 
 
@@ -95,13 +91,13 @@ def test_first_recorded_rate_is_the_initial_slice_bound(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, zero, bump)
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.001)
-    assert rep.sup_ut[0] == vf.ut_initial_slice_bound(prob, grid16, params) > 0.0
+    assert rep.sup_ut[0] == ut_initial_slice_bound(prob, grid16, params) > 0.0
 
 
 def test_flow_rate_stays_under_initial_bound(unit_ball, grid16, bump_report):
     params = mc.FlowParams(epsilon=0.05)
     prob = mc.IBVP(unit_ball, zero, bump)
-    b0 = vf.ut_initial_slice_bound(prob, grid16, params)
+    b0 = ut_initial_slice_bound(prob, grid16, params)
     assert bump_report.sup_ut.max() <= b0 + 10 * grid16.spacing
 
 
@@ -309,5 +305,6 @@ def test_max_settled_residual_skips_endpoints(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, zero, bump)
     params = mc.FlowParams(epsilon=0.05)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.1)
-    tr = vf.energy_series(rep, params)
-    assert vf.max_settled_residual(tr, settle_time=0.02) <= tr.max_interior_residual
+    residual = np.abs(vf.energy_series(rep))
+    assert vf.max_settled_residual(rep, rep.t[0]) == np.max(residual[1:-1])
+    assert vf.max_settled_residual(rep, settle_time=0.02) <= np.max(residual[1:-1])
