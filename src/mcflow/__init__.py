@@ -14,8 +14,7 @@ from .flow import (IBVP, FlowReport, SteadyResult, ContinuationTable,
                    solve_ibvp, relax_to_steady, epsilon_continuation,
                    IncompatibleDataError)
 from .barriers import (Barrier, SupNormBound, ComparisonReport, BarrierError,
-                       build_upper_barrier, build_lower_barrier,
-                       barrier_supersolution_residual, sup_norm_bound,
+                       build_barriers, barrier_supersolution_residual, sup_norm_bound,
                        comparison_experiment, random_ordered_pair)
 from .verify import (DissipationBudget, GradientMaxReport, ViscosityProbe,
                      energy_series, dissipation_budget, gradient_interior_max_check,

@@ -9,7 +9,7 @@ from the operator's symmetry under (u, nu) -> (-u, -nu).
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ class Barrier:
     data_lipschitz: float
     psi: np.ndarray             # sampled on all inside nodes, NaN outside
     collar: np.ndarray          # bool mask of collar nodes
-    intro_bound_violated: bool = False
-    sup_u_bound: float | None = None   # flow sup bound the slope was sized for
     margin: float | None = None        # barrier_supersolution_residual at the slope
 
 
@@ -66,8 +64,8 @@ def _sampled_lipschitz(w: np.ndarray, grid: Grid, collar: np.ndarray) -> float:
     return LIPSCHITZ_SAFETY * best
 
 
-def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: Grid,
-                                   h_fn: Callable, params: FlowParams) -> float:
+def barrier_supersolution_residual(barrier: Barrier, problem: IBVP, grid: Grid,
+                                   params: FlowParams) -> float:
     """Minimum over the collar of the barrier's supersolution margin.
 
     Evaluates the discrete parabolic operator (time derivative zero) on
@@ -78,7 +76,7 @@ def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: G
     lam = barrier.slope
 
     def f(p):
-        return h_fn(p) + sign * lam * signed_distance(domain, p)
+        return problem.boundary_data(p) + sign * lam * signed_distance(problem.domain, p)
 
     pts, h = grid.points[barrier.collar], grid.spacing
     grad, hess = difference_jet(f(pts), lambda off: f(pts + off * h), h, grid.dim)
@@ -90,15 +88,19 @@ def barrier_supersolution_residual(barrier: Barrier, domain: DomainSpec, grid: G
     return float(np.min(-sign * vals))
 
 
-def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
-                        params: FlowParams, sup_u_bound: float | None = None) -> Barrier:
-    """Construct the boundary barrier for the given data.
+def build_barriers(problem: IBVP, grid: Grid, params: FlowParams) -> tuple:
+    """The upper and the lower boundary barrier of the problem, (upper, lower).
 
     Requires a positive curvature lower bound and |nu| < n*H0 (the bound
-    the supersolution margin actually needs); drifts past the stricter
-    admissible-interval bound are flagged, not rejected.  Without
-    sup_u_bound, nu != 0 costs the two steady solves of sup_norm_bound.
+    the supersolution margin actually needs); a drift past the stricter
+    admissible interval is left to the flow's warning.  The collar, the
+    data Lipschitz bound and the flow bound are shared, and only the slope
+    search runs per sign; at nu != 0 the flow bound costs the two steady
+    solves of sup_norm_bound.  At sign -1 every residual and domination
+    value is the negative of the mirrored problem's, (u, nu) -> (-u, -nu),
+    so the lower barrier is that problem's upper one with psi negated.
     """
+    domain = problem.domain
     n = domain.dim - 1
     h0 = boundary_mean_curvature_bound(domain)
     if h0 < H0_THRESHOLD:
@@ -106,7 +108,6 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
                            "barriers need a strictly convex boundary")
     if abs(params.nu) >= n * h0:
         raise BarrierError(f"|nu|={abs(params.nu)} >= n*H0={n * h0}; no barrier slope exists")
-    intro_violated = abs(params.nu) >= n * h0 / (n + 1)
 
     d = np.where(grid.inside, signed_distance(domain, grid.points.reshape(-1, grid.dim))
                  .reshape(grid.shape), np.nan)
@@ -114,60 +115,41 @@ def build_upper_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Ca
     collar = grid.inside & (d < rho)
 
     # data Lipschitz bound near the boundary, for the shifted field g - h
+    inside_pts = grid.points[grid.inside]
     w = np.full(grid.shape, np.nan)
-    w[grid.inside] = g_fn(grid.points[grid.inside]) - h_fn(grid.points[grid.inside])
+    w[grid.inside] = problem.initial_data(inside_pts) - problem.boundary_data(inside_pts)
     beta = _sampled_lipschitz(w, grid, collar) if collar.any() else 0.0
 
     # outer-edge domination: the barrier at depth rho must top the largest
-    # shifted value the flow can reach there
-    if sup_u_bound is None:
-        if params.nu == 0.0:
-            lo, hi = data_range(domain, grid, h_fn, g_fn)
-            sup_u_bound = max(abs(lo), abs(hi))
-        else:
-            sup_u_bound = sup_norm_bound(
-                IBVP(domain, h_fn, g_fn), grid, params).value
-    sup_h_collar = float(np.max(np.abs(h_fn(grid.points[collar])))) if collar.any() else 0.0
-    m_edge = sup_u_bound + sup_h_collar
-
-    lam = max(MIN_SLOPE, beta, m_edge / rho)
-
-    def residual_for(lam_try):
-        b = Barrier(sign=1, slope=lam_try, collar_width=rho, data_lipschitz=beta,
-                    psi=lam_try * d, collar=collar, intro_bound_violated=intro_violated)
-        return barrier_supersolution_residual(b, domain, grid, h_fn, params)
-
-    # sampled lower-order residual bound, then the slope the margin needs
-    gap = n * h0 - abs(params.nu)
-    res = residual_for(lam)
-    c_res = max(0.0, lam * gap - res)
-    lam = max(lam, (c_res + 1.0) / gap)
-
-    for _ in range(20):
-        res = residual_for(lam)
-        dom_gap = float(np.max((w - lam * d)[collar])) if collar.any() else -1.0
-        if res >= 0.0 and dom_gap <= 0.0:
-            break
-        lam *= 2.0
+    # shifted value the flow can reach there, which the mirror leaves alone
+    if params.nu == 0.0:
+        lo, hi = data_range(problem, grid)
+        sup_u = max(abs(lo), abs(hi))
     else:
+        sup_u = sup_norm_bound(problem, grid, params).value
+    sup_h_collar = (float(np.max(np.abs(problem.boundary_data(grid.points[collar]))))
+                    if collar.any() else 0.0)
+    start = max(MIN_SLOPE, beta, (sup_u + sup_h_collar) / rho)
+    gap = n * h0 - abs(params.nu)
+
+    def search(sign: int) -> Barrier:
+        def barrier(lam):
+            return Barrier(sign=sign, slope=lam, collar_width=rho, data_lipschitz=beta,
+                           psi=sign * lam * d, collar=collar)
+
+        # sampled lower-order residual bound, then the slope the margin needs
+        res = barrier_supersolution_residual(barrier(start), problem, grid, params)
+        lam = max(start, (max(0.0, start * gap - res) + 1.0) / gap)
+        for _ in range(20):
+            bar = barrier(lam)
+            bar.margin = barrier_supersolution_residual(bar, problem, grid, params)
+            dom_gap = float(np.max((sign * w - lam * d)[collar])) if collar.any() else -1.0
+            if bar.margin >= 0.0 and dom_gap <= 0.0:
+                return bar
+            lam *= 2.0
         raise BarrierError("no barrier slope certified within the doubling budget")
 
-    return Barrier(sign=1, slope=lam, collar_width=rho, data_lipschitz=beta,
-                   psi=lam * d, collar=collar, intro_bound_violated=intro_violated,
-                   sup_u_bound=sup_u_bound, margin=res)
-
-
-def build_lower_barrier(domain: DomainSpec, grid: Grid, h_fn: Callable, g_fn: Callable,
-                        params: FlowParams, sup_u_bound: float | None = None) -> Barrier:
-    """Lower barrier via the symmetry (u, nu) -> (-u, -nu).
-
-    The mirrored field is the negated one, exactly, so the upper barrier's
-    margin on the mirrored problem is the lower barrier's own.
-    """
-    flipped = replace(params, nu=-params.nu)
-    up = build_upper_barrier(domain, grid, lambda p: -h_fn(p), lambda p: -g_fn(p),
-                             flipped, sup_u_bound=sup_u_bound)
-    return replace(up, sign=-1, psi=-up.psi)
+    return search(1), search(-1)
 
 
 @dataclass
@@ -187,7 +169,7 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBoun
     the constant 1 and the relaxation returns immediately.
     """
     one = lambda p: np.ones(len(p))
-    lo, hi = data_range(problem.domain, grid, problem.boundary_data, problem.initial_data)
+    lo, hi = data_range(problem, grid)
     kappa = max(abs(lo), abs(hi))
     vmax = -np.inf
     ok = True

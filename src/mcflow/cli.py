@@ -153,9 +153,11 @@ def load_config(path, out_dir=None) -> RunConfig:
     build's admissibility check, run.horizon and run.tolerance must be
     positive, run.snapshot_times must lie in [0, run.horizon], run.seed
     must be at least 0, run.pairs and run.probe_budget at least 1, a given
-    run.eps_list must pass flow.check_eps_list, and boundary/initial data
-    must agree on the boundary (``IBVP`` checks it; the max mismatch is
-    reported on rejection).
+    run.eps_list must pass flow.check_eps_list, a comparison needs a ball,
+    a liouville run a smoothed stadium, params.nu >= 0 and a plateau (its
+    positive margin included) inside the straight section, and
+    boundary/initial data must agree on the boundary (``IBVP`` checks it;
+    the max mismatch is reported on rejection).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -219,6 +221,24 @@ def load_config(path, out_dir=None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid run.eps_list: {exc}") from None
 
+    plateau_start = _value(raw, "liouville.plateau_start", "0.25")
+    plateau_margin = _value(raw, "liouville.plateau_margin", "0.125")
+    if experiment == "comparison" and domain.kind != "ball":
+        raise ConfigError(f"comparison needs domain.kind = ball, got {domain.kind!r}")
+    if experiment == "liouville":
+        if domain.kind != "smoothed-stadium":
+            raise ConfigError(f"liouville needs domain.kind = smoothed-stadium, "
+                              f"got {domain.kind!r}")
+        if params.nu < 0:
+            raise ConfigError(f"liouville needs params.nu >= 0, got {params.nu}")
+        if not plateau_margin > 0:
+            raise ConfigError(f"liouville.plateau_margin must be positive, got {plateau_margin}")
+        straight = domain.straight_half_length - domain.corner_radius
+        if not plateau_start + plateau_margin <= straight:
+            raise ConfigError(f"liouville.plateau_start + liouville.plateau_margin = "
+                              f"{plateau_start + plateau_margin} leaves the straight section "
+                              f"(|axial| <= {straight})")
+
     try:
         problem = fl.IBVP(domain, boundary, initial)
     except fl.IncompatibleDataError as exc:
@@ -233,9 +253,9 @@ def load_config(path, out_dir=None) -> RunConfig:
         seed=seed,
         pairs=pairs,
         probe_budget=probe_budget,
-        plateau_start=_value(raw, "liouville.plateau_start", "0.25"),
+        plateau_start=plateau_start,
         plateau_value=_value(raw, "liouville.plateau_value", "1.0"),
-        plateau_margin=_value(raw, "liouville.plateau_margin", "0.125"),
+        plateau_margin=plateau_margin,
         out_dir=Path(out_dir) if out_dir else Path(raw.get("run.out_dir", ".")),
         raw=raw,
     )
@@ -329,8 +349,7 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
         "rate-ceiling", "time-derivative bound from the initial slice",
         b0 + 10 * h, float(report.sup_ut.max()), bool(report.sup_ut.max() <= b0 + 10 * h)))
     if cfg.params.nu == 0.0:
-        data_min, data_max = fl.data_range(cfg.domain, grid, cfg.boundary_expr,
-                                           cfg.initial_expr)
+        data_min, data_max = fl.data_range(problem, grid)
         over = max(float(report.max_u.max()) - data_max,
                    data_min - float(report.min_u.min()), 0.0)
         checks.append(PropertyCheck(
@@ -383,11 +402,7 @@ def _run_continuation(cfg: RunConfig, grid: geo.Grid, out: Path):
 
 def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
     h = grid.spacing
-    upper = ba.build_upper_barrier(cfg.domain, grid, cfg.boundary_expr,
-                                   cfg.initial_expr, cfg.params)
-    # the bound depends on |data| and on {nu, -nu}: the mirrored problem shares it
-    lower = ba.build_lower_barrier(cfg.domain, grid, cfg.boundary_expr, cfg.initial_expr,
-                                   cfg.params, sup_u_bound=upper.sup_u_bound)
+    upper, lower = ba.build_barriers(cfg.problem, grid, cfg.params)
     r_up, r_lo = upper.margin, lower.margin
     report = fl.solve_ibvp(cfg.problem, grid, cfg.params, cfg.horizon,
                            snapshot_times=np.linspace(0, cfg.horizon, 9))
@@ -540,7 +555,7 @@ def main(argv=None) -> int:
     for path, cfg in zip(args.config, configs):
         try:
             summary = run(cfg)
-        except BlowUpError as exc:
+        except (BlowUpError, ba.BarrierError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             ok = False
             continue

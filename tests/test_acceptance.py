@@ -113,10 +113,9 @@ def test_criterion_3_barrier_certification(unit_ball, grid32):
     results = []
     for nu in (0.0, 0.3):
         params = mc.FlowParams(epsilon=EPS, nu=nu)
-        bar = ba.build_upper_barrier(unit_ball, grid32, linear_x1, linear_x1, params)
-        resid = ba.barrier_supersolution_residual(bar, unit_ball, grid32,
-                                                  linear_x1, params)
         prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+        bar, _ = ba.build_barriers(prob, grid32, params)
+        resid = ba.barrier_supersolution_residual(bar, prob, grid32, params)
         rep = mc.solve_ibvp(prob, grid32, params, horizon=1.0,
                             snapshot_times=np.linspace(0.0, 1.0, 11))
         hvals = np.where(grid32.inside, grid32.points[..., 0], np.nan)

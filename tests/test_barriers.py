@@ -10,7 +10,7 @@ from helpers import zero, linear_x1, fd_gradient, sampled_lipschitz_bruteforce
 
 def test_zero_data_barrier_slope_floor(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
-    bar = ba.build_upper_barrier(unit_ball, grid32, zero, zero, params)
+    bar, _ = ba.build_barriers(mc.IBVP(unit_ball, zero, zero), grid32, params)
     assert bar.data_lipschitz == 0.0
     assert bar.slope >= 1.0
     assert bar.collar_width == pytest.approx(0.5)
@@ -22,7 +22,8 @@ def test_zero_data_residual_is_collar_curvature(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     bar = ba.Barrier(sign=1, slope=1.0, collar_width=0.5, data_lipschitz=0.0,
                      psi=None, collar=_collar(unit_ball, grid32, 0.5))
-    res = ba.barrier_supersolution_residual(bar, unit_ball, grid32, zero, params)
+    res = ba.barrier_supersolution_residual(bar, mc.IBVP(unit_ball, zero, zero), grid32,
+                                            params)
     assert 0.98 <= res <= 1.1
 
 
@@ -33,11 +34,12 @@ def _collar(domain, grid, rho):
 
 def test_linear_data_barrier_certified(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
-    bar = ba.build_upper_barrier(unit_ball, grid32, linear_x1, linear_x1, params)
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    bar, _ = ba.build_barriers(prob, grid32, params)
     assert bar.data_lipschitz <= 2.0
     assert np.isfinite(bar.slope)
     assert bar.collar_width == pytest.approx(0.5)
-    res = ba.barrier_supersolution_residual(bar, unit_ball, grid32, linear_x1, params)
+    res = ba.barrier_supersolution_residual(bar, prob, grid32, params)
     assert res >= 0.0
 
 
@@ -50,7 +52,7 @@ def test_data_lipschitz_is_the_max_over_collar_pairs(domain, h, g_fn):
     # every pair of collar nodes within 3 spacings counts, none across the
     # lattice edge and none with an exterior node
     grid = mc.build_grid(domain, h)
-    bar = ba.build_upper_barrier(domain, grid, zero, g_fn, mc.FlowParams(epsilon=0.05))
+    bar, _ = ba.build_barriers(mc.IBVP(domain, zero, g_fn), grid, mc.FlowParams(epsilon=0.05))
     w = np.full(grid.shape, np.nan)
     w[grid.inside] = g_fn(grid.points[grid.inside])
     oracle = sampled_lipschitz_bruteforce(w, grid, bar.collar)
@@ -64,7 +66,8 @@ def test_weak_slope_fails_certification(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     weak = ba.Barrier(sign=1, slope=1e-6, collar_width=0.5, data_lipschitz=0.0,
                       psi=None, collar=_collar(unit_ball, grid32, 0.5))
-    res = ba.barrier_supersolution_residual(weak, unit_ball, grid32, linear_x1, params)
+    res = ba.barrier_supersolution_residual(weak, mc.IBVP(unit_ball, linear_x1, linear_x1),
+                                            grid32, params)
     assert res < 0.0
 
 
@@ -72,28 +75,29 @@ def test_flat_boundary_domain_rejected(unit_ball):
     st = mc.smoothed_stadium(0.5, 1.5, 0.25)
     grid = mc.build_grid(st, 1 / 16)
     with pytest.raises(ba.BarrierError):
-        ba.build_upper_barrier(st, grid, zero, zero, mc.FlowParams(epsilon=0.05))
+        ba.build_barriers(mc.IBVP(st, zero, zero), grid, mc.FlowParams(epsilon=0.05))
 
 
 def test_speed_beyond_curvature_rejected(unit_ball, grid16):
     # n*H0 = 1 on the unit disk
     with pytest.raises(ba.BarrierError):
-        ba.build_upper_barrier(unit_ball, grid16, zero, zero,
-                               mc.FlowParams(epsilon=0.05, nu=1.1))
+        ba.build_barriers(mc.IBVP(unit_ball, zero, zero), grid16,
+                          mc.FlowParams(epsilon=0.05, nu=1.1))
 
 
 def test_intro_bound_flagged_not_rejected(unit_ball, grid16):
-    # n*H0/(n+1) = 0.5 on the unit disk: 0.6 is flagged but buildable
+    # n*H0/(n+1) = 0.5 on the unit disk: 0.6 is buildable (the flow's
+    # admissible-interval warning flags it)
     params = mc.FlowParams(epsilon=0.05, nu=0.6)
-    bar = ba.build_upper_barrier(unit_ball, grid16, zero, zero, params)
-    assert bar.intro_bound_violated
-    res = ba.barrier_supersolution_residual(bar, unit_ball, grid16, zero, params)
+    prob = mc.IBVP(unit_ball, zero, zero)
+    bar, _ = ba.build_barriers(prob, grid16, params)
+    res = ba.barrier_supersolution_residual(bar, prob, grid16, params)
     assert res >= 0.0
 
 
 def test_barrier_vanishes_on_boundary(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
-    bar = ba.build_upper_barrier(unit_ball, grid32, linear_x1, linear_x1, params)
+    bar, _ = ba.build_barriers(mc.IBVP(unit_ball, linear_x1, linear_x1), grid32, params)
     bpts = geo.boundary_points(unit_ball, 256)
     psi_b = bar.slope * geo.signed_distance(unit_ball, bpts)
     assert np.max(np.abs(psi_b)) < 1e-10
@@ -102,9 +106,10 @@ def test_barrier_vanishes_on_boundary(unit_ball, grid32):
 def test_barrier_dominates_shifted_data_on_collar(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     g = lambda p: p[:, 0] + 0.3 * (1 - np.sum(p ** 2, axis=1))
-    bar = ba.build_upper_barrier(unit_ball, grid32, linear_x1, g, params)
-    w = g(grid32.points[bar.collar]) - linear_x1(grid32.points[bar.collar])
-    assert np.max(w - bar.psi[bar.collar]) <= 0.0
+    up, lo = ba.build_barriers(mc.IBVP(unit_ball, linear_x1, g), grid32, params)
+    w = g(grid32.points[up.collar]) - linear_x1(grid32.points[up.collar])
+    assert np.max(w - up.psi[up.collar]) <= 0.0
+    assert np.min(w - lo.psi[lo.collar]) >= 0.0
 
 
 def test_distance_hessian_radial_identity(unit_ball, grid32):
@@ -125,23 +130,22 @@ def test_distance_hessian_radial_identity(unit_ball, grid32):
 
 def test_lower_barrier_mirrors_upper(unit_ball, grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
-    lo = ba.build_lower_barrier(unit_ball, grid32, linear_x1, linear_x1, params)
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    _, lo = ba.build_barriers(prob, grid32, params)
     assert lo.sign == -1
     assert np.nanmax(lo.psi) <= 0.0
-    res = ba.barrier_supersolution_residual(lo, unit_ball, grid32, linear_x1, params)
+    res = ba.barrier_supersolution_residual(lo, prob, grid32, params)
     assert res >= 0.0
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3])
 def test_barrier_carries_its_supersolution_margin(unit_ball, grid32, nu):
-    # the CLI certifies both barriers by the margin they carry; the lower
-    # one takes it from the upper barrier of the mirrored problem
+    # the CLI certifies both barriers by the margin they carry
     data = lambda p: p[:, 0] + 0.3 * p[:, 1] ** 2
     params = mc.FlowParams(epsilon=0.05, nu=nu)
-    for build in (ba.build_upper_barrier, ba.build_lower_barrier):
-        bar = build(unit_ball, grid32, data, data, params)
-        assert bar.margin == ba.barrier_supersolution_residual(bar, unit_ball, grid32,
-                                                               data, params)
+    prob = mc.IBVP(unit_ball, data, data)
+    for bar in ba.build_barriers(prob, grid32, params):
+        assert bar.margin == ba.barrier_supersolution_residual(bar, prob, grid32, params)
 
 
 def test_sup_norm_bound_nu_zero_is_data_plus_one(unit_ball, grid16):
@@ -234,8 +238,8 @@ def test_random_ordered_pairs_are_ordered(unit_ball):
 
 def test_flow_respects_upper_barrier_on_collar(unit_ball, grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
-    bar = ba.build_upper_barrier(unit_ball, grid16, linear_x1, linear_x1, params)
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    bar, _ = ba.build_barriers(prob, grid16, params)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.5,
                         snapshot_times=np.linspace(0, 0.5, 6))
     hvals = np.where(grid16.inside, grid16.points[..., 0], np.nan)
@@ -246,9 +250,54 @@ def test_flow_respects_upper_barrier_on_collar(unit_ball, grid16):
 
 def test_ring_gradient_under_barrier_slopes(unit_ball, grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
-    up = ba.build_upper_barrier(unit_ball, grid16, linear_x1, linear_x1, params)
-    lo = ba.build_lower_barrier(unit_ball, grid16, linear_x1, linear_x1, params)
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    up, lo = ba.build_barriers(prob, grid16, params)
     rep = mc.solve_ibvp(prob, grid16, params, horizon=0.25)
     bound = up.slope + lo.slope + 1.0 + 10 * grid16.spacing
     assert float(np.max(rep.sup_grad_ring)) <= bound
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, -0.2])
+@pytest.mark.parametrize("domain, h", [
+    (mc.ball(1.0), 1 / 16), (mc.ellipse(1.0, 0.5), 1 / 16),
+    (mc.ball(1.0, dim=3), 1 / 8), (mc.ellipse(1.0, 0.6, dim=3), 1 / 8),
+], ids=["ball-2d", "ellipse-2d", "ball-3d", "ellipse-3d"])
+def test_lower_barrier_is_the_mirrored_upper_barrier(domain, h, nu):
+    # (u, nu) -> (-u, -nu) maps the problem's lower barrier onto the upper
+    # barrier of the mirrored problem, bit for bit up to the sign of psi
+    grid = mc.build_grid(domain, h)
+    axes = np.asarray(domain.half_extents)
+    h_fn = lambda p: p[:, 0] + 0.3 * p[:, 1] ** 2
+    # g - h >= 0 vanishes on the boundary: a bump for the data scan, plus a
+    # rise within 0.01 of the boundary that only the upper slope must top
+    g_fn = lambda p: h_fn(p) + 0.3 * np.maximum(0.0, 1 - np.sum((p / axes) ** 2, axis=1)) \
+        + 0.2 * np.minimum(1.0, geo.signed_distance(domain, p) / 0.01)
+    _, lo = ba.build_barriers(mc.IBVP(domain, h_fn, g_fn), grid,
+                              mc.FlowParams(epsilon=0.05, nu=nu))
+    mirrored, _ = ba.build_barriers(mc.IBVP(domain, lambda p: -h_fn(p), lambda p: -g_fn(p)),
+                                    grid, mc.FlowParams(epsilon=0.05, nu=-nu))
+    assert (lo.sign, mirrored.sign) == (-1, 1)
+    for name in ("slope", "margin", "data_lipschitz", "collar_width"):
+        assert getattr(lo, name).hex() == getattr(mirrored, name).hex(), name
+    assert lo.data_lipschitz > 0.0
+    assert np.array_equal(lo.collar, mirrored.collar)
+    assert lo.psi[grid.inside].tobytes() == (-mirrored.psi[grid.inside]).tobytes()
+    assert np.isnan(lo.psi[~grid.inside]).all()
+
+
+@pytest.mark.parametrize("nu, solved", [(0.0, []), (0.3, [-0.3, 0.3])])
+def test_build_barriers_solves_each_steady_problem_once(unit_ball, grid16, monkeypatch,
+                                                        nu, solved):
+    # one flow bound serves both signs: sup_norm_bound's two steady solves
+    # at nu != 0, the data range alone at nu = 0
+    real = ba.relax_to_steady
+    nus = []
+
+    def counted(problem, grid, params, *args, **kwargs):
+        nus.append(params.nu)
+        return real(problem, grid, params, *args, **kwargs)
+
+    monkeypatch.setattr(ba, "relax_to_steady", counted)
+    ba.build_barriers(mc.IBVP(unit_ball, linear_x1, linear_x1), grid16,
+                      mc.FlowParams(epsilon=0.05, nu=nu))
+    assert sorted(nus) == solved

@@ -411,9 +411,7 @@ run.horizon = 0.01
 """
     cfg = cli.load_config(_write(tmp_path, text), out_dir=tmp_path / "b")
     grid = mc.build_grid(cfg.domain, cfg.spacing)
-    slopes = [builder(cfg.domain, grid, cfg.boundary_expr, cfg.initial_expr,
-                      cfg.params).slope
-              for builder in (ba.build_upper_barrier, ba.build_lower_barrier)]
+    slopes = [bar.slope for bar in ba.build_barriers(cfg.problem, grid, cfg.params)]
     real = ba.relax_to_steady
     nus = []
 
@@ -425,6 +423,56 @@ run.horizon = 0.01
     summary = cli.run(cfg)
     assert sorted(nus) == [-0.3, 0.3]
     assert [summary.scalars["upper_slope"], summary.scalars["lower_slope"]] == slopes
+
+
+STADIUM = """
+domain.kind = smoothed-stadium
+domain.half_width = 0.5
+domain.straight_half_length = 1.5
+domain.corner_radius = 0.25
+data.boundary = min(1, max(0, (x2 + 0.25)/0.5))
+params.epsilon = 0.05
+grid.spacing = 0.0625
+run.horizon = 0.01
+"""
+BALL = STADIUM.replace("smoothed-stadium", "ball\ndomain.radius = 1.0")
+BARRIER_BALL = "experiment = barrier\n" + BALL.replace("min(1, max(0, (x2 + 0.25)/0.5))", "x1")
+
+
+@pytest.mark.parametrize("text, rc, message", [
+    ("experiment = liouville\nliouville.plateau_start = 1.2\n" + STADIUM, 2,
+     "liouville.plateau_start + liouville.plateau_margin = 1.325 leaves the straight "
+     "section (|axial| <= 1.25)"),
+    ("experiment = liouville\n" + BALL, 2,
+     "liouville needs domain.kind = smoothed-stadium, got 'ball'"),
+    ("experiment = liouville\nparams.nu = -0.1\n" + STADIUM, 2,
+     "liouville needs params.nu >= 0, got -0.1"),
+    ("experiment = comparison\n" + BALL.replace(
+        "ball\ndomain.radius = 1.0", "ellipse\ndomain.semi_major = 1.0\ndomain.semi_minor = 0.5"),
+     2, "comparison needs domain.kind = ball, got 'ellipse'"),
+    ("experiment = barrier\n" + STADIUM.replace("min(1, max(0, (x2 + 0.25)/0.5))", "x1"), 1,
+     "{cfg}: curvature lower bound 0.00e+00 below threshold 0.001; barriers need a "
+     "strictly convex boundary"),
+], ids=["liouville-plateau", "liouville-ball", "liouville-nu", "comparison-ellipse",
+        "barrier-stadium"])
+def test_main_reports_an_unsupported_config_in_one_error_line(tmp_path, capsys, text, rc,
+                                                              message):
+    # a config rule stops the command before any run (exit 2); a barrier the
+    # domain does not admit fails its own run only, and the next config runs (exit 1)
+    cfg = _write(tmp_path, text)
+    argv = [text.split()[2], "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if rc == 2:
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(cfg)
+    else:
+        argv += ["--config", str(_write(tmp_path, BARRIER_BALL, "good.cfg"))]
+    assert cli.main(argv) == rc
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {message.format(cfg=cfg)}"]
+    assert (tmp_path / "o").exists() == (rc == 1)
+    if rc == 1:
+        assert (tmp_path / "o" / "run001" / "summary.txt").exists()
 
 
 def test_main_missing_config(tmp_path):

@@ -246,6 +246,21 @@ def test_continuation_stationary_data_eps_independent(unit_ball, grid16):
     assert all(d <= 1e-10 for d in table.sup_diffs)
 
 
+def test_continuation_blowup_names_its_row_node_and_step(unit_ball, grid16):
+    # an override step ten times the stability bound overflows the first row
+    params = mc.FlowParams(epsilon=0.2, dt_override=0.01)
+    prob = mc.IBVP(unit_ball, zero, bump)
+    with pytest.raises(mc.BlowUpError) as row:
+        mc.epsilon_continuation(prob, grid16, params, (0.2, 0.1, 0.05), horizon=5.0)
+    bvals = mc.boundary_values(grid16, prob.boundary_data)
+    with pytest.raises(mc.BlowUpError) as alone:
+        for _ in mc.march(mc.init_state(grid16, bump, bvals), grid16, params, bvals, 500):
+            pass
+    assert isinstance(row.value.node, tuple) and row.value.step > 0
+    assert (row.value.node, row.value.step) == (alone.value.node, alone.value.step)
+    assert str(row.value) == f"continuation row eps=0.2 aborted: {alone.value}"
+
+
 def test_continuation_needs_three_strictly_decreasing(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     with pytest.raises(ValueError):

@@ -72,11 +72,15 @@ def test_the_parameter_check_sees_an_unread_parameter(tmp_path):
     assert unread_parameters(src) == [(1, "f", "b"), (4, "<lambda>", "x")]
 
 
+def _module_path(module: str) -> Path:
+    path = PACKAGE.joinpath(*module.split(".")[1:])
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
 @lru_cache(maxsize=None)
 def _module_names(module: str) -> set:
     """Top-level names a module of the package binds, submodules included."""
-    path = PACKAGE.joinpath(*module.split(".")[1:])
-    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    path = _module_path(module)
     names = {p.stem for p in path.parent.glob("*.py")} if path.name == "__init__.py" else set()
     for node in _parse(path).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -89,9 +93,8 @@ def _module_names(module: str) -> set:
     return names
 
 
-def missing_demo_attributes(path: Path) -> list:
-    """(line, alias.attribute) for every package attribute a demo reads that does not exist."""
-    tree = _parse(path)
+def _package_aliases(tree: ast.Module) -> dict:
+    """alias -> package module for every import of the package a demo makes."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -99,7 +102,13 @@ def missing_demo_attributes(path: Path) -> list:
                         if a.name.split(".")[0] == "mcflow"}
         elif isinstance(node, ast.ImportFrom) and node.module == "mcflow":
             aliases |= {a.asname or a.name: f"mcflow.{a.name}" for a in node.names}
-    names = {alias: _module_names(module) for alias, module in aliases.items()}
+    return aliases
+
+
+def missing_demo_attributes(path: Path) -> list:
+    """(line, alias.attribute) for every package attribute a demo reads that does not exist."""
+    tree = _parse(path)
+    names = {alias: _module_names(module) for alias, module in _package_aliases(tree).items()}
     return [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in names and node.attr not in names[node.value.id]]
@@ -117,3 +126,78 @@ def test_the_demo_check_sees_a_missing_attribute(tmp_path):
     demo.write_text("import mcflow as mc\nfrom mcflow import verify as vf\n"
                     "mc.build_grid\nmc.verify\nvf.energy_series\nvf.no_such_name\n")
     assert missing_demo_attributes(demo) == [(6, "vf.no_such_name")]
+
+
+@lru_cache(maxsize=None)
+def _functions(module: str) -> dict:
+    """The functions a package module binds at top level, by name: its own
+    defs and those it imports from sibling modules.  Classes are left out."""
+    out = {}
+    for node in _parse(_module_path(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            defs = _functions(f"mcflow.{node.module}")
+            out |= {a.asname or a.name: defs[a.name] for a in node.names if a.name in defs}
+    return out
+
+
+def _misfit(call: ast.Call, fn) -> str | None:
+    """Why the call does not fit the def, or None when it does (or cannot be told)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    a = fn.args
+    positional = [arg.arg for arg in a.posonlyargs + a.args]
+    if len(call.args) > len(positional) and a.vararg is None:
+        return f"{len(call.args)} positional arguments for {len(positional)} parameters"
+    keywords = [arg.arg for arg in a.args + a.kwonlyargs]
+    for k in call.keywords:
+        if k.arg not in keywords and a.kwarg is None:
+            return f"unknown keyword {k.arg}"
+    given = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+    required = positional[:len(positional) - len(a.defaults)] + [
+        arg.arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is None]
+    missing = [name for name in required if name not in given]
+    return f"missing {', '.join(missing)}" if missing else None
+
+
+def misfit_demo_calls(path: Path) -> list:
+    """(line, alias.function, reason) for every call a demo makes through an
+    mcflow alias to a package function whose def it does not fit."""
+    tree = _parse(path)
+    modules = {alias: module for alias, module in _package_aliases(tree).items()
+               if _module_path(module).exists()}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            fn = _functions(modules[node.func.value.id]).get(node.func.attr)
+            reason = _misfit(node, fn) if fn is not None else None
+            if reason:
+                out.append((node.lineno, f"{node.func.value.id}.{node.func.attr}", reason))
+    return out
+
+
+def test_demo_calls_fit_the_package_signatures():
+    misfits = [f"{path.name}:{line} {call}: {reason}"
+               for path in sorted((ROOT / "demos").glob("*.py"))
+               for line, call, reason in misfit_demo_calls(path)]
+    assert misfits == []
+
+
+def test_the_call_check_sees_a_misfit_call(tmp_path):
+    demo = tmp_path / "demo.py"
+    demo.write_text(
+        "import mcflow as mc\nfrom mcflow import barriers as ba\n"
+        "ba.barrier_supersolution_residual(bar, ball, grid, lin, params)\n"
+        "ba.barrier_supersolution_residual(bar, prob, grid, params)\n"
+        "mc.solve_ibvp(prob, grid, params, horizon=1.0, snapshots=())\n"
+        "mc.solve_ibvp(prob, grid, params, snapshot_times=())\n"
+        "mc.solve_ibvp(prob, grid, params, 1.0, snapshot_times=())\n"
+        "mc.FlowParams(0.05, 0.0, None, 1)\nba.no_such_function(1)\n")
+    assert misfit_demo_calls(demo) == [
+        (3, "ba.barrier_supersolution_residual", "5 positional arguments for 4 parameters"),
+        (5, "mc.solve_ibvp", "unknown keyword snapshots"),
+        (6, "mc.solve_ibvp", "missing horizon"),
+    ]
