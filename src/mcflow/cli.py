@@ -555,7 +555,7 @@ def main(argv=None) -> int:
     for path, cfg in zip(args.config, configs):
         try:
             summary = run(cfg)
-        except (BlowUpError, ba.BarrierError) as exc:
+        except (BlowUpError, ba.BarrierError, lv.EnvelopeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             ok = False
             continue

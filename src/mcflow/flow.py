@@ -133,6 +133,10 @@ class _Recorder:
             sq += np.multiply(g, g, out=g)
         return float(np.max(sq)) if len(sq) else 0.0
 
+    # a run about to blow up has rates and gradients whose squares and sums
+    # leave the float range: they record as inf or nan, and the next update
+    # raises BlowUpError.  Off the inside s_node may be 0
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def record(self, state: FieldState, ws: Workspace):
         # ws holds the rate, gradient and smoothed norm of exactly this state
         grads = ws.grads.reshape(len(ws.grads), -1)
@@ -155,8 +159,7 @@ class _Recorder:
         np.multiply(s_node, self.wvol, out=w, where=self.inside)
         rows["energy"].append(float(np.sum(w)))
         np.multiply(r, r, out=w)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.divide(w, s_node, out=w, where=self.inside)
+        np.divide(w, s_node, out=w, where=self.inside)
         w *= self.wvol
         rows["dissipation"].append(float(np.sum(w)))
         np.multiply(r, self.wvol, out=w)

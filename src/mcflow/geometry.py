@@ -9,7 +9,8 @@ The grid build never projects: the ellipse (and spheroid) classifies nodes
 by its quadric test, the ball and the stadium by the sign of their exact
 signed distance.  The ball and the ellipse cut grid lines at the
 closed-form root of their quadric; only the stadium bisects its signed
-distance for the cuts.  The curvature bounds are closed forms.
+distance for the cuts, those of every axis and side in one loop.  The
+curvature bounds are closed forms.
 """
 
 from dataclasses import dataclass
@@ -179,18 +180,17 @@ def _project_ellipse(a: float, b: float, u: np.ndarray, v: np.ndarray):
     return x, y
 
 
-def _stadium_signed_distance(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
-    # exact SDF of the rounded box: offset of the shrunken box by corner_radius
-    rc = domain.corner_radius
-    half = domain.half_extents - rc
-    if domain.dim == 2:
-        q = np.abs(pts) - half
+def _stadium_signed_distance(pts: np.ndarray, half: np.ndarray, rc: float) -> np.ndarray:
+    """Exact SDF of the rounded box on centred points: the box of half-extents
+    half (the stadium's, less rc) offset by rc."""
+    if len(half) == 2:
+        q0, q1 = np.abs(pts[:, 0]) - half[0], np.abs(pts[:, 1]) - half[1]
     else:
         # rounded cylinder: reduce (x1, x2, x3) -> (|x'|, x3)
-        rho = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        q = np.stack([rho - half[0], np.abs(pts[:, 2]) - half[2]], axis=1)
-    outside = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=1))
-    inside = np.minimum(np.max(q, axis=1), 0.0)
+        q0 = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2) - half[0]
+        q1 = np.abs(pts[:, 2]) - half[2]
+    outside = np.sqrt(np.maximum(q0, 0.0) ** 2 + np.maximum(q1, 0.0) ** 2)
+    inside = np.minimum(np.maximum(q0, q1), 0.0)
     return rc - (outside + inside)
 
 
@@ -205,7 +205,8 @@ def signed_distance(domain: DomainSpec, x) -> np.ndarray:
     if domain.kind == "ball":
         d = domain.radius - np.sqrt(np.sum(pts ** 2, axis=1))
     elif domain.kind == "smoothed-stadium":
-        d = _stadium_signed_distance(domain, pts)
+        rc = domain.corner_radius
+        d = _stadium_signed_distance(pts, domain.half_extents - rc, rc)
     else:
         u, v = _ellipse_profile_point(pts)
         bu, bv = _project_ellipse(domain.semi_major, domain.semi_minor, u, v)
@@ -258,25 +259,20 @@ def _stadium_boundary_2d(domain: DomainSpec, count: int) -> np.ndarray:
     seg = [2 * wy, 2 * wy, 2 * wx, 2 * wx, 2 * np.pi * rc]
     total = sum(seg)
     s = (np.arange(count) + 0.5) / count * total
-    pts = np.empty((count, 2))
-    for k, sk in enumerate(s):
-        if sk < 2 * wy:  # right side
-            pts[k] = (a, -wy + sk)
-        elif sk < 4 * wy:  # left side
-            pts[k] = (-a, -wy + (sk - 2 * wy))
-        elif sk < 4 * wy + 2 * wx:  # top
-            pts[k] = (-wx + (sk - 4 * wy), L)
-        elif sk < 4 * wy + 4 * wx:  # bottom
-            pts[k] = (-wx + (sk - 4 * wy - 2 * wx), -L)
-        else:  # four corner arcs, parametrized jointly
-            u = (sk - 4 * wy - 4 * wx) / rc
-            quadrant = int(u // (np.pi / 2)) % 4
-            ang = u - quadrant * (np.pi / 2)
-            cx = (wx, -wx, -wx, wx)[quadrant]
-            cy = (wy, wy, -wy, -wy)[quadrant]
-            base = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)[quadrant]
-            pts[k] = (cx + rc * np.cos(base + ang), cy + rc * np.sin(base + ang))
-    return pts
+    # pieces in arc-length order: right side, left side, top, bottom, then
+    # the four corner arcs, parametrized jointly; every piece is evaluated
+    # at every s and each point keeps its own piece's value
+    piece = np.searchsorted([2 * wy, 4 * wy, 4 * wy + 2 * wx, 4 * wy + 4 * wx], s,
+                            side="right")
+    u = (s - 4 * wy - 4 * wx) / rc
+    quadrant = (u // (np.pi / 2)).astype(int) % 4
+    ang = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])[quadrant] + (
+        u - quadrant * (np.pi / 2))
+    x = np.choose(piece, [a, -a, -wx + (s - 4 * wy), -wx + (s - 4 * wy - 2 * wx),
+                          np.array([wx, -wx, -wx, wx])[quadrant] + rc * np.cos(ang)])
+    y = np.choose(piece, [-wy + s, -wy + (s - 2 * wy), L, -L,
+                          np.array([wy, wy, -wy, -wy])[quadrant] + rc * np.sin(ang)])
+    return np.stack([x, y], axis=1)
 
 
 def boundary_mean_curvature_bound(domain: DomainSpec) -> float:
@@ -386,7 +382,7 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
     The spacing must pass check_spacing; a coarse one sets coarse_warning.
     Nodes are inside by the ellipse's quadric test or by a positive signed
     distance (ball, stadium); no boundary projection runs, and only the
-    stadium's cuts bisect.
+    stadium's cuts bisect, all (axis, side) families in one loop.
     """
     coarse = check_spacing(domain, spacing)
 
@@ -405,8 +401,7 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
         inside = (signed_distance(domain, flat_pts) > 0.0).reshape(counts)
     interior = inside.copy()
     dim = domain.dim
-    theta = np.full((dim, 2) + counts, np.nan)
-
+    cut = np.zeros((dim, 2) + counts, bool)   # per (axis, side) family, like theta
     for ax in range(dim):
         for side, shift in ((0, 1), (1, -1)):  # side 0: minus neighbor, side 1: plus neighbor
             nbr_inside = np.roll(inside, shift, axis=ax)
@@ -417,19 +412,19 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
             idx = [slice(None)] * dim
             idx[ax] = 0 if side == 0 else -1
             edge[tuple(idx)] = True
-            cut = inside & (~nbr_inside | edge)
-            interior &= ~cut
-            if not cut.any():
-                continue
-            theta[ax, side][cut] = _cut_fractions(domain, points[cut], ax,
-                                                  -1.0 if side == 0 else 1.0, spacing)
+            cut[ax, side] = inside & (~nbr_inside | edge)
+            interior &= ~cut[ax, side]
+    theta = np.full((dim, 2) + counts, np.nan)
+    family, node = divmod(np.flatnonzero(cut), inside.size)   # family = 2 * axis + side
+    theta[cut] = _cut_fractions(domain, flat_pts[node], family // 2, 2.0 * (family % 2) - 1.0,
+                                spacing)
 
     near_boundary = inside & ~interior
 
     closure_axis = np.full(counts, -1, dtype=np.int8)
     closure_side = np.full(counts, -1, dtype=np.int8)
     if near_boundary.any():
-        th = np.where(np.isnan(theta), np.inf, theta)  # (dim, 2, *shape)
+        th = np.where(cut, theta, np.inf)  # (dim, 2, *shape)
         th_flat = th.reshape(dim * 2, *counts)
         best = np.argmin(th_flat, axis=0)
         closure_axis[near_boundary] = (best[near_boundary] // 2).astype(np.int8)
@@ -439,8 +434,8 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
     # whole segment to the boundary crossing (theta of a spacing)
     qweight = np.where(inside, 1.0, 0.0)
     for ax in range(dim):
-        side_minus = np.where(np.isfinite(theta[ax, 0]), theta[ax, 0], 0.5)
-        side_plus = np.where(np.isfinite(theta[ax, 1]), theta[ax, 1], 0.5)
+        side_minus = np.where(cut[ax, 0], theta[ax, 0], 0.5)
+        side_plus = np.where(cut[ax, 1], theta[ax, 1], 0.5)
         qweight *= side_minus + side_plus
 
     return Grid(domain=domain, spacing=spacing, origin=origin, shape=counts,
@@ -449,26 +444,33 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
                 qweight=qweight, points=points, coarse_warning=coarse)
 
 
-def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: int,
-                   direction: float, spacing: float) -> np.ndarray:
-    """Boundary crossing along a grid ray, as a fraction of spacing, in [1e-12, 1].
+def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: np.ndarray,
+                   direction: np.ndarray, spacing: float) -> np.ndarray:
+    """Boundary crossings along grid rays, as fractions of spacing, in [1e-12, 1].
 
-    Each point is strictly inside with its neighbor at pts + direction*spacing*e_axis
-    outside or on the boundary; convexity gives a single crossing in (0, 1].
-    The ball's and the ellipse's crossing is the closed-form root of their
-    quadric along the axis (half_extents reads (r, r[, r]) for the ball);
-    the stadium's bisects its signed distance.
+    Point i is strictly inside with its neighbor at
+    pts[i] + direction[i]*spacing*e_axis[i] outside or on the boundary;
+    convexity gives a single crossing in (0, 1].  The ball's and the
+    ellipse's crossing is the closed-form root of their quadric along the
+    axis (half_extents reads (r, r[, r]) for the ball); the stadium bisects
+    its signed distance, the cuts of all (axis, side) families in one loop.
     """
+    rows = np.arange(len(pts))
     if domain.kind in ("ball", "ellipse"):
         p = pts - np.asarray(domain.center)
         semi = domain.half_extents
-        rest = np.sum(np.delete(p / semi, axis, axis=1) ** 2, axis=1)
-        t = (semi[axis] * np.sqrt(np.maximum(1.0 - rest, 0.0))
-             - direction * p[:, axis]) / spacing
+        sq = (p / semi) ** 2
+        sq[rows, axis] = 0.0    # 0 + x is x: the sum runs over the other axes
+        t = (semi[axis] * np.sqrt(np.maximum(1.0 - np.sum(sq, axis=1), 0.0))
+             - direction * p[rows, axis]) / spacing
     else:
-        e = np.zeros(domain.dim)
-        e[axis] = direction * spacing
-        t = _bisect_crossing(lambda q: signed_distance(domain, q) > 0.0, pts, e)
+        step = np.zeros_like(pts)
+        step[rows, axis] = direction * spacing
+        c, rc = np.asarray(domain.center), domain.corner_radius
+        half = domain.half_extents - rc
+        # signed_distance(domain, q) > 0, its per-call set-up done once
+        t = _bisect_crossing(lambda q: _stadium_signed_distance(q - c, half, rc) > 0.0,
+                             pts, step)
     return np.maximum(np.minimum(t, 1.0), 1e-12)
 
 

@@ -23,7 +23,9 @@ ENVELOPE_SAMPLES = 1000
 
 
 class EnvelopeError(ValueError):
-    """No admissible envelope for the given data."""
+    """The problem admits no envelope: a plateau margin that is not positive
+    or leaves the straight section, data not non-decreasing along the axis or
+    off the plateau value past plateau_start, or no ramp under the data."""
 
 
 @dataclass
@@ -58,10 +60,11 @@ class CylinderProblem:
                                   self.domain.straight_half_length, 200)
         prof = self.axial_profile(taus)
         if np.min(np.diff(prof)) < -1e-10:
-            raise ValueError("initial data is not non-decreasing along the axis")
+            raise EnvelopeError("initial data is not non-decreasing along the axis")
         plateau = taus >= self.plateau_start
         if plateau.any() and np.max(np.abs(prof[plateau] - self.plateau_value)) > 1e-12:
-            raise ValueError("initial data does not sit at the plateau value past plateau_start")
+            raise EnvelopeError(
+                "initial data does not sit at the plateau value past plateau_start")
         self.data_lipschitz = float(np.max(np.abs(np.diff(prof) / np.diff(taus))))
 
     def axial_profile(self, taus: np.ndarray) -> np.ndarray:
@@ -203,24 +206,41 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     tau = grid.points[..., -1]
     inside = grid.inside
     deep = inside & (tau >= problem.plateau_start + problem.plateau_margin)
-    glow = env.lower_profile(tau.ravel()).reshape(grid.shape)
     lam = problem.plateau_value
-
-    # axially adjacent inside nodes: lo[i] is followed by hi[i] along the axis
+    # flat node indices in the masks' order, so each maximum reads the values
+    # masking would, in the same order, into preallocated buffers
+    flat_in, flat_deep = np.flatnonzero(inside), np.flatnonzero(deep)
+    glow = env.lower_profile(tau.ravel()[flat_in])
+    # axially adjacent inside nodes: below[i] is followed by below[i] + 1
+    # along the axis, which has flat stride 1
     lo = (slice(None),) * (grid.dim - 1) + (slice(0, -1),)
     hi = (slice(None),) * (grid.dim - 1) + (slice(1, None),)
-    pair = inside[lo] & inside[hi]
+    below = np.ravel_multi_index(np.nonzero(inside[lo] & inside[hi]), grid.shape)
+    above = below + 1
+    u_in, buf = np.empty((2, len(flat_in)))
+    # deep and paired nodes are inside nodes, so they fit the same buffers;
+    # u_above overwrites u_in only once the sandwich has read it
+    u_deep, u_below, u_above = buf[:len(flat_deep)], buf[:len(below)], u_in[:len(above)]
 
     rows = {k: [] for k in ("t", "F", "lo", "hi", "mono")}
     for _, st, _ in march(state, grid, params, bvals, n_steps):
-        u = st.values
+        u = st.values.ravel()
         rows["t"].append(st.time)
-        rows["F"].append(float(np.max(np.abs(u[deep] - lam))) if deep.any() else 0.0)
-        rows["lo"].append(float(np.max(np.maximum(glow[inside] - u[inside], 0.0))))
+        np.take(u, flat_deep, out=u_deep, mode="clip")
+        u_deep -= lam
+        rows["F"].append(float(np.maximum.reduce(np.abs(u_deep, out=u_deep)))
+                         if len(flat_deep) else 0.0)
+        np.take(u, flat_in, out=u_in, mode="clip")
+        np.subtract(glow, u_in, out=buf)
+        rows["lo"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
         drift = params.epsilon * params.nu * st.time
-        rows["hi"].append(float(np.max(np.maximum(u[inside] - lam - drift, 0.0))))
-        rows["mono"].append(float(np.max(np.maximum(u[lo][pair] - u[hi][pair], 0.0)))
-                            if pair.any() else 0.0)
+        np.subtract(u_in, lam, out=buf)
+        buf -= drift
+        rows["hi"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
+        np.take(u, below, out=u_below, mode="clip")
+        u_below -= np.take(u, above, out=u_above, mode="clip")
+        rows["mono"].append(float(np.maximum.reduce(np.maximum(u_below, 0.0, out=u_below)))
+                            if len(below) else 0.0)
 
     flat = np.array(rows["F"])
     bound = (params.epsilon * abs(params.nu) * float(rows["t"][-1])

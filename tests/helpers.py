@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import mcflow as mc
+from mcflow import geometry as geo
 from mcflow import operator as op
 from mcflow import verify as vf
 
@@ -424,3 +425,47 @@ BUILT_GRIDS = dict(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium"))
                    center=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
                    size=st.floats(0.8, 1.2), ratio=st.floats(0.15, 1.0),
                    fraction=st.floats(1 / 16, 1 / 2))
+
+
+def stadium_cuts_per_family(grid) -> np.ndarray:
+    """Oracle of the stadium's batched cuts: theta by one 60-halving bisection
+    of signed_distance per (axis, side) family, on the grid's own cut masks."""
+    domain = grid.domain
+    theta = np.full_like(grid.theta, np.nan)
+    for axis, side in product(range(grid.dim), range(2)):
+        mask = grid.cut_mask(axis, side)
+        if not mask.any():
+            continue
+        e = np.zeros(grid.dim)
+        e[axis] = (-1.0 if side == 0 else 1.0) * grid.spacing
+        t = geo._bisect_crossing(lambda q: geo.signed_distance(domain, q) > 0.0,
+                                 grid.points[mask], e)
+        theta[axis, side][mask] = np.maximum(np.minimum(t, 1.0), 1e-12)
+    return theta
+
+
+def stadium_boundary_2d_loop(domain, count) -> np.ndarray:
+    """Oracle of geometry._stadium_boundary_2d: one point at a time, piece by piece."""
+    a, L, rc = domain.half_width, domain.straight_half_length, domain.corner_radius
+    wx, wy = a - rc, L - rc
+    total = sum([2 * wy, 2 * wy, 2 * wx, 2 * wx, 2 * np.pi * rc])
+    s = (np.arange(count) + 0.5) / count * total
+    pts = np.empty((count, 2))
+    for k, sk in enumerate(s):
+        if sk < 2 * wy:  # right side
+            pts[k] = (a, -wy + sk)
+        elif sk < 4 * wy:  # left side
+            pts[k] = (-a, -wy + (sk - 2 * wy))
+        elif sk < 4 * wy + 2 * wx:  # top
+            pts[k] = (-wx + (sk - 4 * wy), L)
+        elif sk < 4 * wy + 4 * wx:  # bottom
+            pts[k] = (-wx + (sk - 4 * wy - 2 * wx), -L)
+        else:  # four corner arcs, parametrized jointly
+            u = (sk - 4 * wy - 4 * wx) / rc
+            quadrant = int(u // (np.pi / 2)) % 4
+            ang = u - quadrant * (np.pi / 2)
+            cx = (wx, -wx, -wx, wx)[quadrant]
+            cy = (wy, wy, -wy, -wy)[quadrant]
+            base = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)[quadrant]
+            pts[k] = (cx + rc * np.cos(base + ang), cy + rc * np.sin(base + ang))
+    return pts

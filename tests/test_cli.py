@@ -453,19 +453,26 @@ BARRIER_BALL = "experiment = barrier\n" + BALL.replace("min(1, max(0, (x2 + 0.25
     ("experiment = barrier\n" + STADIUM.replace("min(1, max(0, (x2 + 0.25)/0.5))", "x1"), 1,
      "{cfg}: curvature lower bound 0.00e+00 below threshold 0.001; barriers need a "
      "strictly convex boundary"),
+    ("experiment = liouville\n" + STADIUM.replace("min(1, max(0, (x2 + 0.25)/0.5))", "0"), 1,
+     "{cfg}: initial data does not sit at the plateau value past plateau_start"),
+    ("experiment = liouville\n" + STADIUM.replace("min(1, max(0, (x2 + 0.25)/0.5))", "-x2"), 1,
+     "{cfg}: initial data is not non-decreasing along the axis"),
 ], ids=["liouville-plateau", "liouville-ball", "liouville-nu", "comparison-ellipse",
-        "barrier-stadium"])
+        "barrier-stadium", "liouville-off-plateau", "liouville-falling"])
 def test_main_reports_an_unsupported_config_in_one_error_line(tmp_path, capsys, text, rc,
                                                               message):
     # a config rule stops the command before any run (exit 2); a barrier the
-    # domain does not admit fails its own run only, and the next config runs (exit 1)
+    # domain does not admit, or liouville data without an envelope, fails its
+    # own run only, and the next config runs (exit 1)
     cfg = _write(tmp_path, text)
-    argv = [text.split()[2], "--config", str(cfg), "--out", str(tmp_path / "o")]
+    experiment = text.split()[2]
+    argv = [experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
     if rc == 2:
         with pytest.raises(cli.ConfigError):
             cli.load_config(cfg)
     else:
-        argv += ["--config", str(_write(tmp_path, BARRIER_BALL, "good.cfg"))]
+        good = {"barrier": BARRIER_BALL, "liouville": "experiment = liouville\n" + STADIUM}
+        argv += ["--config", str(_write(tmp_path, good[experiment], "good.cfg"))]
     assert cli.main(argv) == rc
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ def test_continuation_blowup_names_its_row_node_and_step(unit_ball, grid16):
     assert isinstance(row.value.node, tuple) and row.value.step > 0
     assert (row.value.node, row.value.step) == (alone.value.node, alone.value.step)
     assert str(row.value) == f"continuation row eps=0.2 aborted: {alone.value}"
+
+
+def test_blowup_run_returns_aborted_without_a_warning(unit_ball, grid16):
+    # the same overflowing step: on the steps before the update turns
+    # non-finite, the recorder squares rates and gradients past the float range
+    params = mc.FlowParams(epsilon=0.2, dt_override=0.01)
+    prob = mc.IBVP(unit_ball, zero, bump)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mc.solve_ibvp(prob, grid16, params, horizon=5.0)
+    bvals = mc.boundary_values(grid16, prob.boundary_data)
+    with pytest.raises(mc.BlowUpError) as alone:
+        for _ in mc.march(mc.init_state(grid16, bump, bvals), grid16, params, bvals, 500):
+            pass
+    assert rep.aborted == str(alone.value)
+    assert f"at node {alone.value.node} on step {alone.value.step}" in rep.aborted
+    assert rep.steps == alone.value.step - 1 == len(rep.t) - 1
 
 
 def test_continuation_needs_three_strictly_decreasing(unit_ball, grid16):

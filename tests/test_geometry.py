@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import mcflow as mc
 from mcflow import geometry as geo
 
-from helpers import fd_gradient, fd_laplacian
+from helpers import fd_gradient, fd_laplacian, stadium_boundary_2d_loop, stadium_cuts_per_family
 
 
 def test_ball_distance_center_and_boundary():
@@ -370,3 +370,35 @@ def test_bisected_cuts_stay_bit_identical(domain, digest):
     g = mc.build_grid(domain, 1 / 32)
     assert hashlib.sha256(g.theta.tobytes()).hexdigest() == digest
 
+
+@pytest.mark.parametrize("domain, h", [
+    (mc.smoothed_stadium(0.5, 1.5, 0.25, dim=3), 1 / 16),
+    (mc.smoothed_stadium(0.5, 1.5, 0.5, (0.013, -0.021, 0.007), dim=3), 1 / 8),
+    (mc.smoothed_stadium(0.5, 1.5, 0.25, (0.013, -0.021)), 1 / 16),
+    (mc.smoothed_stadium(0.5, 1.5, 0.25, (0.013, -0.021)), 1 / 32),
+])
+def test_stadium_cuts_bisect_once_and_equal_the_per_family_oracle(monkeypatch, domain, h):
+    calls = []
+    bisect = geo._bisect_crossing
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return bisect(*args)
+
+    monkeypatch.setattr(geo, "_bisect_crossing", counted)
+    g = mc.build_grid(domain, h)
+    assert calls == [np.isfinite(g.theta).sum()]
+    assert stadium_cuts_per_family(g).tobytes() == g.theta.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 7, 100, 512, 1000])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stadium_boundary_points_equal_the_loop_oracle(monkeypatch, dim, count):
+    # the non-dyadic extents make the pieces' arithmetic round, so a
+    # regrouped sum shows; the full rounding leaves no top or bottom
+    for domain in (mc.smoothed_stadium(0.3, 0.7, 0.1, (0.1, -0.2, 0.05)[:dim], dim),
+                   mc.smoothed_stadium(0.5, 1.5, 0.5, dim=dim)):
+        pts = geo.boundary_points(domain, count)
+        monkeypatch.setattr(geo, "_stadium_boundary_2d", stadium_boundary_2d_loop)
+        assert geo.boundary_points(domain, count).tobytes() == pts.tobytes()
+        monkeypatch.undo()
