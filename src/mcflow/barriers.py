@@ -17,7 +17,7 @@ from .geometry import (DomainSpec, Grid, signed_distance, boundary_points,
                        boundary_mean_curvature_bound)
 from .flow import IBVP, COMPATIBILITY_SAMPLES, data_range, relax_to_steady
 from .operator import (FlowParams, BlowUpError, boundary_values, init_state, march,
-                       stable_dt, whole_steps)
+                       regularized_rhs, stable_dt, whole_steps)
 from .verify import difference_jet
 
 H0_THRESHOLD = 1e-3
@@ -95,8 +95,8 @@ def build_barriers(problem: IBVP, grid: Grid, params: FlowParams) -> tuple:
     the supersolution margin actually needs); a drift past the stricter
     admissible interval is left to the flow's warning.  The collar, the
     data Lipschitz bound and the flow bound are shared, and only the slope
-    search runs per sign; at nu != 0 the flow bound costs the two steady
-    solves of sup_norm_bound.  At sign -1 every residual and domination
+    search runs per sign; at nu != 0 the flow bound costs the one steady
+    solve of sup_norm_bound.  At sign -1 every residual and domination
     value is the negative of the mirrored problem's, (u, nu) -> (-u, -nu),
     so the lower barrier is that problem's upper one with psi negated.
     """
@@ -163,27 +163,27 @@ class SupNormBound:
 def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBound:
     """Certified sup bound for the flow from a steady comparison field.
 
-    Relaxes the steady problem with boundary value 1 (for the driving
-    speed and its negation) to SUP_NORM_TOL, shifts by the data sup, and
-    returns C = max(steady field) + shift.  For nu = 0 the steady field is
-    the constant 1 and the relaxation returns immediately.
+    Relaxes the steady problem with boundary value 1 at +|nu| to
+    SUP_NORM_TOL.  The scheme is odd under (u, nu) -> (-u, -nu) and
+    unchanged by adding a constant to u and its boundary data, so the image
+    2 - v of that field v solves the -|nu| problem; one rate evaluation
+    certifies it.  Returns C = max of both fields + the data sup, available
+    when both are certified and nonnegative.  At nu = 0 v is the constant 1.
     """
-    one = lambda p: np.ones(len(p))
+    one = lambda pts: np.ones(len(pts))
     lo, hi = data_range(problem, grid)
     kappa = max(abs(lo), abs(hi))
-    vmax = -np.inf
-    ok = True
-    for nu in {params.nu, -params.nu}:
-        # the auxiliary problem steps at its own stable dt, never the override
-        p = replace(params, nu=nu, dt_override=None)
-        aux = IBVP(problem.domain, one, one)
-        res = relax_to_steady(aux, grid, p, tol=SUP_NORM_TOL)
-        ok &= res.converged
-        vmax = max(vmax, float(np.max(res.state.values[grid.inside])))
-        # both comparison fields must stay nonnegative for the shifted
-        # field to dominate the data
-        if float(np.min(res.state.values[grid.inside])) < -1e-8:
-            ok = False
+    # the auxiliary problems step at their own stable dt, never the override
+    aux = replace(params, nu=abs(params.nu), dt_override=None)
+    res = relax_to_steady(IBVP(problem.domain, one, one), grid, aux, tol=SUP_NORM_TOL)
+    image = 2.0 - res.state.values
+    rate = regularized_rhs(image, grid, replace(aux, nu=-aux.nu), boundary_values(grid, one))
+    image_residual = float(np.max(np.abs(rate[grid.interior]), initial=0.0))
+    fields = (res.state.values[grid.inside], image[grid.inside])
+    vmax = max(float(np.max(v)) for v in fields)
+    # the shifted field dominates the data only over nonnegative comparison fields
+    ok = (res.converged and image_residual < SUP_NORM_TOL
+          and all(float(np.min(v)) >= -1e-8 for v in fields))
     return SupNormBound(value=vmax + kappa, available=ok, steady_max=vmax, data_shift=kappa)
 
 

@@ -103,15 +103,22 @@ def _parse_kv(path) -> dict:
     return raw
 
 
+def _float(text: str) -> float:
+    """The number text spells; ValueError unless it is finite."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split())
+    return tuple(_float(v) for v in text.split())
 
 
-def _value(raw: dict, key: str, default=None, convert=float):
+def _value(raw: dict, key: str, default=None, convert=_float):
     """``convert`` of the value of ``key``, or of ``default`` when the key is absent.
 
     A required key (no default) that is absent raises KeyError; a value that
-    does not convert is a ConfigError naming its key.
+    does not convert, or is a non-finite float, is a ConfigError naming its key.
     """
     text = raw[key] if default is None else raw.get(key, default)
     try:
@@ -147,8 +154,8 @@ def load_config(path, out_dir=None) -> RunConfig:
     """Parse and fully validate a run configuration.
 
     Keys outside CONFIG_KEYS are rejected with their line, a value that
-    does not convert (a number, a list, an expression) is rejected with its
-    key, expressions are smoke-tested at 10 random domain points, the
+    does not convert (a finite number, a list, an expression) is rejected
+    with its key, expressions are smoke-tested at 10 random domain points, the
     smoothing parameter must lie in (0, 1), grid.spacing must pass the grid
     build's admissibility check, run.horizon and run.tolerance must be
     positive, run.snapshot_times must lie in [0, run.horizon], run.seed

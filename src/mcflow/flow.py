@@ -102,8 +102,9 @@ class _Recorder:
     """Accumulates per-step diagnostics from the live workspace.
 
     Node sets are taken by flat index into preallocated buffers (mode "clip"
-    does not buffer; every index is in range).  The integrals are full-box
-    sums of a buffer that stays 0 off the inside nodes.
+    does not buffer; every index is in range).  The gradient maxima read the
+    squared gradient norm ws.grad_sq that the rate evaluation summed.  The
+    integrals are full-box sums of a buffer that stays 0 off the inside nodes.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -116,7 +117,7 @@ class _Recorder:
         self.inside, self.interior = grid.inside.ravel(), grid.interior.ravel()
         self.idx = {name: np.flatnonzero(getattr(grid, name)) for name in
                     ("inside", "interior", "near_boundary")}
-        self.buf, self.sq = np.empty((2, len(self.idx["inside"])))
+        self.buf = np.empty(len(self.idx["inside"]))
         # u_t, 0 off the interior; an integrand, 0 off the inside
         self.r, self.w = np.zeros((2, self.inside.size))
 
@@ -124,23 +125,13 @@ class _Recorder:
         idx = self.idx[name]
         return np.take(src, idx, out=self.buf[:len(idx)], mode="clip")
 
-    def _sup_grad_sq(self, grads: np.ndarray, name: str) -> float:
-        """max of g0*g0 + g1*g1 (+ g2*g2) over a node set, 0.0 if it is empty."""
-        sq = self.sq[:len(self.idx[name])]
-        sq.fill(0.0)        # 0 + x is x: a square is never -0
-        for g in grads:
-            g = self._take(g, name)
-            sq += np.multiply(g, g, out=g)
-        return float(np.max(sq)) if len(sq) else 0.0
-
-    # a run about to blow up has rates and gradients whose squares and sums
-    # leave the float range: they record as inf or nan, and the next update
-    # raises BlowUpError.  Off the inside s_node may be 0
+    # a run about to blow up has rates and squared gradients that leave the
+    # float range: they record as inf or nan, and the next update raises
+    # BlowUpError.  Off the inside s_node may be 0
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def record(self, state: FieldState, ws: Workspace):
-        # ws holds the rate, gradient and smoothed norm of exactly this state
-        grads = ws.grads.reshape(len(ws.grads), -1)
-        s_node, rate = ws.s_node.ravel(), ws.rate.ravel()
+        # ws holds the rate, squared gradient and smoothed norm of exactly this state
+        grad_sq, s_node, rate = ws.grad_sq.ravel(), ws.s_node.ravel(), ws.rate.ravel()
         rows, r, w = self.rows, self.r, self.w
         rows["t"].append(state.time)
         u = self._take(state.values.ravel(), "inside")
@@ -148,8 +139,10 @@ class _Recorder:
         rows["sup_u"].append(max(abs(lo), abs(hi)))
         rows["min_u"].append(lo)
         rows["max_u"].append(hi)
-        # inside = interior + ring, and sqrt commutes with max
-        gi, gr = (self._sup_grad_sq(grads, name) for name in ("interior", "near_boundary"))
+        # inside = interior + ring, and sqrt commutes with max; a square is
+        # never below the 0.0 an empty node set records
+        gi, gr = (float(np.max(self._take(grad_sq, name), initial=0.0))
+                  for name in ("interior", "near_boundary"))
         rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
         rows["sup_grad_interior"].append(float(np.sqrt(gi)))
         rows["sup_grad_ring"].append(float(np.sqrt(gr)))

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DomainSpec, Grid, smoothed_stadium
-from .flow import IBVP
 from .operator import FlowParams, boundary_values, init_state, march, stable_dt, whole_steps
 
 ENVELOPE_SAMPLES = 1000
@@ -73,9 +72,6 @@ class CylinderProblem:
         pts = np.tile(center, (len(taus), 1))
         pts[:, -1] = taus
         return self.initial_data(pts)
-
-    def ibvp(self) -> IBVP:
-        return IBVP(self.domain, self.initial_data, self.initial_data)
 
 
 def ramp_problem() -> CylinderProblem:
@@ -197,9 +193,9 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     if params.nu < 0:
         raise ValueError("flatness propagation needs nu >= 0")
     env = build_envelopes(problem)
-    ibvp = problem.ibvp()
-    bvals = boundary_values(grid, ibvp.boundary_data)
-    state = init_state(grid, ibvp.initial_data, bvals)
+    # the boundary data are the trace of the initial data
+    bvals = boundary_values(grid, problem.initial_data)
+    state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
     n_steps = max(whole_steps(horizon, dt), 0)
 

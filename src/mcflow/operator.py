@@ -230,10 +230,10 @@ class Workspace:
 
     One instance per (grid, run); reusing it across steps removes the
     allocation churn that otherwise dominates small-grid stepping.  After a
-    rate evaluation, grads and s_node hold the node gradient and smoothed
-    gradient norm of the evaluated field.  stack is the trailing shape of
-    the fields it serves: () for one field, (B,) for a stack of B, which
-    costs B * (5 + dim) full-grid arrays.
+    rate evaluation, grads, grad_sq and s_node hold the node gradient, its
+    squared norm and the smoothed gradient norm of the evaluated field.
+    stack is the trailing shape of the fields it serves: () for one field,
+    (B,) for a stack of B, which costs B * (6 + dim) full-grid arrays.
 
     dn, acc and tmp are flat, (N, *stack): flat node i + strides[ax] is the
     neighbor of i along axis ax.  Values that a shift wraps across a grid
@@ -245,6 +245,7 @@ class Workspace:
         shape = grid.shape + stack
         dim = grid.dim
         self.grads = np.full((dim,) + shape, np.nan)
+        self.grad_sq = np.full(shape, np.nan)
         self.s_node = np.full(shape, np.nan)
         self.rate = np.full(shape, np.nan)
         flat = (grid.interior.size,) + stack
@@ -310,7 +311,8 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + nu) with
     s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
     (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).  The face between
-    flat nodes i and i + s sits at i in dn and acc.
+    flat nodes i and i + s sits at i in dn and acc.  ws.grad_sq keeps
+    |grad u|^2, summed in axis order, for the step recorder.
     """
     ws = ws or Workspace(grid, values.shape[grid.dim:])
     h = grid.spacing
@@ -318,16 +320,16 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     node_gradient(values, grid, bvals, ws)
     v = _flat(values, grid.dim)
     grads = ws.grads.reshape((grid.dim,) + v.shape)
-    s_node, rate = _flat(ws.s_node, grid.dim), _flat(ws.rate, grid.dim)
+    grad_sq, s_node, rate = (_flat(a, grid.dim) for a in (ws.grad_sq, ws.s_node, ws.rate))
     dn, acc, tmp = ws.dn, ws.acc, ws.tmp
     # a blowing-up field may overflow here; euler_update's finiteness check
     # turns that into a BlowUpError
     with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(grads[0], grads[0], out=s_node)
+        np.multiply(grads[0], grads[0], out=grad_sq)
         for j in range(1, grid.dim):
             np.multiply(grads[j], grads[j], out=tmp)
-            s_node += tmp
-        s_node += eps2
+            grad_sq += tmp
+        np.add(grad_sq, eps2, out=s_node)
         np.sqrt(s_node, out=s_node)
 
         # the flux divergence accumulates in rate
@@ -411,12 +413,12 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
     """Forward-Euler march yielding (k, state, ws) for k = 0 (the start) to n_steps.
 
     The start state is copied once and advanced in place, so the caller's
-    state is never changed.  ws.rate, ws.grads and ws.s_node belong to the
-    yielded state until the next step overwrites them and the state.  A
-    stack of fields (values of shape (*grid.shape, B) with bvals built for
-    B boundary functions) advances with one operator call per step, each
-    field bit for bit as it would alone.  A non-finite update raises
-    BlowUpError naming the node and step, and in a stack the field.
+    state is never changed.  The arrays of ws belong to the yielded state
+    until the next step overwrites them and the state.  A stack of fields
+    (values of shape (*grid.shape, B) with bvals built for B boundary
+    functions) advances with one operator call per step, each field bit for
+    bit as it would alone.  A non-finite update raises BlowUpError naming
+    the node and step, and in a stack the field.
     """
     ws = Workspace(grid, state.values.shape[grid.dim:])
     dt = stable_dt(params, grid)

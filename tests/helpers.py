@@ -1,11 +1,14 @@
 """Shared data fields and small oracles for the test suite."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
 
 import mcflow as mc
+from mcflow import barriers as ba
+from mcflow import flow as fl
 from mcflow import geometry as geo
 from mcflow import operator as op
 from mcflow import verify as vf
@@ -81,6 +84,26 @@ def relax_explicit(problem, grid, params, tol, max_steps=EXPLICIT_MAX_STEPS):
             break
     return mc.SteadyResult(state=state, steps=k, converged=res < tol, residual=res,
                            newton_iterations=0)
+
+
+def sup_norm_bound_two_solves(problem, grid, params):
+    """Oracle for barriers.sup_norm_bound: one steady solve at nu and one at
+    -nu, where the bound takes the mirror of the +|nu| solve."""
+    one = lambda p: np.ones(len(p))
+    lo, hi = fl.data_range(problem, grid)
+    kappa = max(abs(lo), abs(hi))
+    vmax = -np.inf
+    ok = True
+    for nu in {params.nu, -params.nu}:
+        p = replace(params, nu=nu, dt_override=None)
+        res = mc.relax_to_steady(mc.IBVP(problem.domain, one, one), grid, p,
+                                 tol=ba.SUP_NORM_TOL)
+        ok &= res.converged
+        vmax = max(vmax, float(np.max(res.state.values[grid.inside])))
+        if float(np.min(res.state.values[grid.inside])) < -1e-8:
+            ok = False
+    return mc.SupNormBound(value=vmax + kappa, available=ok, steady_max=vmax,
+                           data_shift=kappa)
 
 
 def spot_check_loop(snapshots, times, grid, params, mode, probe_budget=2000,

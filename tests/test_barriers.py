@@ -5,7 +5,8 @@ import mcflow as mc
 from mcflow import barriers as ba
 from mcflow import geometry as geo
 
-from helpers import zero, linear_x1, fd_gradient, sampled_lipschitz_bruteforce
+from helpers import (zero, linear_x1, fd_gradient, sampled_lipschitz_bruteforce,
+                     sup_norm_bound_two_solves)
 
 
 def test_zero_data_barrier_slope_floor(unit_ball, grid32):
@@ -172,6 +173,45 @@ def test_sup_norm_bound_with_drift(unit_ball, grid16):
     assert sb.value == pytest.approx(1.0 + sb.steady_max)
 
 
+SUP_NORM_GRIDS = {"disk-16": (mc.ball(1.0), 1 / 16), "disk-32": (mc.ball(1.0), 1 / 32),
+                  "ellipse": (mc.ellipse(1.0, 0.6), 1 / 16),
+                  "spheroid": (mc.ellipse(1.0, 0.6, dim=3), 1 / 8),
+                  "ball-3d": (mc.ball(1.0, dim=3), 1 / 8)}
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, -0.3, 0.45, -0.9])
+@pytest.mark.parametrize("kind", list(SUP_NORM_GRIDS))
+def test_sup_norm_bound_equals_the_two_solve_oracle(kind, nu):
+    # the -|nu| field is the mirror 2 - v of the +|nu| one, not a second solve
+    domain, h = SUP_NORM_GRIDS[kind]
+    grid = mc.build_grid(domain, h)
+    prob = mc.IBVP(domain, linear_x1, linear_x1)
+    params = mc.FlowParams(epsilon=0.05, nu=nu)
+    got = ba.sup_norm_bound(prob, grid, params)
+    ref = sup_norm_bound_two_solves(prob, grid, params)
+    assert got.available is ref.available is True
+    for name in ("value", "steady_max", "data_shift"):
+        assert getattr(got, name).hex() == getattr(ref, name).hex(), name
+
+
+def test_sup_norm_bound_is_available_only_with_a_certified_mirror(unit_ball, grid16,
+                                                                  monkeypatch):
+    # one rate evaluation of the image at -|nu| must meet SUP_NORM_TOL
+    real = ba.regularized_rhs
+    nus = []
+
+    def off(values, grid, params, bvals, ws=None):
+        nus.append(params.nu)
+        return real(values, grid, params, bvals, ws) + 2 * ba.SUP_NORM_TOL
+
+    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
+    params = mc.FlowParams(epsilon=0.05, nu=0.3)
+    assert ba.sup_norm_bound(prob, grid16, params).available
+    monkeypatch.setattr(ba, "regularized_rhs", off)
+    assert not ba.sup_norm_bound(prob, grid16, params).available
+    assert nus == [-0.3]
+
+
 def test_comparison_identical_problems_zero_violation(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
     rep = ba.comparison_experiment(prob, prob, grid16,
@@ -285,10 +325,10 @@ def test_lower_barrier_is_the_mirrored_upper_barrier(domain, h, nu):
     assert np.isnan(lo.psi[~grid.inside]).all()
 
 
-@pytest.mark.parametrize("nu, solved", [(0.0, []), (0.3, [-0.3, 0.3])])
+@pytest.mark.parametrize("nu, solved", [(0.0, []), (0.3, [0.3])])
 def test_build_barriers_solves_each_steady_problem_once(unit_ball, grid16, monkeypatch,
                                                         nu, solved):
-    # one flow bound serves both signs: sup_norm_bound's two steady solves
+    # one flow bound serves both signs: sup_norm_bound's one steady solve
     # at nu != 0, the data range alone at nu = 0
     real = ba.relax_to_steady
     nus = []

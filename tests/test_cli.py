@@ -77,7 +77,7 @@ run.horizon = 0.002
 """
 
 
-@pytest.mark.parametrize("spacing", ["2.0", "0", "-0.1", "nan"])
+@pytest.mark.parametrize("spacing", ["2.0", "0", "-0.1"])
 def test_config_rejects_an_inadmissible_spacing(tmp_path, spacing):
     bad = SPHEROID_FLOW.replace("grid.spacing = 0.125", f"grid.spacing = {spacing}")
     domain = mc.ellipse(1.0, 0.6, dim=3)
@@ -147,7 +147,7 @@ def test_every_shipped_config_loads(path):
     cli.load_config(path)
 
 
-@pytest.mark.parametrize("tolerance", ["0", "-1e-6", "nan"])
+@pytest.mark.parametrize("tolerance", ["0", "-1e-6"])
 def test_config_rejects_a_nonpositive_tolerance(tmp_path, tolerance):
     bad = MINIMAL_FLOW.replace("experiment = flow", "experiment = steady") \
         + f"run.tolerance = {tolerance}\n"
@@ -189,6 +189,17 @@ KEYED_ERRORS = {
         "invalid data.initial: expression 'x3' uses x3 but points have dimension 2",
     "data.initial = sqrt(x1)": "invalid data.initial: evaluates non-finite at sample points",
 }
+# a non-finite number is refused before any rule of its key can misread it
+KEYED_ERRORS |= {f"{key} = {value}": f"invalid {key}: {bad!r} is not a finite number"
+                 for key, value, bad in (
+                     ("params.dt_override", "nan", "nan"), ("params.dt_override", "inf", "inf"),
+                     ("params.nu", "inf", "inf"), ("run.horizon", "inf", "inf"),
+                     ("run.tolerance", "inf", "inf"), ("run.tolerance", "nan", "nan"),
+                     ("grid.spacing", "nan", "nan"), ("domain.radius", "inf", "inf"),
+                     ("domain.radius", "nan", "nan"), ("domain.center", "nan 0", "nan"),
+                     ("liouville.plateau_value", "nan", "nan"),
+                     ("run.snapshot_times", "0.005 -inf", "-inf"),
+                     ("run.horizon", "1e999", "1e999"))}
 
 
 @pytest.mark.parametrize("line", KEYED_ERRORS)
@@ -421,7 +432,7 @@ run.horizon = 0.01
 
     monkeypatch.setattr(ba, "relax_to_steady", counted)
     summary = cli.run(cfg)
-    assert sorted(nus) == [-0.3, 0.3]
+    assert nus == [0.3]
     assert [summary.scalars["upper_slope"], summary.scalars["lower_slope"]] == slopes
 
 

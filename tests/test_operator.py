@@ -14,7 +14,7 @@ from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
                      quadrature, SliceWorkspace, regularized_rhs_slices,
                      built_domain, built_grid, BUILT_GRIDS)
 
-WS_FIELDS = ("rate", "grads", "s_node")
+WS_FIELDS = ("rate", "grads", "grad_sq", "s_node")
 
 
 def _node_index(grid, x, y):
@@ -539,7 +539,9 @@ def test_lattice_edge_nodes_are_cut_on_their_edge_side(kind, dim, center, size, 
 
 def _assert_matches_slice_oracle(grid, data, params, steps):
     """Rate at interior nodes, gradient and smoothed norm at inside nodes,
-    bit for bit against the slice oracle, on every state of a short march."""
+    bit for bit against the slice oracle, and the squared gradient norm
+    against the summed squares of the gradient, on every state of a short
+    march."""
     bv = op.boundary_values(grid, data)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, steps):
         ref = SliceWorkspace(grid, state.values.shape[grid.dim:])
@@ -547,6 +549,8 @@ def _assert_matches_slice_oracle(grid, data, params, steps):
         assert ws.rate[grid.interior].tobytes() == ref.rate[grid.interior].tobytes()
         assert ws.s_node[grid.inside].tobytes() == ref.s_node[grid.inside].tobytes()
         assert ws.grads[:, grid.inside].tobytes() == ref.grads[:, grid.inside].tobytes()
+        summed = np.sum(ws.grads ** 2, axis=0)
+        assert ws.grad_sq[grid.inside].tobytes() == summed[grid.inside].tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -570,6 +574,15 @@ def test_flat_operator_matches_slice_oracle_on_defects(stack_grids, stacked):
     _, _, fields = _closure_fields(2)
     _assert_matches_slice_oracle(stack_grids["defects"], fields if stacked else fields[0],
                                  mc.FlowParams(epsilon=0.1, nu=0.3), 3)
+
+
+@pytest.mark.parametrize("kind", ["disk", "spheroid", "disk-stack"])
+def test_grad_sq_is_the_summed_square_of_the_node_gradient(grid16, kind):
+    # the recorder's gradient maxima read ws.grad_sq, not the squared gradient
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 8) if kind == "spheroid" else grid16
+    _, _, fields = _closure_fields(grid.dim)
+    _assert_matches_slice_oracle(grid, fields if kind == "disk-stack" else fields[0],
+                                 mc.FlowParams(epsilon=0.05, nu=0.3), 3)
 
 
 def test_rhs_temporaries_stay_small():

@@ -72,6 +72,38 @@ def test_the_parameter_check_sees_an_unread_parameter(tmp_path):
     assert unread_parameters(src) == [(1, "f", "b"), (4, "<lambda>", "x")]
 
 
+def unread_imports(path: Path) -> list:
+    """(line, name) for every name a module imports and never reads.
+
+    A read is a load of the name anywhere in the module, an attribute read
+    through it included.  Future imports bind no name and are left out.
+    """
+    tree = _parse(path)
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((node.lineno, name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                  if name != "*" and name not in loads)
+
+
+def test_every_import_is_read():
+    # the package's __init__ imports to re-export, so only the modules are checked
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for line, name in unread_imports(path)]
+    assert unread == []
+
+
+def test_the_import_check_sees_an_unread_import(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\nimport os\nimport os.path\n"
+                   "import numpy as np\nfrom a import b as c, d\nfrom . import e\n"
+                   "from f import *\n\ndef g(x: d) -> None:\n    return np.sum(x)\n")
+    assert unread_imports(src) == [(2, "os"), (3, "os"), (5, "c"), (6, "e")]
+
+
 def _module_path(module: str) -> Path:
     path = PACKAGE.joinpath(*module.split(".")[1:])
     return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
