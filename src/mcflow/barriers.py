@@ -212,8 +212,8 @@ def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
         raise ValueError(f"need as many low problems as high ones, at least one; "
                          f"got {len(lows)} and {len(highs)}")
     inside_pts = grid.points[grid.inside]
+    bpts = boundary_points(grid.domain, COMPATIBILITY_SAMPLES)
     for low, high in zip(lows, highs):
-        bpts = boundary_points(low.domain, COMPATIBILITY_SAMPLES)
         if np.min(high.initial_data(inside_pts) - low.initial_data(inside_pts)) < -1e-12:
             raise ValueError("initial data are not ordered: g_low > g_high somewhere")
         if np.min(high.boundary_data(bpts) - low.boundary_data(bpts)) < -1e-12:

@@ -440,7 +440,8 @@ def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
     worst = ba.comparison_experiment(lows, highs, grid, cfg.params, cfg.horizon).max_violation
     checks = [PropertyCheck("ordering-preserved", "ordered data evolve ordered",
                             1e-10, worst, worst <= 1e-10)]
-    return checks, {"pairs": cfg.pairs, "max_violation": worst}, [], []
+    return (checks, {"pairs": cfg.pairs, "max_violation": worst}, [],
+            fl.collect_warnings(cfg.domain, grid, cfg.params))
 
 
 def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -500,7 +501,7 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
         "sup_flatness": report.sup_flatness, "bound": report.bound,
         "max_monotone_violation": float(report.monotone_violation.max()),
     }
-    return checks, scalars, [cpath], []
+    return checks, scalars, [cpath], fl.collect_warnings(cfg.domain, grid, cfg.params)
 
 
 _RUNNERS = {

@@ -10,10 +10,14 @@ and ``max`` (one or more arguments) and of ``abs``, ``sqrt`` and ``exp``
 expression nested too deeply to parse, walk or evaluate within Python's
 recursion limit (about a thousand levels).  The walk builds closures that
 evaluate vectorized over (N, dim) point arrays; nothing reaches ``eval``,
-``exec`` or ``compile``.
+``exec`` or ``compile``.  A constant evaluates to a scalar, not a
+filled array, so a constant exponent takes numpy's scalar-exponent paths:
+``x^2`` is the correctly rounded square, ``x^0.5`` the square root and
+``x^-1`` the reciprocal.
 """
 
 import ast
+import functools
 import operator
 import re
 
@@ -23,8 +27,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
                     r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^(),|]))")
 
 _FUNCS = {
-    "min": lambda *a: np.minimum.reduce(a),
-    "max": lambda *a: np.maximum.reduce(a),
+    "min": lambda *a: functools.reduce(np.minimum, a),
+    "max": lambda *a: functools.reduce(np.maximum, a),
     "abs": lambda a: np.abs(a),
     "sqrt": lambda a: np.sqrt(a),
     "exp": lambda a: np.exp(a),
@@ -91,7 +95,8 @@ class Expression:
             if isinstance(node, ast.Constant) and type(node.value) in (int, float):
                 # float() of the literal as written: a 400-digit integer reads inf
                 c = float(src[node.col_offset:node.end_col_offset])
-                return lambda pts: np.full(len(pts), c)
+                # a scalar in the points' precision, not a filled array
+                return lambda pts: pts.dtype.type(c)
             if isinstance(node, ast.Name):
                 if not re.fullmatch(r"x[1-9]", node.id):
                     raise ExpressionError(f"unknown variable {node.id!r} in expression "

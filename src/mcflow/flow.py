@@ -32,7 +32,8 @@ class IBVP:
 
     Both data functions take (N, dim) point arrays and must agree on the
     boundary to within 1e-10; the flow's a priori bounds require it, so a
-    mismatch is an error rather than a warning.
+    mismatch is an error rather than a warning.  One function given as both
+    agrees with itself and is not sampled.
     """
 
     domain: DomainSpec
@@ -40,6 +41,8 @@ class IBVP:
     initial_data: Callable
 
     def __post_init__(self):
+        if self.boundary_data is self.initial_data:
+            return
         pts = boundary_points(self.domain, COMPATIBILITY_SAMPLES)
         gap = np.max(np.abs(self.boundary_data(pts) - self.initial_data(pts)))
         if gap > COMPATIBILITY_TOL:
@@ -85,11 +88,12 @@ class FlowReport:
     warnings: list = dc_field(default_factory=list)
 
 
-def _collect_warnings(problem: IBVP, grid: Grid, params: FlowParams) -> list:
+def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list:
     warns = []
-    lo, hi = admissible_nu_interval(problem.domain)
+    lo, hi = admissible_nu_interval(domain)
     if not lo < params.nu < hi:
-        warns.append(f"nu={params.nu} outside the admissible interval ({lo:.6g}, {hi:.6g})")
+        # + 0.0: a flat side's interval prints (0, 0), without a negative zero
+        warns.append(f"nu={params.nu} outside the admissible interval ({lo + 0.0:.6g}, {hi:.6g})")
     if dt_exceeds_stability(params, grid):
         warns.append(f"dt_override={params.dt_override} exceeds the stability bound "
                      f"{0.5 * grid.spacing ** 2 / grid.dim:.6g}")
@@ -195,7 +199,7 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
         **{name: np.array(row) for name, row in rec.rows.items()},
         snapshots=snapshots, steps=k, dt=dt,
         wall_clock=_time.perf_counter() - t0, aborted=aborted,
-        warnings=_collect_warnings(problem, grid, params),
+        warnings=collect_warnings(problem.domain, grid, params),
     )
 
 
@@ -435,7 +439,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
             best_state = FieldState(values, state.time)
     return SteadyResult(state=best_state, steps=evals, converged=best_sup < tol,
                         residual=best_sup, newton_iterations=best_it,
-                        warnings=_collect_warnings(problem, grid, params))
+                        warnings=collect_warnings(problem.domain, grid, params))
 
 
 @dataclass
@@ -490,4 +494,4 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
                   for a, b in zip(fields, fields[1:]))
     mono = all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
     return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono,
-                             warnings=_collect_warnings(problem, grid, params))
+                             warnings=collect_warnings(problem.domain, grid, params))

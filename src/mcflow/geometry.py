@@ -135,9 +135,10 @@ def _as_points(x) -> np.ndarray:
 
 def _ellipse_profile_point(pts: np.ndarray):
     """Reduce to the planar problem: (axial coord, transverse radius)."""
-    u = pts[:, 0]
-    v = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
-    return u, v
+    v = pts[:, 1] ** 2
+    if pts.shape[1] == 3:
+        v += pts[:, 2] ** 2
+    return pts[:, 0], np.sqrt(v)
 
 
 def _inside_ellipse(domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
@@ -345,16 +346,14 @@ class Grid:
     def n_interior(self) -> int:
         return int(self.interior.sum())
 
-    def cut_mask(self, axis: int, side: int) -> np.ndarray:
-        return np.isfinite(self.theta[axis, side])
-
-    def cut_points(self, axis: int, side: int) -> np.ndarray:
-        """Coordinates of boundary intersections for the given cut family."""
-        mask = self.cut_mask(axis, side)
-        pts = self.points[mask].copy()
-        sign = 1.0 if side == 1 else -1.0
-        pts[:, axis] += sign * self.theta[axis, side][mask] * self.spacing
-        return pts
+    def cuts(self) -> tuple:
+        """Flat indices into theta of every cut, family by family, and the
+        coordinates of its boundary intersection."""
+        index = np.flatnonzero(np.isfinite(self.theta))
+        node, axis, direction = _cut_families(index, self.inside.size)
+        pts = self.points.reshape(-1, self.dim)[node]
+        pts[np.arange(len(index)), axis] += direction * self.theta.reshape(-1)[index] * self.spacing
+        return index, pts
 
     def domain_measure(self) -> float:
         return float(self.qweight.sum() * self.spacing ** self.dim)
@@ -382,7 +381,9 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
     The spacing must pass check_spacing; a coarse one sets coarse_warning.
     Nodes are inside by the ellipse's quadric test or by a positive signed
     distance (ball, stadium); no boundary projection runs, and only the
-    stadium's cuts bisect, all (axis, side) families in one loop.
+    stadium's cuts bisect, all (axis, side) families in one loop.  The cut
+    masks compare overlapping slices of the inside mask, and the closure
+    direction and cell fractions are formed at near-boundary nodes only.
     """
     coarse = check_spacing(domain, spacing)
 
@@ -399,49 +400,50 @@ def build_grid(domain: DomainSpec, spacing: float) -> Grid:
         inside = _inside_ellipse(domain, flat_pts - center).reshape(counts)
     else:
         inside = (signed_distance(domain, flat_pts) > 0.0).reshape(counts)
-    interior = inside.copy()
     dim = domain.dim
-    cut = np.zeros((dim, 2) + counts, bool)   # per (axis, side) family, like theta
+    # per (axis, side) family, like theta: a node is cut on side 0 when it is
+    # inside and its minus neighbor is not, or it sits on the first lattice
+    # plane (a node on the boundary to round-off can); side 1 mirrors it.
+    # The operator's flat-stride stencils depend on the edge cuts
+    cut = np.ones((dim, 2) + counts, bool)
     for ax in range(dim):
-        for side, shift in ((0, 1), (1, -1)):  # side 0: minus neighbor, side 1: plus neighbor
-            nbr_inside = np.roll(inside, shift, axis=ax)
-            # roll wraps the lattice edge, where a node on the boundary to
-            # round-off can be inside; the edge mask cuts it on its edge side.
-            # The operator's flat-stride stencils depend on that mask
-            edge = np.zeros(counts, bool)
-            idx = [slice(None)] * dim
-            idx[ax] = 0 if side == 0 else -1
-            edge[tuple(idx)] = True
-            cut[ax, side] = inside & (~nbr_inside | edge)
-            interior &= ~cut[ax, side]
+        lo, hi = ((slice(None),) * ax + (s,) for s in (slice(None, -1), slice(1, None)))
+        cut[ax, 0][hi] = ~inside[lo]
+        cut[ax, 1][lo] = ~inside[hi]
+    cut &= inside
+    interior = inside & ~cut.any(axis=(0, 1))
     theta = np.full((dim, 2) + counts, np.nan)
-    family, node = divmod(np.flatnonzero(cut), inside.size)   # family = 2 * axis + side
-    theta[cut] = _cut_fractions(domain, flat_pts[node], family // 2, 2.0 * (family % 2) - 1.0,
-                                spacing)
+    index = np.flatnonzero(cut)
+    node, axis, direction = _cut_families(index, inside.size)
+    theta.reshape(-1)[index] = _cut_fractions(domain, flat_pts[node], axis, direction, spacing)
 
     near_boundary = inside & ~interior
-
+    nb = np.flatnonzero(near_boundary)
+    cut_nb, theta_nb = (a.reshape(2 * dim, -1)[:, nb] for a in (cut, theta))
+    # closure along the smallest theta, the first family on a tie
+    best = np.argmin(np.where(cut_nb, theta_nb, np.inf), axis=0)
     closure_axis = np.full(counts, -1, dtype=np.int8)
-    closure_side = np.full(counts, -1, dtype=np.int8)
-    if near_boundary.any():
-        th = np.where(cut, theta, np.inf)  # (dim, 2, *shape)
-        th_flat = th.reshape(dim * 2, *counts)
-        best = np.argmin(th_flat, axis=0)
-        closure_axis[near_boundary] = (best[near_boundary] // 2).astype(np.int8)
-        closure_side[near_boundary] = (best[near_boundary] % 2).astype(np.int8)
+    closure_side = closure_axis.copy()
+    closure_axis.reshape(-1)[nb], closure_side.reshape(-1)[nb] = divmod(best, 2)
 
     # cell fractions: an uncut side owns its half-cell, a cut side owns the
-    # whole segment to the boundary crossing (theta of a spacing)
-    qweight = np.where(inside, 1.0, 0.0)
-    for ax in range(dim):
-        side_minus = np.where(cut[ax, 0], theta[ax, 0], 0.5)
-        side_plus = np.where(cut[ax, 1], theta[ax, 1], 0.5)
-        qweight *= side_minus + side_plus
+    # whole segment to the boundary crossing (theta of a spacing); an
+    # interior node's factor is 0.5 + 0.5 = 1 on every axis
+    qweight = inside.astype(float)
+    half = np.where(cut_nb, theta_nb, 0.5).reshape(dim, 2, -1)
+    qweight.reshape(-1)[nb] = np.prod(half[:, 0] + half[:, 1], axis=0)
 
     return Grid(domain=domain, spacing=spacing, origin=origin, shape=counts,
                 inside=inside, interior=interior, near_boundary=near_boundary,
                 theta=theta, closure_axis=closure_axis, closure_side=closure_side,
                 qweight=qweight, points=points, coarse_warning=coarse)
+
+
+def _cut_families(index: np.ndarray, size: int) -> tuple:
+    """Node, axis and direction (-1 minus, +1 plus) of flat indices into a
+    (dim, 2, *shape) per-family array of a box of `size` nodes."""
+    family, node = divmod(index, size)   # family = 2 * axis + side
+    return node, family // 2, 2.0 * (family % 2) - 1.0
 
 
 def _cut_fractions(domain: DomainSpec, pts: np.ndarray, axis: np.ndarray,

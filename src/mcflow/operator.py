@@ -162,8 +162,9 @@ class BoundaryValues:
 
 
 def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> BoundaryValues:
-    """Evaluate time-independent boundary data on all cut points of a grid.
+    """Evaluate time-independent boundary data once, on all cut points of a grid.
 
+    The cut points of every (axis, side) family come from one Grid.cuts.
     h_fn is one function, or a sequence of B functions for a stack of fields.
     Raises OperatorError naming a node whose closure reads through a cycle
     of near-boundary nodes longer than a pair.
@@ -171,11 +172,8 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
     dim = grid.dim
     stack = () if callable(h_fn) else (len(h_fn),)
     hb = np.full((dim, 2) + grid.shape + stack, np.nan)
-    for ax in range(dim):
-        for side in (0, 1):
-            mask = grid.cut_mask(ax, side)
-            if mask.any():
-                hb[ax, side][mask] = _sample(h_fn, grid.cut_points(ax, side))
+    cuts, pts = grid.cuts()
+    hb.reshape((-1,) + stack)[cuts] = _sample(h_fn, pts)
 
     axis_cuts = [_AxisCuts(grid, hb, ax) for ax in range(dim)]
 

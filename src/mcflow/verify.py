@@ -208,17 +208,16 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     tol = 10.0 * h if tolerance is None else tolerance
     grad_floor = max(10.0 * h ** 2, params.epsilon ** 2)
 
-    # candidate centers: inside nodes whose box arms along the axes stay
-    # inside; a box corner may still reach an exterior node (no touch then)
-    ok = grid.inside.copy()
-    for ax in range(dim):
-        for shift in range(1, _BOX_RADIUS + 1):
-            ok &= np.roll(grid.inside, shift, axis=ax)
-            ok &= np.roll(grid.inside, -shift, axis=ax)
-    # guard the lattice edge
-    edge = np.zeros(grid.shape, bool)
-    edge[(slice(_BOX_RADIUS, -_BOX_RADIUS),) * dim] = True
-    centers = np.argwhere(ok & edge)
+    # candidate centers: inside nodes off the lattice edge whose box arms along
+    # the axes stay inside; a box corner may still reach an exterior node (no
+    # touch then)
+    r = _BOX_RADIUS
+    core = tuple(slice(r, n - r) for n in grid.shape)
+    ok = grid.inside[core].copy()
+    for ax, n in enumerate(grid.shape):
+        for shift in range(-r, r + 1):
+            ok &= grid.inside[core[:ax] + (slice(r + shift, n - r + shift),) + core[ax + 1:]]
+    centers = np.argwhere(ok) + r
     if len(centers) == 0:
         return []
     stride = max(1, int(np.ceil(len(centers) * (len(snapshots) - 2) / max(probe_budget, 1))))

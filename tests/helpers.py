@@ -450,13 +450,28 @@ BUILT_GRIDS = dict(kind=st.sampled_from(("ball", "ellipse", "smoothed-stadium"))
                    fraction=st.floats(1 / 16, 1 / 2))
 
 
+def cut_mask(grid, axis, side) -> np.ndarray:
+    """The nodes of one (axis, side) cut family."""
+    return np.isfinite(grid.theta[axis, side])
+
+
+def cut_points(grid, axis, side) -> np.ndarray:
+    """Oracle of Grid.cuts for one family: the boundary intersections of its
+    nodes, in the order of its mask."""
+    mask = cut_mask(grid, axis, side)
+    pts = grid.points[mask].copy()
+    sign = 1.0 if side == 1 else -1.0
+    pts[:, axis] += sign * grid.theta[axis, side][mask] * grid.spacing
+    return pts
+
+
 def stadium_cuts_per_family(grid) -> np.ndarray:
     """Oracle of the stadium's batched cuts: theta by one 60-halving bisection
     of signed_distance per (axis, side) family, on the grid's own cut masks."""
     domain = grid.domain
     theta = np.full_like(grid.theta, np.nan)
     for axis, side in product(range(grid.dim), range(2)):
-        mask = grid.cut_mask(axis, side)
+        mask = cut_mask(grid, axis, side)
         if not mask.any():
             continue
         e = np.zeros(grid.dim)
@@ -492,3 +507,104 @@ def stadium_boundary_2d_loop(domain, count) -> np.ndarray:
             base = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)[quadrant]
             pts[k] = (cx + rc * np.cos(base + ang), cy + rc * np.sin(base + ang))
     return pts
+
+
+def build_grid_rolled(domain, spacing):
+    """Oracle of geometry.build_grid: the cut masks from np.roll and a lattice-edge
+    mask per (axis, side) family, the quadric's profile radius from a summed
+    slice, and the closure argmin and cell fractions over the whole box."""
+    coarse = geo.check_spacing(domain, spacing)
+    ext = domain.half_extents
+    counts = tuple(int(np.ceil(2 * e / spacing - 1e-12)) + 1 for e in ext)
+    center = np.asarray(domain.center, dtype=float)
+    origin = center - (np.asarray(counts) - 1) * spacing / 2.0
+    axes = [origin[k] + spacing * np.arange(counts[k]) for k in range(domain.dim)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    flat_pts = points.reshape(-1, domain.dim)
+    if domain.kind == "ellipse":
+        p = flat_pts - center
+        v = np.sqrt(np.sum(p[:, 1:] ** 2, axis=1))
+        inside = ((p[:, 0] / domain.semi_major) ** 2 + (v / domain.semi_minor) ** 2
+                  < 1.0).reshape(counts)
+    else:
+        inside = (geo.signed_distance(domain, flat_pts) > 0.0).reshape(counts)
+    interior = inside.copy()
+    dim = domain.dim
+    cut = np.zeros((dim, 2) + counts, bool)
+    for ax in range(dim):
+        for side, shift in ((0, 1), (1, -1)):
+            nbr_inside = np.roll(inside, shift, axis=ax)
+            edge = np.zeros(counts, bool)
+            idx = [slice(None)] * dim
+            idx[ax] = 0 if side == 0 else -1
+            edge[tuple(idx)] = True
+            cut[ax, side] = inside & (~nbr_inside | edge)
+            interior &= ~cut[ax, side]
+    theta = np.full((dim, 2) + counts, np.nan)
+    family, node = divmod(np.flatnonzero(cut), inside.size)
+    theta[cut] = geo._cut_fractions(domain, flat_pts[node], family // 2,
+                                    2.0 * (family % 2) - 1.0, spacing)
+    near_boundary = inside & ~interior
+    closure_axis = np.full(counts, -1, dtype=np.int8)
+    closure_side = np.full(counts, -1, dtype=np.int8)
+    if near_boundary.any():
+        best = np.argmin(np.where(cut, theta, np.inf).reshape(dim * 2, *counts), axis=0)
+        closure_axis[near_boundary] = (best[near_boundary] // 2).astype(np.int8)
+        closure_side[near_boundary] = (best[near_boundary] % 2).astype(np.int8)
+    qweight = np.where(inside, 1.0, 0.0)
+    for ax in range(dim):
+        qweight *= (np.where(cut[ax, 0], theta[ax, 0], 0.5)
+                    + np.where(cut[ax, 1], theta[ax, 1], 0.5))
+    return geo.Grid(domain=domain, spacing=spacing, origin=origin, shape=counts,
+                    inside=inside, interior=interior, near_boundary=near_boundary,
+                    theta=theta, closure_axis=closure_axis, closure_side=closure_side,
+                    qweight=qweight, points=points, coarse_warning=coarse)
+
+
+def boundary_values_per_family(grid, h_fn):
+    """Oracle of operator.boundary_values: the data evaluated once per (axis,
+    side) family at its cut_points, then the same gradient data and closure
+    plan."""
+    dim = grid.dim
+    stack = () if callable(h_fn) else (len(h_fn),)
+    hb = np.full((dim, 2) + grid.shape + stack, np.nan)
+    for ax, side in product(range(dim), range(2)):
+        mask = cut_mask(grid, ax, side)
+        if mask.any():
+            hb[ax, side][mask] = op._sample(h_fn, cut_points(grid, ax, side))
+    axis_cuts = [op._AxisCuts(grid, hb, ax) for ax in range(dim)]
+
+    nb = grid.near_boundary.ravel()
+    nb_flat = np.flatnonzero(nb)
+    ax = grid.closure_axis.ravel()[nb_flat]
+    side = grid.closure_side.ravel()[nb_flat]
+    theta = grid.theta.reshape(dim, 2, -1)
+    hbf = hb.reshape((dim, 2, -1) + stack)
+    unit = (-1,) + (1,) * len(stack)
+    strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
+    sliver = np.isfinite(theta[ax, 1 - side, nb_flat])
+    inner = np.where(sliver, nb_flat, nb_flat + np.where(side == 1, -1, 1) * strides[ax])
+    pair = (~sliver & nb[inner] & (grid.closure_axis.ravel()[inner] == ax)
+            & (grid.closure_side.ravel()[inner] == 1 - side))
+    const = sliver | pair
+    t_out = theta[ax, side, nb_flat]
+    t_in = np.where(sliver, theta[ax, 1 - side, inner], 1.0 + theta[ax, 1 - side, inner])
+    c_hb = hbf[ax, side, nb_flat]
+    c_const = ((t_in.reshape(unit) * c_hb + t_out.reshape(unit) * hbf[ax, 1 - side, inner])
+               / (t_in + t_out).reshape(unit))
+    pos = np.full(nb.size, -1)
+    pos[nb_flat] = np.arange(len(nb_flat))
+    reads = np.where(const, -1, pos[inner])
+    done = const.copy()
+    order = [np.flatnonzero(const)]
+    while not done.all():
+        ready = ~done & ((reads < 0) | done[reads])
+        assert ready.any(), "closure cycle"
+        order.append(np.flatnonzero(ready))
+        done |= ready
+    level_ends = tuple(np.cumsum([len(o) for o in order]).tolist())
+    order = np.concatenate(order)
+    return op.BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat[order],
+                             c_theta=t_out[order].reshape(unit), c_hb=c_hb[order],
+                             c_inner=np.where(const, -1, inner)[order],
+                             c_const=c_const[order[:level_ends[0]]], level_ends=level_ends)

@@ -341,3 +341,12 @@ def test_build_barriers_solves_each_steady_problem_once(unit_ball, grid16, monke
     ba.build_barriers(mc.IBVP(unit_ball, linear_x1, linear_x1), grid16,
                       mc.FlowParams(epsilon=0.05, nu=nu))
     assert sorted(nus) == solved
+
+
+def test_comparison_draws_the_boundary_sample_once_per_domain(unit_ball, grid16, monkeypatch):
+    drawn = []
+    real = ba.boundary_points
+    monkeypatch.setattr(ba, "boundary_points", lambda d, n: drawn.append(d) or real(d, n))
+    lows, highs = zip(*(ba.random_ordered_pair(unit_ball, seed) for seed in range(4)))
+    ba.comparison_experiment(lows, highs, grid16, mc.FlowParams(epsilon=0.1), 0.01)
+    assert drawn == [unit_ball]

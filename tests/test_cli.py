@@ -560,3 +560,17 @@ def test_summary_names_tolerance_and_measured(tmp_path):
     cli.run(cfg)
     text = (tmp_path / "s" / "summary.txt").read_text()
     assert "tolerance:" in text and "measured:" in text and "audits:" in text
+
+
+def test_liouville_and_comparison_warnings_reach_stderr(tmp_path, capsys):
+    # a stadium with flat sides admits no drift: nu = 0 lies outside (0, 0),
+    # printed without a negative zero
+    cfg = _write(tmp_path, "experiment = liouville\n" + STADIUM, "lv.cfg")
+    assert cli.main(["liouville", "--config", str(cfg), "--out", str(tmp_path / "lv")]) == 0
+    err = capsys.readouterr().err
+    assert "[liouville] warning: nu=0.0 outside the admissible interval (0, 0)" in err
+    text = ("experiment = comparison\n" + BALL).replace("grid.spacing = 0.0625",
+                                                       "grid.spacing = 0.25")
+    cfg = _write(tmp_path, text + "run.pairs = 1\n", "cmp.cfg")
+    assert cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert "[comparison] warning: grid spacing above an eighth" in capsys.readouterr().err

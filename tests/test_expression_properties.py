@@ -20,7 +20,8 @@ FOLDS = {"min": np.minimum, "max": np.maximum}
 
 
 def _constant(text):
-    return text, lambda pts: np.full(len(pts), float(text)), True
+    # the package holds a constant as an np.float64 scalar, not a filled array
+    return text, lambda pts: np.float64(float(text)), True
 
 
 def _variable(k):
@@ -75,7 +76,7 @@ def test_config_syntax_evaluates_like_numpy(tree):
     text, evaluate, _ = tree
     expr = parse_expression(text)
     with np.errstate(all="ignore"):
-        got, want = expr(PTS), evaluate(PTS)
+        got, want = expr(PTS), np.broadcast_to(evaluate(PTS), (len(PTS),))
     assert got.tobytes() == want.tobytes(), text
     assert expr.variables == sorted({int(k) - 1 for k in re.findall(r"x(\d)", text)})
 

@@ -85,3 +85,14 @@ def test_too_deep_an_evaluation_is_an_expression_error():
 
     with pytest.raises(ExpressionError, match="nested too deeply"):
         nested(300)
+
+
+def test_constant_exponents_take_the_exact_paths():
+    # a constant exponent is a scalar: numpy's square, square root and
+    # reciprocal, not its general power loop
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.1, 3.0, 6195) * rng.choice([-1.0, 1.0], 6195)
+    pts = x[:, None]
+    assert parse_expression("x1^2")(pts).tobytes() == (x * x).tobytes()
+    assert parse_expression("x1^-1")(pts).tobytes() == (1 / x).tobytes()
+    assert parse_expression("|x1|^0.5")(pts).tobytes() == np.sqrt(np.abs(x)).tobytes()

@@ -351,3 +351,13 @@ def test_record_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * state.values.nbytes, f"allocation peak {peak} B"
+
+
+def test_one_function_as_both_data_is_not_sampled(unit_ball):
+    # a function agrees with itself: the compatibility check has nothing to find
+    def unsampled(pts):
+        raise AssertionError("sampled")
+
+    assert mc.IBVP(unit_ball, unsampled, unsampled).initial_data is unsampled
+    with pytest.raises(AssertionError, match="sampled"):
+        mc.IBVP(unit_ball, unsampled, zero)

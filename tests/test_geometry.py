@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import mcflow as mc
 from mcflow import geometry as geo
 
-from helpers import fd_gradient, fd_laplacian, stadium_boundary_2d_loop, stadium_cuts_per_family
+from helpers import (cut_mask, cut_points, fd_gradient, fd_laplacian, stadium_boundary_2d_loop,
+                     stadium_cuts_per_family)
 
 
 def test_ball_distance_center_and_boundary():
@@ -213,7 +214,7 @@ def test_ellipse_grid_builds_without_warnings():
         g = mc.build_grid(mc.ellipse(a, b), 1 / 32)
     for axis in range(2):
         for side in range(2):
-            pts = g.cut_points(axis, side)
+            pts = cut_points(g, axis, side)
             assert len(pts)
             assert np.abs((pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 - 1.0).max() <= 1e-12
 
@@ -297,7 +298,7 @@ def test_ellipse_cuts_are_the_roots_of_the_quadric(dim, center, semi_major, rati
     semi = domain.half_extents
     for axis in range(dim):
         for side in range(2):
-            mask = g.cut_mask(axis, side)
+            mask = cut_mask(g, axis, side)
             sign = 1.0 if side == 1 else -1.0
             step = np.zeros(dim)
             step[axis] = sign * h
@@ -311,7 +312,7 @@ def test_ellipse_cuts_are_the_roots_of_the_quadric(dim, center, semi_major, rati
             slope = 2 * h * np.abs(pts[:, axis] + sign * ref * h - c[axis]) / semi[axis] ** 2
             assert np.all(np.abs(theta - ref) <= 1e-13 + 8 * np.finfo(float).eps / slope)
             free = theta > 1e-12        # a clamped cut sits off the quadric by the clamp
-            cut = g.cut_points(axis, side)[free]
+            cut = cut_points(g, axis, side)[free]
             assert np.abs(_quadric(domain, cut) - 1.0).max(initial=0.0) <= 1e-13
     # signed_distance reads its sign off the same quadric test; only a node on
     # the boundary to round-off projects to a distance of exactly 0, which
@@ -344,7 +345,7 @@ def test_ball_cuts_are_the_roots_of_the_sphere(domain, h):
     c = np.asarray(domain.center)
     for axis in range(domain.dim):
         for side in range(2):
-            mask = g.cut_mask(axis, side)
+            mask = cut_mask(g, axis, side)
             sign = 1.0 if side == 1 else -1.0
             step = np.zeros(domain.dim)
             step[axis] = sign * h
@@ -358,7 +359,7 @@ def test_ball_cuts_are_the_roots_of_the_sphere(domain, h):
             slope = 2 * h * np.abs(pts[:, axis] + sign * ref * h - c[axis]) / domain.radius ** 2
             theta = g.theta[axis, side][mask]
             assert np.all(np.abs(theta - ref) <= 1e-13 + 8 * np.finfo(float).eps / slope)
-            cut = g.cut_points(axis, side)
+            cut = cut_points(g, axis, side)
             assert np.abs(np.linalg.norm(cut - c, axis=1) - domain.radius).max() <= 1e-13
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,36 @@ def test_envelope_fields_pass_viscosity_checks(ramp, stadium_grid):
     assert vf.viscosity_spot_check(snaps, times, stadium_grid, params, "super") == []
     snaps, times = vf.replicate_steady(lower)
     assert vf.viscosity_spot_check(snaps, times, stadium_grid, params, "sub") == []
+
+
+def _axial_max_profile_per_slice(problem, taus):
+    """Oracle of liouville._axial_max_profile: one data call per axial slice."""
+    dom = problem.domain
+    center = np.asarray(dom.center, dtype=float)
+    xs = center[0] + np.linspace(-dom.half_width, dom.half_width, 41)
+    if dom.dim == 2:
+        cross = xs[:, None]
+    else:
+        ys = center[1] + np.linspace(-dom.half_width, dom.half_width, 41)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        cross = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return np.array([np.max(problem.initial_data(np.concatenate(
+        [cross, np.full((len(cross), 1), tau)], axis=1))) for tau in taus])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_axial_profile_in_blocks_equals_the_per_slice_loop(dim):
+    dom = mc.smoothed_stadium(0.5, 1.5, 0.25, center=(0.01, -0.02, 0.03)[:dim], dim=dim)
+    sizes = []
+
+    def data(p):
+        sizes.append(len(p))
+        ramp = np.minimum(1.0, np.maximum(0.0, 2.0 * (p[:, -1] + 0.25)))
+        return ramp + 0.1 * np.sin(7.0 * p[:, 0]) * np.cos(3.0 * p[:, -1]) - 0.2 * p[:, 0] ** 2
+
+    problem = SimpleNamespace(domain=dom, initial_data=data)
+    taus = np.linspace(-1.5, 0.5, lv.ENVELOPE_SAMPLES)
+    got = lv._axial_max_profile(problem, taus)
+    assert max(sizes) <= lv.PROFILE_BLOCK_POINTS
+    assert len(sizes) == -(-lv.ENVELOPE_SAMPLES // (lv.PROFILE_BLOCK_POINTS // 41 ** (dim - 1)))
+    assert got.tobytes() == _axial_max_profile_per_slice(problem, taus).tobytes()

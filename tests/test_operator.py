@@ -12,7 +12,8 @@ from mcflow import operator as op
 from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
                      boundary_trace_residual, rate_closed_form, diffusion_tensor,
                      quadrature, SliceWorkspace, regularized_rhs_slices,
-                     built_domain, built_grid, BUILT_GRIDS)
+                     built_domain, built_grid, BUILT_GRIDS, build_grid_rolled,
+                     boundary_values_per_family)
 
 WS_FIELDS = ("rate", "grads", "grad_sq", "s_node")
 
@@ -600,3 +601,60 @@ def test_rhs_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak <= state.values.nbytes // 2, f"allocation peak {peak} B"
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(**BUILT_GRIDS)
+@example(**_branch_grid(0))
+@example(**_branch_grid(1))
+@example(**_branch_grid(2))
+@example(**_branch_grid(3))
+@example(**_branch_grid(4))
+@example(**_branch_grid(5))
+def test_set_up_equals_the_rolled_and_per_family_oracles(kind, dim, center, size, ratio,
+                                                         fraction):
+    # the sliced cut masks, the near-boundary closure argmin and cell
+    # fractions, and the one gathered boundary evaluation change no bit
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
+    ref = build_grid_rolled(grid.domain, grid.spacing)
+    for f in dataclasses.fields(mc.Grid):
+        got, want = getattr(grid, f.name), getattr(ref, f.name)
+        if f.name == "domain":
+            assert got == want
+        else:
+            assert _same_bytes(got, want), f.name
+    _, _, fields = _closure_fields(dim)
+    for data in (fields[0], fields):
+        bv, want = op.boundary_values(grid, data), boundary_values_per_family(grid, data)
+        assert bv.level_ends == want.level_ends
+        for f in dataclasses.fields(op.BoundaryValues):
+            if f.name not in ("axis_cuts", "level_ends"):
+                assert _same_bytes(getattr(bv, f.name), getattr(want, f.name)), f.name
+        for got_cuts, want_cuts in zip(bv.axis_cuts, want.axis_cuts, strict=True):
+            for slot in op._AxisCuts.__slots__:
+                assert _same_bytes(getattr(got_cuts, slot), getattr(want_cuts, slot)), slot
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_set_up_evaluates_each_data_function_once(stacked):
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 8)
+    calls = []
+
+    def counted(k, f):
+        def g(pts):
+            calls.append(k)
+            return f(pts)
+        return g
+
+    _, _, fields = _closure_fields(3)
+    data = [counted(k, f) for k, f in enumerate(fields)] if stacked else counted(0, fields[0])
+    bv = op.boundary_values(grid, data)
+    assert sorted(calls) == ([0, 1, 2] if stacked else [0])
+    calls.clear()
+    op.init_state(grid, data, bv)
+    assert sorted(calls) == ([0, 1, 2] if stacked else [0])

@@ -104,6 +104,29 @@ def test_the_import_check_sees_an_unread_import(tmp_path):
     assert unread_imports(src) == [(2, "os"), (3, "os"), (5, "c"), (6, "e")]
 
 
+def roll_calls(path: Path) -> list:
+    """Lines of every call to a function named roll: np.roll, numpy.roll or
+    an imported roll.  A roll wraps values across the lattice edge."""
+    return sorted(node.lineno for node in ast.walk(_parse(path))
+                  if isinstance(node, ast.Call)
+                  and "roll" in (getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+
+def test_no_module_wraps_the_lattice_by_a_roll():
+    # shifted slices say where the lattice edge is; a roll reads the far edge there
+    rolls = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in roll_calls(path)]
+    assert rolls == []
+
+
+def test_the_roll_check_sees_a_roll(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import numpy as np\nimport numpy\nfrom numpy import roll\n\n"
+                   "a = np.roll(np.arange(3), 1)\nb = numpy.roll(a, -1, axis=0)\n"
+                   "c = roll(b, 2)\nd = np.rollaxis(a[None], 1)\nrolled = a[1:]\n")
+    assert roll_calls(src) == [5, 6, 7]
+
+
 def _module_path(module: str) -> Path:
     path = PACKAGE.joinpath(*module.split(".")[1:])
     return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
