@@ -103,12 +103,13 @@ def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list
 
 
 class _Recorder:
-    """Accumulates per-step diagnostics from the live workspace.
+    """Accumulates per-step diagnostics from the live compact state and workspace.
 
-    Node sets are taken by flat index into preallocated buffers (mode "clip"
-    does not buffer; every index is in range).  The gradient maxima read the
-    squared gradient norm ws.grad_sq that the rate evaluation summed.  The
-    integrals are full-box sums of a buffer that stays 0 off the inside nodes.
+    Node sets are compact positions, taken into preallocated buffers (mode
+    "clip" does not buffer; every index is in range).  The gradient maxima
+    read the squared gradient norm ws.grad_sq that the rate evaluation
+    summed.  The integrals stay full-box pairwise sums: each compact
+    integrand is scattered into a box row that stays 0 off the inside nodes.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -117,53 +118,59 @@ class _Recorder:
         self.rows = {k: [] for k in ("t", "sup_u", "min_u", "max_u", "sup_grad",
                                      "sup_grad_interior", "sup_grad_ring", "sup_ut",
                                      "energy", "dissipation", "source", "ut_sq_integral")}
-        self.wvol = (grid.qweight * grid.spacing ** grid.dim).ravel()
-        self.inside, self.interior = grid.inside.ravel(), grid.interior.ravel()
-        self.idx = {name: np.flatnonzero(getattr(grid, name)) for name in
-                    ("inside", "interior", "near_boundary")}
-        self.buf = np.empty(len(self.idx["inside"]))
-        # u_t, 0 off the interior; an integrand, 0 off the inside
-        self.r, self.w = np.zeros((2, self.inside.size))
+        inside = grid.inside
+        self.inside_flat = np.flatnonzero(inside)
+        self.wvol = (grid.qweight * grid.spacing ** grid.dim)[inside]
+        self.interior = grid.interior[inside]
+        self.idx = {"interior": np.flatnonzero(self.interior),
+                    "near_boundary": np.flatnonzero(grid.near_boundary[inside])}
+        self.buf = np.empty(len(self.inside_flat))
+        # u_t, 0 off the interior; an integrand; the box row it is summed in
+        self.r, self.w = np.zeros((2, len(self.inside_flat)))
+        self.row = np.zeros(inside.size)
 
     def _take(self, src: np.ndarray, name: str) -> np.ndarray:
         idx = self.idx[name]
         return np.take(src, idx, out=self.buf[:len(idx)], mode="clip")
 
+    def _integral(self) -> float:
+        self.row[self.inside_flat] = self.w
+        return float(np.sum(self.row))
+
     # a run about to blow up has rates and squared gradients that leave the
     # float range: they record as inf or nan, and the next update raises
-    # BlowUpError.  Off the inside s_node may be 0
+    # BlowUpError
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def record(self, state: FieldState, ws: Workspace):
         # ws holds the rate, squared gradient and smoothed norm of exactly this state
-        grad_sq, s_node, rate = ws.grad_sq.ravel(), ws.s_node.ravel(), ws.rate.ravel()
         rows, r, w = self.rows, self.r, self.w
         rows["t"].append(state.time)
-        u = self._take(state.values.ravel(), "inside")
+        u = state.values
         lo, hi = float(np.min(u)), float(np.max(u))
         rows["sup_u"].append(max(abs(lo), abs(hi)))
         rows["min_u"].append(lo)
         rows["max_u"].append(hi)
         # inside = interior + ring, and sqrt commutes with max; a square is
         # never below the 0.0 an empty node set records
-        gi, gr = (float(np.max(self._take(grad_sq, name), initial=0.0))
+        gi, gr = (float(np.max(self._take(ws.grad_sq, name), initial=0.0))
                   for name in ("interior", "near_boundary"))
         rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
         rows["sup_grad_interior"].append(float(np.sqrt(gi)))
         rows["sup_grad_ring"].append(float(np.sqrt(gr)))
-        ut = self._take(rate, "interior")
+        ut = self._take(ws.rate, "interior")
         rows["sup_ut"].append(float(np.max(np.abs(ut, out=ut))) if len(ut) else 0.0)
-        np.copyto(r, rate, where=self.interior)
-        np.multiply(s_node, self.wvol, out=w, where=self.inside)
-        rows["energy"].append(float(np.sum(w)))
+        np.copyto(r, ws.rate, where=self.interior)
+        np.multiply(ws.s_node, self.wvol, out=w)
+        rows["energy"].append(self._integral())
         np.multiply(r, r, out=w)
-        np.divide(w, s_node, out=w, where=self.inside)
+        w /= ws.s_node
         w *= self.wvol
-        rows["dissipation"].append(float(np.sum(w)))
+        rows["dissipation"].append(self._integral())
         np.multiply(r, self.wvol, out=w)
-        rows["source"].append(self.nu * float(np.sum(w)))
+        rows["source"].append(self.nu * self._integral())
         np.multiply(r, r, out=w)
         w *= self.wvol
-        rows["ut_sq_integral"].append(float(np.sum(w)))
+        rows["ut_sq_integral"].append(self._integral())
 
 
 def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
@@ -191,7 +198,7 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
         for k, state, ws in march(state, grid, params, bvals, n_steps):
             rec.record(state, ws)
             if k in snap_steps:
-                snapshots.append((k, state.time, state.values.copy()))
+                snapshots.append((k, state.time, ws.box(state.values)))
     except BlowUpError as exc:
         aborted = str(exc)
 
@@ -361,9 +368,9 @@ def _frozen_coefficients(ws: Workspace) -> np.ndarray:
     Each lies in (0, 1], and they sum to more than dim - 1, so the box
     operator they weight stays positive definite.
     """
-    idx = ws.interior_flat
-    s2 = np.square(ws.s_node.ravel()[idx])
-    return np.array([np.mean(1.0 - np.square(g.ravel()[idx]) / s2) for g in ws.grads])
+    idx = ws.interior
+    s2 = np.square(ws.s_node[idx])
+    return np.array([np.mean(1.0 - np.square(g[idx]) / s2) for g in ws.grads])
 
 
 def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
@@ -371,7 +378,8 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     """Solve the steady equation until sup|rate| < tol at the interior nodes.
 
     Jacobian-free Newton-GMRES on the interior node values; the ring follows
-    by closure.  GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1
+    by closure, and every iterate stays a compact array until the returned
+    one.  GMRES solves J M^-1 y = -F for the step M^-1 y, where M^-1
     is the inverse box Laplacian weighted per axis by the frozen coefficients
     of the current iterate; preconditioning from the right keeps its
     residual the true linear residual.  Jacobian products are forward
@@ -386,19 +394,19 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     bvals = boundary_values(grid, problem.boundary_data)
     state = init_state(grid, problem.initial_data, bvals)
     ws = Workspace(grid)
-    idx = ws.interior_flat
-    values = state.values
-    f = regularized_rhs(values, grid, params, bvals, ws).ravel()[idx]
+    idx = ws.interior
+    values = state.values[grid.inside]
+    f = regularized_rhs(values, grid, params, bvals, ws)[idx]
     fnorm = float(np.linalg.norm(f))
     best_sup = float(np.max(np.abs(f))) if len(idx) else 0.0
-    best_state, best_it = state, 0
+    best, best_it = values, 0
     evals = it = 0
     basis = np.empty((GMRES_RESTART + 1, len(idx)))
-    precondition = _BoxLaplacianInverse(grid, idx)
+    precondition = _BoxLaplacianInverse(grid, np.flatnonzero(grid.interior))
 
     def residual(x, out):
         """Rate of the field with interior x, closed in place in out."""
-        out.ravel()[idx] = x
+        out[idx] = x
         apply_closure(out, grid, bvals)
         return regularized_rhs(out, grid, params, bvals, ws)
 
@@ -413,7 +421,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
             if EW_GAMMA * eta ** EW_ALPHA > 0.1:
                 eta_ew = max(eta_ew, EW_GAMMA * eta ** EW_ALPHA)
             eta = min(EW_ETA_MAX, max(eta_ew, 0.5 * tol / fnorm))
-        x = values.ravel()[idx]
+        x = values[idx]
         delta = np.sqrt((1.0 + float(np.linalg.norm(x))) * np.finfo(float).eps)
         scratch = values.copy()
 
@@ -421,23 +429,23 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
             z = precondition(v)
             z *= delta
             z += x
-            w = residual(z, scratch).ravel()[idx]
+            w = residual(z, scratch)[idx]
             w -= f
             w /= delta
             return w
 
         y, used = _gmres(matvec, -f, eta * fnorm, max_steps - evals - 1, basis)
         values = values.copy()
-        f = residual(x + precondition(y), values).ravel()[idx]
+        f = residual(x + precondition(y), values)[idx]
         evals += used + 1
         if not np.all(np.isfinite(f)):
             break
         fnorm_prev, fnorm = fnorm, float(np.linalg.norm(f))
         sup = float(np.max(np.abs(f)))
         if sup < best_sup:
-            best_sup, best_it = sup, it
-            best_state = FieldState(values, state.time)
-    return SteadyResult(state=best_state, steps=evals, converged=best_sup < tol,
+            best_sup, best, best_it = sup, values, it
+    return SteadyResult(state=FieldState(ws.box(best), state.time), steps=evals,
+                        converged=best_sup < tol,
                         residual=best_sup, newton_iterations=best_it,
                         warnings=collect_warnings(problem.domain, grid, params))
 
@@ -477,7 +485,7 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
     eps_list = check_eps_list(eps_list)
     bvals = boundary_values(grid, problem.boundary_data)
     start = init_state(grid, problem.initial_data, bvals)
-    fields = []
+    fields = []         # compact terminal fields
     for eps in eps_list:
         row = replace(params, epsilon=eps)
         try:
@@ -489,9 +497,7 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
             raise BlowUpError(f"continuation row eps={eps} aborted: {exc}",
                               node=exc.node, step=exc.step) from None
         fields.append(state.values)
-    inside = grid.inside
-    diffs = tuple(float(np.max(np.abs(a[inside] - b[inside])))
-                  for a, b in zip(fields, fields[1:]))
+    diffs = tuple(float(np.max(np.abs(a - b))) for a, b in zip(fields, fields[1:]))
     mono = all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
     return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono,
                              warnings=collect_warnings(problem.domain, grid, params))

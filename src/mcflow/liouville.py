@@ -205,36 +205,36 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
 
     tau = grid.points[..., -1]
     inside = grid.inside
-    deep = inside & (tau >= problem.plateau_start + problem.plateau_margin)
+    deep = tau >= problem.plateau_start + problem.plateau_margin
     lam = problem.plateau_value
-    # flat node indices in the masks' order, so each maximum reads the values
-    # masking would, in the same order, into preallocated buffers
-    flat_in, flat_deep = np.flatnonzero(inside), np.flatnonzero(deep)
-    glow = env.lower_profile(tau.ravel()[flat_in])
+    # compact positions, so each maximum reads the values masking the box
+    # would, in the same order, into preallocated buffers
+    in_deep = np.flatnonzero(deep[inside])
+    glow = env.lower_profile(tau[inside])
     # axially adjacent inside nodes: below[i] is followed by below[i] + 1
-    # along the axis, which has flat stride 1
+    # along the axis, which has stride 1 in the compact layout too
     lo = (slice(None),) * (grid.dim - 1) + (slice(0, -1),)
     hi = (slice(None),) * (grid.dim - 1) + (slice(1, None),)
-    below = np.ravel_multi_index(np.nonzero(inside[lo] & inside[hi]), grid.shape)
+    paired = np.zeros(grid.shape, bool)
+    paired[lo] = inside[lo] & inside[hi]
+    below = np.flatnonzero(paired[inside])
     above = below + 1
-    u_in, buf = np.empty((2, len(flat_in)))
-    # deep and paired nodes are inside nodes, so they fit the same buffers;
-    # u_above overwrites u_in only once the sandwich has read it
-    u_deep, u_below, u_above = buf[:len(flat_deep)], buf[:len(below)], u_in[:len(above)]
+    buf, u_above = np.empty(len(glow)), np.empty(len(above))
+    # deep and paired nodes are inside nodes, so they fit the one buffer
+    u_deep, u_below = buf[:len(in_deep)], buf[:len(below)]
 
     rows = {k: [] for k in ("t", "F", "lo", "hi", "mono")}
     for _, st, _ in march(state, grid, params, bvals, n_steps):
-        u = st.values.ravel()
+        u = st.values
         rows["t"].append(st.time)
-        np.take(u, flat_deep, out=u_deep, mode="clip")
+        np.take(u, in_deep, out=u_deep, mode="clip")
         u_deep -= lam
         rows["F"].append(float(np.maximum.reduce(np.abs(u_deep, out=u_deep)))
-                         if len(flat_deep) else 0.0)
-        np.take(u, flat_in, out=u_in, mode="clip")
-        np.subtract(glow, u_in, out=buf)
+                         if len(in_deep) else 0.0)
+        np.subtract(glow, u, out=buf)
         rows["lo"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
         drift = params.epsilon * params.nu * st.time
-        np.subtract(u_in, lam, out=buf)
+        np.subtract(u, lam, out=buf)
         buf -= drift
         rows["hi"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
         np.take(u, below, out=u_below, mode="clip")

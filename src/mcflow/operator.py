@@ -17,19 +17,36 @@ closures in one write and the rest level by level, each after the closed
 node it reads.  Every time-stepped experiment advances through the one
 forward-Euler generator `march`.
 
-The stencils are contiguous shifts of the C-order flattening of the grid
-axes: along an axis of stride s, a central difference is v[2s:] - v[:-2s]
-and a face difference v[s:] - v[:-s].  A shift wraps from the end of one
-grid line to the next, onto lattice-edge nodes only.  build_grid makes each
-of those exterior or cut on its edge side, so the cut formula or the
-exterior NaN write replaces every wrapped value, and interior nodes get the
-bits of per-axis slices.
+The operator evaluates the inside nodes only, in the compact layout: an
+array of shape (n_inside, *stack) holding the inside nodes in the C order
+of the grid box.  Along the last grid axis (stride 1) the stencils are
+contiguous shifts of the compact array: a central difference is
+v[2:] - v[:-2] and a face difference v[1:] - v[:-1].  Inside the domain a
+grid line's inside nodes form one run, so the shift reads the true
+neighbor everywhere but across the end of a run, where it lands on the next
+run.  The node such a shift serves is cut on that side (build_grid cuts
+every inside node whose neighbor is outside or off the lattice): its cut
+formula replaces the gradient, and the face there is read by no interior
+rate.  The other axes read their neighbors through index arrays built once
+per Workspace; a neighbor outside the domain is the node itself, with the
+same effect.  The rate is kept at the interior nodes and is 0 on the
+near-boundary ring.  The march, its per-step consumers and the steady
+Newton residual stay in this layout; box fields (NaN off the inside nodes)
+appear only at snapshots, terminal fields and the box-facing public calls,
+which gather the inside nodes, evaluate and scatter the result back.
+
+The face norm folds the half of the tangential face average away: with
+t = g_j[i] + g_j[i + s], d = (u[i + s] - u[i]) / (h/2) and 4 eps^2 for
+eps^2 every term is four times the one of the averaged formula, exactly,
+since every factor is a power of two; so the flux d / sqrt(sum t^2 + d^2
++ 4 eps^2) has the bits of the averaged one short of overflow, which only
+gradients near 1e154, in a run about to blow up, reach.
 
 The functions below also step a stack of B fields that share one grid, one
-FlowParams and one dt: values of shape (*grid.shape, B), boundary data and
-initial data given as sequences of B functions.  The stack lives on the
-trailing axis, so the flat views are values.reshape((N, B)) and every field
-gets exactly the bits it gets alone: the arithmetic, closure included, is
+FlowParams and one dt: box values of shape (*grid.shape, B), compact ones
+(n_inside, B), boundary data and initial data given as sequences of B
+functions.  The stack lives on the trailing axis and every field gets
+exactly the bits it gets alone: the arithmetic, closure included, is
 elementwise.
 """
 
@@ -78,18 +95,32 @@ class FlowParams:
 
 @dataclass
 class FieldState:
-    """A scalar grid field at one instant; NaN marks exterior nodes."""
+    """A scalar field, or a stack of them, at one instant.
+
+    values is a box field (NaN marks the nodes off the inside), or, in the
+    states march yields, the compact inside-node array.
+    """
 
     values: np.ndarray
     time: float = 0.0
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.values.copy(), self.time)
+
+def _strides(shape: tuple) -> list:
+    """Flat stride of each axis of a C-order box."""
+    return [int(np.prod(shape[ax + 1:], dtype=int)) for ax in range(len(shape))]
 
 
-def _flat(a: np.ndarray, dim: int) -> np.ndarray:
-    """View of a field, or a stack of fields, with its dim grid axes merged into one."""
-    return a.reshape((-1,) + a.shape[dim:])
+def _positions(inside_flat: np.ndarray, size: int) -> np.ndarray:
+    """Compact position of every inside node of a box of size nodes; the
+    entries off the inside nodes are never read."""
+    pos = np.empty(size, np.intp)
+    pos[inside_flat] = np.arange(len(inside_flat))
+    return pos
+
+
+def _is_box(values: np.ndarray, grid: Grid) -> bool:
+    """Whether values is a box field of the grid, not a compact array."""
+    return values.shape[:grid.dim] == grid.shape
 
 
 def _sample(fns, pts: np.ndarray) -> np.ndarray:
@@ -100,63 +131,49 @@ def _sample(fns, pts: np.ndarray) -> np.ndarray:
 
 
 class _AxisCuts:
-    """Gradient data for one axis at the nodes whose grid line the boundary cuts.
+    """Gradient data at the nodes whose grid line the boundary cuts, every axis in one set.
 
-    Each side of a node has a fraction t and a value: the cut fraction theta
-    and the boundary value where the side is cut, 1 and the neighbor node
-    where it is not.  A cut side's neighbor index is the node itself: a node
-    on the boundary to round-off can sit on the lattice edge, where the
-    neighbor index would leave the array.  The cut masks and the t-derived
-    coefficients carry a trailing unit axis per stack axis of hb, so they
-    broadcast against the per-field boundary values and gathered nodes.
+    Entry k serves axis a at compact node node[k]: it replaces row[k] =
+    a * n_inside + node[k] of the gradient seen as dim * n_inside rows.  Each
+    side has a fraction t and a value: the cut fraction theta and the
+    boundary value where the side is cut, 1 and the neighbor node where it
+    is not.  A cut side's neighbor index is the node itself (a node on the
+    boundary to round-off can sit on the lattice edge, where the neighbor
+    would leave the box), and its boundary value is NaN where the side is
+    not cut.  The cut masks and the t-derived coefficients carry a trailing
+    unit axis per stack axis, so they broadcast against the per-field
+    boundary values and gathered nodes.
     """
 
-    __slots__ = ("idx", "ip", "im", "cut_p", "cut_m", "hb_p", "hb_m",
+    __slots__ = ("row", "node", "ip", "im", "cut_p", "cut_m", "hb_p", "hb_m",
                  "tp2", "tm2", "w0", "den")
-
-    def __init__(self, grid: Grid, hb: np.ndarray, ax: int):
-        stride = int(np.prod(grid.shape[ax + 1:], dtype=int))
-        theta = grid.theta[ax].reshape(2, -1)
-        self.idx = np.flatnonzero(np.isfinite(theta).any(axis=0))
-        unit = (-1,) + (1,) * (hb.ndim - 2 - grid.dim)
-        tm, tp = theta[:, self.idx]
-        cut_m, cut_p = np.isfinite(tm), np.isfinite(tp)
-        self.im = np.where(cut_m, self.idx, self.idx - stride)
-        self.ip = np.where(cut_p, self.idx, self.idx + stride)
-        self.cut_m, self.cut_p = cut_m.reshape(unit), cut_p.reshape(unit)
-        self.hb_m = _flat(hb[ax, 0], grid.dim)[self.idx]
-        self.hb_p = _flat(hb[ax, 1], grid.dim)[self.idx]
-        tm = np.where(cut_m, tm, 1.0).reshape(unit)
-        tp = np.where(cut_p, tp, 1.0).reshape(unit)
-        self.tm2, self.tp2 = tm ** 2, tp ** 2
-        self.w0 = self.tp2 - self.tm2
-        self.den = tp * tm * (tp + tm) * grid.spacing
 
 
 @dataclass
 class BoundaryValues:
     """Boundary data evaluated at every grid cut, and the closure plan.
 
-    The prescribed value hb at the boundary crossing of each cut is kept
-    only where it is read: in the per-axis gradient data (axis_cuts) and in
-    the closure arrays.  Each near-boundary node is closed along its
-    canonical (smallest theta) cut.  The constant closures come first in
-    nb_flat: where the node's line is cut on both sides (a sliver) or its
-    inner neighbor closes back through it along the same line (a pair), the
-    value is the interpolant between two boundary values, c_const.  The
-    dependent closures follow, level by level,
+    The prescribed value at the boundary crossing of each cut is kept only
+    where it is read: in the gradient data (cuts) and in the closure arrays,
+    gathered from the one evaluation by cut index.  Node indices are compact
+    positions (see the module docstring).  Each near-boundary node is closed
+    along its canonical (smallest theta) cut.  The constant closures come
+    first in nb_nodes: where the node's line is cut on both sides (a sliver)
+    or its inner neighbor closes back through it along the same line (a
+    pair), the value is the interpolant between two boundary values,
+    c_const.  The dependent closures follow, level by level,
     value = (hb + theta * inner) / (1 + theta), each level reading only
     interior nodes and nodes set before it; level_ends holds the end of the
-    constants and of each level.  For a stack of B fields the hb arrays and
-    c_const gain a trailing axis of length B and the theta arrays a trailing
-    unit axis.
+    constants and of each level.  For a stack of B fields the boundary
+    values and c_const gain a trailing axis of length B and the theta arrays
+    a trailing unit axis.
     """
 
-    axis_cuts: list
-    nb_flat: np.ndarray      # near-boundary nodes in closure order, flat
+    cuts: _AxisCuts
+    nb_nodes: np.ndarray     # near-boundary nodes in closure order
     c_theta: np.ndarray
     c_hb: np.ndarray
-    c_inner: np.ndarray      # flat index of the node a closure reads, -1 at a constant
+    c_inner: np.ndarray      # node a closure reads, -1 at a constant
     c_const: np.ndarray      # values of the constant closures
     level_ends: tuple
 
@@ -169,41 +186,75 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
     Raises OperatorError naming a node whose closure reads through a cycle
     of near-boundary nodes longer than a pair.
     """
-    dim = grid.dim
+    dim, size = grid.dim, grid.inside.size
     stack = () if callable(h_fn) else (len(h_fn),)
-    hb = np.full((dim, 2) + grid.shape + stack, np.nan)
-    cuts, pts = grid.cuts()
-    hb.reshape((-1,) + stack)[cuts] = _sample(h_fn, pts)
+    unit = (-1,) + (1,) * len(stack)
+    cut_index, pts = grid.cuts()
+    hv = _sample(h_fn, pts)
+    inside_flat = np.flatnonzero(grid.inside)
+    compact = _positions(inside_flat, size)
+    strides = np.array(_strides(grid.shape))
+    theta = grid.theta.reshape(dim, 2, size)
 
-    axis_cuts = [_AxisCuts(grid, hb, ax) for ax in range(dim)]
+    # one gradient entry per (axis, node) with a cut, axis-major; each cut
+    # fills its side of its entry
+    family, node = np.divmod(cut_index, size)
+    key = family // 2 * size + node
+    has = np.zeros(dim * size, bool)
+    has[key] = True
+    entries = np.flatnonzero(has)
+    entry_at = np.empty(dim * size, np.intp)       # read only at entries
+    entry_at[entries] = np.arange(len(entries))
+    side = family % 2
+    t = np.ones((2, len(entries)))
+    cut = np.zeros((2, len(entries)), bool)
+    hbs = np.full((2, len(entries)) + stack, np.nan)
+    t[side, entry_at[key]] = grid.theta.reshape(-1)[cut_index]
+    cut[side, entry_at[key]] = True
+    hbs[side, entry_at[key]] = hv
+
+    def hb(ax, side, node):
+        """Boundary values of the (ax, side) cuts of box nodes, each of them cut."""
+        return hbs[side, entry_at[ax * size + node]]
+
+    ax, node = np.divmod(entries, size)
+    c = _AxisCuts()
+    c.node = compact[node]
+    c.row = ax * len(inside_flat) + c.node
+    cut_m, cut_p = cut
+    c.im = compact[np.where(cut_m, node, node - strides[ax])]
+    c.ip = compact[np.where(cut_p, node, node + strides[ax])]
+    c.hb_m, c.hb_p = hbs
+    c.cut_m, c.cut_p = cut_m.reshape(unit), cut_p.reshape(unit)
+    tm, tp = (a.reshape(unit) for a in t)
+    c.tm2, c.tp2 = tm ** 2, tp ** 2
+    c.w0 = c.tp2 - c.tm2
+    c.den = tp * tm * (tp + tm) * grid.spacing
 
     nb = grid.near_boundary.ravel()
     nb_flat = np.flatnonzero(nb)
-    ax = grid.closure_axis.ravel()[nb_flat]
-    side = grid.closure_side.ravel()[nb_flat]
-    theta = grid.theta.reshape(dim, 2, -1)
-    hbf = hb.reshape((dim, 2, -1) + stack)
-    unit = (-1,) + (1,) * len(stack)
-    strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
+    ax = grid.closure_axis.ravel()[nb_flat].astype(np.intp)
+    side = grid.closure_side.ravel()[nb_flat].astype(np.intp)
     sliver = np.isfinite(theta[ax, 1 - side, nb_flat])
     # the inner neighbor, across from the canonical cut; a sliver has none
     inner = np.where(sliver, nb_flat, nb_flat + np.where(side == 1, -1, 1) * strides[ax])
     pair = (~sliver & nb[inner] & (grid.closure_axis.ravel()[inner] == ax)
             & (grid.closure_side.ravel()[inner] == 1 - side))
     const = sliver | pair
+    t_out = theta[ax, side, nb_flat]
+    c_hb = hb(ax, side, nb_flat)
     # a constant closure interpolates between its own boundary value and the
     # one across the line: of a sliver, or of a pair's partner, whose cut lies
     # one spacing further out
-    t_out = theta[ax, side, nb_flat]
-    t_in = np.where(sliver, theta[ax, 1 - side, inner], 1.0 + theta[ax, 1 - side, inner])
-    c_hb = hbf[ax, side, nb_flat]
-    c_const = ((t_in.reshape(unit) * c_hb + t_out.reshape(unit) * hbf[ax, 1 - side, inner])
-               / (t_in + t_out).reshape(unit))
+    ck, ax_k, across = inner[const], ax[const], 1 - side[const]
+    t_across = theta[ax_k, across, ck]
+    t_in = np.where(sliver[const], t_across, 1.0 + t_across).reshape(unit)
+    t_k = t_out[const].reshape(unit)
+    c_const = (t_in * c_hb[const] + t_k * hb(ax_k, across, ck)) / (t_in + t_k)
 
     # closure levels: a dependent node is set after the near-boundary node it reads
-    k = len(nb_flat)
-    pos = np.full(nb.size, -1)
-    pos[nb_flat] = np.arange(k)
+    pos = np.full(size, -1)
+    pos[nb_flat] = np.arange(len(nb_flat))
     reads = np.where(const, -1, pos[inner])
     done = const.copy()
     order = [np.flatnonzero(const)]
@@ -217,114 +268,173 @@ def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> Boundary
         done |= ready
     level_ends = tuple(np.cumsum([len(o) for o in order]).tolist())
     order = np.concatenate(order)
-    return BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat[order],
+    return BoundaryValues(cuts=c, nb_nodes=compact[nb_flat[order]],
                           c_theta=t_out[order].reshape(unit), c_hb=c_hb[order],
-                          c_inner=np.where(const, -1, inner)[order],
-                          c_const=c_const[order[:level_ends[0]]], level_ends=level_ends)
+                          c_inner=np.where(const, -1, compact[inner])[order],
+                          c_const=c_const, level_ends=level_ends)
 
 
 class Workspace:
-    """Preallocated scratch arrays for the per-step operator evaluation.
+    """The compact layout of a grid and the scratch arrays of the per-step operator.
 
     One instance per (grid, run); reusing it across steps removes the
-    allocation churn that otherwise dominates small-grid stepping.  After a
-    rate evaluation, grads, grad_sq and s_node hold the node gradient, its
-    squared norm and the smoothed gradient norm of the evaluated field.
-    stack is the trailing shape of the fields it serves: () for one field,
-    (B,) for a stack of B, which costs B * (6 + dim) full-grid arrays.
+    allocation churn that otherwise dominates small-grid stepping.  Compact
+    position i holds box node inside_flat[i]; interior and ring list the
+    positions of the interior and of the near-boundary nodes.  After a rate
+    evaluation, grads, grad_sq and s_node hold the node gradient, its
+    squared norm and the smoothed gradient norm of the evaluated field at
+    every inside node, and rate the evolution rate, 0 on the ring.  stack is
+    the trailing shape of the fields it serves: () for one field, (B,) for a
+    stack of B, which costs B * (5 + 2 dim) compact arrays and the
+    gathers of the cut formula.
 
-    dn, acc and tmp are flat, (N, *stack): flat node i + strides[ax] is the
-    neighbor of i along axis ax.  Values that a shift wraps across a grid
-    line reach only lattice-edge nodes, and there the cut formula or the NaN
-    write at exterior_flat (every non-interior node) replaces them.
+    Along the last axis the neighbor of position i is i + 1.  Along axis
+    ax < dim - 1 it is plus[ax][i] (minus[ax][i] on the minus side), or i
+    itself where the neighbor is not inside; across[ax] keeps the values at
+    plus[ax] that the node gradient gathers, for the face differences.  Either
+    way a node whose stencil leaves its grid line's run of inside nodes is
+    cut on that side: the cut formula replaces its gradient, and only ring
+    rates, which are set to 0, read its face.
     """
 
     def __init__(self, grid: Grid, stack: tuple = ()):
-        shape = grid.shape + stack
         dim = grid.dim
+        inside = grid.inside.ravel()
+        self.inside_flat = np.flatnonzero(inside)
+        n = len(self.inside_flat)
+        self.stack, self.box_shape = stack, grid.shape + stack
+        interior = grid.interior.ravel()[self.inside_flat]
+        self.interior = np.flatnonzero(interior)
+        self.ring = np.flatnonzero(~interior)
+        compact = _positions(self.inside_flat, inside.size)
+        self.plus, self.minus = [], []
+        for ax, s in enumerate(_strides(grid.shape)[:-1]):
+            coord = self.inside_flat // s % grid.shape[ax]
+            for nbrs, step, ok in ((self.plus, s, coord < grid.shape[ax] - 1),
+                                   (self.minus, -s, coord > 0)):
+                ok[ok] = inside[self.inside_flat[ok] + step]
+                nbr = np.arange(n)
+                nbr[ok] = compact[self.inside_flat[ok] + step]
+                nbrs.append(nbr)
+        shape = (n,) + stack
         self.grads = np.full((dim,) + shape, np.nan)
         self.grad_sq = np.full(shape, np.nan)
         self.s_node = np.full(shape, np.nan)
         self.rate = np.full(shape, np.nan)
-        flat = (grid.interior.size,) + stack
-        self.dn = np.full(flat, np.nan)         # face difference, then face flux
-        self.acc = np.full(flat, np.nan)
-        self.tmp = np.full(flat, np.nan)
-        self.strides = tuple(int(np.prod(grid.shape[ax + 1:], dtype=int))
-                             for ax in range(dim))
-        self.interior_flat = np.flatnonzero(grid.interior.ravel())
-        self.exterior_flat = np.flatnonzero(~grid.interior.ravel())
+        self.dn = np.full(shape, np.nan)         # face difference, then face flux
+        self.acc = np.full(shape, np.nan)
+        self.tmp = np.full(shape, np.nan)
+        self.across = np.full((dim - 1,) + shape, np.nan)
+        # the three gathers of the cut formula: one entry per (axis, cut node)
+        cut = np.isfinite(grid.theta)
+        cut_rows = np.count_nonzero(cut[:, 0] | cut[:, 1])
+        self.cut_buf = np.full((3, cut_rows) + stack, np.nan)
+
+    def box(self, a: np.ndarray) -> np.ndarray:
+        """A compact array as a new box field, NaN off the inside nodes."""
+        out = np.full(self.box_shape, np.nan)
+        out.reshape((-1,) + self.stack)[self.inside_flat] = a
+        return out
+
+
+def _close(v: np.ndarray, bvals: BoundaryValues) -> None:
+    """The closure plan on a compact array, in place."""
+    ends = bvals.level_ends
+    v[bvals.nb_nodes[:ends[0]]] = bvals.c_const
+    for a, b in zip(ends, ends[1:]):
+        th = bvals.c_theta[a:b]
+        v[bvals.nb_nodes[a:b]] = (bvals.c_hb[a:b] + th * v[bvals.c_inner[a:b]]) / (1.0 + th)
 
 
 def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.ndarray:
     """Set near-boundary nodes by boundary-anchored linear interpolation.
 
-    One write of the constant closures, then one pass per closure level:
-    every node gets its exact interpolant, whatever near-boundary nodes it
-    reads, and every field of a stack the bits it gets alone.
+    values is a box field or a compact array, closed in place.  One write
+    of the constant closures, then one pass per closure level: every node
+    gets its exact interpolant, whatever near-boundary nodes it reads, and
+    every field of a stack the bits it gets alone.
     """
-    flat = _flat(values, grid.dim)
-    ends = bvals.level_ends
-    flat[bvals.nb_flat[:ends[0]]] = bvals.c_const
-    for a, b in zip(ends, ends[1:]):
-        th = bvals.c_theta[a:b]
-        flat[bvals.nb_flat[a:b]] = (bvals.c_hb[a:b] + th * flat[bvals.c_inner[a:b]]) / (1.0 + th)
+    if _is_box(values, grid):
+        v = values[grid.inside]
+        _close(v, bvals)
+        values[grid.inside] = v
+    else:
+        _close(values, bvals)
     return values
 
 
 def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
                   ws: Workspace | None = None) -> np.ndarray:
-    """Gradient at every inside node, shape (dim, *values.shape).
+    """Gradient at every inside node: shape (dim, *values.shape) for a box
+    field (NaN off the inside nodes), ws.grads for a compact array.
 
     Central differences on full stencils; where an axis is cut, the
     nonuniform three-point formula through the boundary value (exact on
     quadratics) replaces it:
     (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
-    with an uncut side at t = 1 reading its neighbor node.  Every inside
-    node on a lattice edge is cut on its edge side, so the cut formula
-    replaces the wrapped central difference there.  Off the inside nodes an
-    entry is NaN or a wrapped difference, and means nothing.
+    with an uncut side at t = 1 reading its neighbor node.  The cut formula
+    runs once, for the cut nodes of every axis together.
     """
-    ws = ws or Workspace(grid, values.shape[grid.dim:])
+    box = _is_box(values, grid)
+    v = values[grid.inside] if box else values
+    ws = ws or Workspace(grid, v.shape[1:])
     h = grid.spacing
-    v = _flat(values, grid.dim)
-    grads = ws.grads.reshape((grid.dim,) + v.shape)
+    grads = ws.grads
     with np.errstate(invalid="ignore"):
-        for ax, s in enumerate(ws.strides):
-            g = grads[ax]
-            np.subtract(v[2 * s:], v[:-2 * s], out=g[s:-s])
-            g[s:-s] /= 2 * h
-            c = bvals.axis_cuts[ax]
-            up, um = v[c.ip], v[c.im]
-            np.copyto(up, c.hb_p, where=c.cut_p)
-            np.copyto(um, c.hb_m, where=c.cut_m)
-            g[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * v[c.idx]) / c.den
-    return ws.grads
+        for ax in range(grid.dim - 1):
+            np.take(v, ws.plus[ax], axis=0, out=ws.across[ax], mode="clip")
+            np.take(v, ws.minus[ax], axis=0, out=ws.tmp, mode="clip")
+            np.subtract(ws.across[ax], ws.tmp, out=grads[ax])
+            grads[ax] /= 2 * h
+        g = grads[-1]
+        np.subtract(v[2:], v[:-2], out=g[1:-1])
+        g[1:-1] /= 2 * h
+        c = bvals.cuts
+        up, um, u0 = ws.cut_buf
+        np.take(v, c.ip, axis=0, out=up, mode="clip")
+        np.take(v, c.im, axis=0, out=um, mode="clip")
+        np.take(v, c.node, axis=0, out=u0, mode="clip")
+        np.copyto(up, c.hb_p, where=c.cut_p)
+        np.copyto(um, c.hb_m, where=c.cut_m)
+        up *= c.tm2
+        um *= c.tp2
+        up -= um
+        u0 *= c.w0
+        up += u0
+        up /= c.den
+        grads.reshape((-1,) + v.shape[1:])[c.row] = up
+    if box:
+        out = np.full((grid.dim,) + values.shape, np.nan)
+        out[:, grid.inside] = grads
+        return out
+    return grads
 
 
 def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                     bvals: BoundaryValues, ws: Workspace | None = None) -> np.ndarray:
-    """Evolution rate at interior nodes (NaN elsewhere).
+    """Evolution rate at interior nodes: a new box field (NaN elsewhere) for
+    a box field, ws.rate (0 on the ring) for a compact array.
 
     Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + nu) with
     s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
     (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).  The face between
-    flat nodes i and i + s sits at i in dn and acc.  ws.grad_sq keeps
-    |grad u|^2, summed in axis order, for the step recorder.
+    node i and its plus neighbor along an axis sits at i in dn and acc.
+    ws.grad_sq keeps |grad u|^2, summed in axis order, for the step recorder.
     """
-    ws = ws or Workspace(grid, values.shape[grid.dim:])
+    box = _is_box(values, grid)
+    v = values[grid.inside] if box else values
+    ws = ws or Workspace(grid, v.shape[1:])
     h = grid.spacing
     eps2 = params.epsilon ** 2
-    node_gradient(values, grid, bvals, ws)
-    v = _flat(values, grid.dim)
-    grads = ws.grads.reshape((grid.dim,) + v.shape)
-    grad_sq, s_node, rate = (_flat(a, grid.dim) for a in (ws.grad_sq, ws.s_node, ws.rate))
+    dim = grid.dim
+    node_gradient(v, grid, bvals, ws)
+    grads, grad_sq, s_node, rate = ws.grads, ws.grad_sq, ws.s_node, ws.rate
     dn, acc, tmp = ws.dn, ws.acc, ws.tmp
     # a blowing-up field may overflow here; euler_update's finiteness check
     # turns that into a BlowUpError
     with np.errstate(invalid="ignore", over="ignore"):
         np.multiply(grads[0], grads[0], out=grad_sq)
-        for j in range(1, grid.dim):
+        for j in range(1, dim):
             np.multiply(grads[j], grads[j], out=tmp)
             grad_sq += tmp
         np.add(grad_sq, eps2, out=s_node)
@@ -332,32 +442,50 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
 
         # the flux divergence accumulates in rate
         rate.fill(0.0)
-        for ax, s in enumerate(ws.strides):
-            d, a, t = dn[:-s], acc[:-s], tmp[:-s]
-            np.subtract(v[s:], v[:-s], out=d)
-            d /= h
-            # a sums the squared face averages t of the tangential components
-            for k, j in enumerate(j for j in range(grid.dim) if j != ax):
-                np.add(grads[j][:-s], grads[j][s:], out=t)
-                t *= 0.5
+        for ax in range(dim):
+            last = ax == dim - 1
+            if last:
+                d, a, t = dn[:-1], acc[:-1], tmp[:-1]
+                np.subtract(v[1:], v[:-1], out=d)
+            else:
+                d, a, t = dn, acc, tmp
+                np.subtract(ws.across[ax], v, out=d)
+            d /= h / 2
+            # a sums the squares of the doubled face averages t of the
+            # tangential components
+            for k, j in enumerate(j for j in range(dim) if j != ax):
+                if last:
+                    np.add(grads[j][:-1], grads[j][1:], out=t)
+                else:
+                    np.take(grads[j], ws.plus[ax], axis=0, out=t, mode="clip")
+                    t += grads[j]
                 if k == 0:
                     np.multiply(t, t, out=a)
                 else:
                     np.multiply(t, t, out=t)
                     a += t
-            # assemble s_face in a; the face flux replaces the face difference in d
+            # assemble 2 s_face in a; the face flux replaces the face difference in d
             np.multiply(d, d, out=t)
             a += t
-            a += eps2
+            a += 4 * eps2
             np.sqrt(a, out=a)
             np.divide(d, a, out=d)
-            np.subtract(dn[s:], d, out=tmp[s:])
-            rate[s:] += tmp[s:]
+            if last:
+                np.subtract(dn[1:], d, out=tmp[1:])
+                rate[1:] += tmp[1:]
+            else:
+                np.take(dn, ws.minus[ax], axis=0, out=tmp, mode="clip")
+                np.subtract(dn, tmp, out=tmp)
+                rate += tmp
         rate /= h
         rate += params.nu
         rate *= s_node
-        rate[ws.exterior_flat] = np.nan
-    return ws.rate
+        rate[ws.ring] = 0.0
+    if box:
+        out = np.full(values.shape, np.nan)
+        out[grid.interior] = rate[ws.interior]
+        return out
+    return rate
 
 
 def stable_dt(params: FlowParams, grid: Grid) -> float:
@@ -381,27 +509,24 @@ def dt_exceeds_stability(params: FlowParams, grid: Grid) -> bool:
 
 def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
                  bvals: BoundaryValues, ws: Workspace, step_index: int = 0) -> None:
-    """Advance interior nodes by dt*rate in place and re-close the boundary ring.
+    """Advance a compact state by dt*rate in place and re-close the boundary ring.
 
-    A non-finite update raises BlowUpError before the state is touched.  It
-    names the first node in flat order; in a stack, of the lowest field
-    with a non-finite update.
+    The rate is 0 on the ring, which the closure then sets.  A non-finite
+    update raises BlowUpError before the state is touched.  It names the
+    first node in flat order; in a stack, of the lowest field with a
+    non-finite update.
     """
-    flat = _flat(state.values, grid.dim)
-    idx = ws.interior_flat
-    upd = _flat(rate, grid.dim)[idx]
-    if not np.isfinite(upd).all():
-        bad = ~np.isfinite(upd.reshape(len(idx), -1))
+    if not np.isfinite(rate).all():
+        bad = ~np.isfinite(rate.reshape(len(rate), -1))
         field = int(np.argmax(bad.any(axis=0)))
-        node = tuple(int(i) for i in np.unravel_index(idx[np.argmax(bad[:, field])],
-                                                      grid.shape))
-        if state.values.ndim == grid.dim:
+        node = tuple(int(i) for i in np.unravel_index(
+            ws.inside_flat[np.argmax(bad[:, field])], grid.shape))
+        if rate.ndim == 1:
             raise BlowUpError(f"non-finite value at node {node} on step {step_index}",
                               node=node, step=step_index)
         raise BlowUpError(f"non-finite value at node {node} of field {field} "
                           f"on step {step_index}", node=node, step=step_index, field=field)
-    upd *= dt
-    flat[idx] += upd
+    state.values += np.multiply(rate, dt, out=ws.tmp)
     apply_closure(state.values, grid, bvals)
     state.time += dt
 
@@ -410,17 +535,18 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
           n_steps: int):
     """Forward-Euler march yielding (k, state, ws) for k = 0 (the start) to n_steps.
 
-    The start state is copied once and advanced in place, so the caller's
-    state is never changed.  The arrays of ws belong to the yielded state
-    until the next step overwrites them and the state.  A stack of fields
-    (values of shape (*grid.shape, B) with bvals built for B boundary
-    functions) advances with one operator call per step, each field bit for
-    bit as it would alone.  A non-finite update raises BlowUpError naming
-    the node and step, and in a stack the field.
+    The start is a box state; the yielded state holds the compact array
+    (ws.box gives its box field), gathered once from the start, so the
+    caller's state is never changed, and advanced in place.  The arrays of
+    ws belong to the yielded state until the next step overwrites them and
+    the state.  A stack of fields (box values of shape (*grid.shape, B) with
+    bvals built for B boundary functions) advances with one operator call
+    per step, each field bit for bit as it would alone.  A non-finite update
+    raises BlowUpError naming the node and step, and in a stack the field.
     """
     ws = Workspace(grid, state.values.shape[grid.dim:])
     dt = stable_dt(params, grid)
-    state = state.copy()
+    state = FieldState(state.values[grid.inside], state.time)
     regularized_rhs(state.values, grid, params, bvals, ws)
     yield 0, state, ws
     for k in range(1, n_steps + 1):
@@ -431,14 +557,18 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
 
 def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
                bvals: BoundaryValues) -> FieldState:
-    """Sample initial data on inside nodes and close the boundary ring.
+    """Sample initial data on inside nodes and close the boundary ring: a box state.
 
     g_fn is one function, or a sequence of B functions for a stack of fields
     (bvals built for as many).  The closure makes the initial state exactly
     what the scheme evolves, so rate bounds taken on it are attained by the
     first recorded step.
     """
-    values = np.full(grid.shape + (() if callable(g_fn) else (len(g_fn),)), np.nan)
-    values[grid.inside] = _sample(g_fn, grid.points[grid.inside])
-    apply_closure(values, grid, bvals)
+    stack = () if callable(g_fn) else (len(g_fn),)
+    pts = grid.points[grid.inside]
+    v = np.empty((len(pts),) + stack)
+    v[...] = _sample(g_fn, pts)
+    apply_closure(v, grid, bvals)
+    values = np.full(grid.shape + stack, np.nan)
+    values[grid.inside] = v
     return FieldState(values, 0.0)

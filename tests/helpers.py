@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -79,11 +80,11 @@ def relax_explicit(problem, grid, params, tol, max_steps=EXPLICIT_MAX_STEPS):
     bvals = op.boundary_values(grid, problem.boundary_data)
     for k, state, ws in op.march(op.init_state(grid, problem.initial_data, bvals),
                                  grid, params, bvals, max_steps):
-        res = float(np.max(np.abs(ws.rate[grid.interior])))
+        res = float(np.max(np.abs(ws.rate[ws.interior])))
         if res < tol:
             break
-    return mc.SteadyResult(state=state, steps=k, converged=res < tol, residual=res,
-                           newton_iterations=0)
+    return mc.SteadyResult(state=op.FieldState(ws.box(state.values), state.time), steps=k,
+                           converged=res < tol, residual=res, newton_iterations=0)
 
 
 def sup_norm_bound_two_solves(problem, grid, params):
@@ -198,15 +199,16 @@ def diffusion_tensor(p, params) -> np.ndarray:
 
 
 def boundary_trace_residual(values, grid, bvals) -> float:
-    """Max mismatch between the theta-interpolated trace and the boundary data."""
-    flat = op._flat(values, grid.dim)
+    """Max mismatch between the theta-interpolated trace and the boundary data,
+    of a box field or a compact array."""
+    v = values[grid.inside] if values.shape[:grid.dim] == grid.shape else values
     n = bvals.level_ends[0]
     res = 0.0
     if n:
-        res = float(np.max(np.abs(flat[bvals.nb_flat[:n]] - bvals.c_const)))
-    if len(bvals.nb_flat) > n:
+        res = float(np.max(np.abs(v[bvals.nb_nodes[:n]] - bvals.c_const)))
+    if len(bvals.nb_nodes) > n:
         th = bvals.c_theta[n:]
-        trace = (1.0 + th) * flat[bvals.nb_flat[n:]] - th * flat[bvals.c_inner[n:]]
+        trace = (1.0 + th) * v[bvals.nb_nodes[n:]] - th * v[bvals.c_inner[n:]]
         res = max(res, float(np.max(np.abs(trace - bvals.c_hb[n:]))))
     return res
 
@@ -218,12 +220,13 @@ def quadrature(field, grid) -> float:
 
 
 def step(state, grid, params, bvals, step_index=0):
-    """One out-of-place forward-Euler update; boundary trace re-imposed exactly."""
+    """One out-of-place forward-Euler update of a box state, in the compact
+    layout; boundary trace re-imposed exactly."""
     ws = op.Workspace(grid, state.values.shape[grid.dim:])
-    new = state.copy()
-    op.euler_update(new, op.regularized_rhs(state.values, grid, params, bvals, ws),
+    new = op.FieldState(state.values[grid.inside], state.time)
+    op.euler_update(new, op.regularized_rhs(new.values, grid, params, bvals, ws),
                     op.stable_dt(params, grid), grid, bvals, ws, step_index)
-    return new
+    return op.FieldState(ws.box(new.values), new.time)
 
 
 def quadratic_min_on_ball_bruteforce(hess, samples=10000) -> float:
@@ -300,6 +303,163 @@ def sampled_lipschitz_bruteforce(w, grid, collar) -> float:
     return best
 
 
+def box_cuts(grid, bvals):
+    """The cut-gradient data of bvals per axis, in box flat indices: the
+    layout the box-flat and the slice oracles read."""
+    c = bvals.cuts
+    n = grid.n_inside
+    inside_flat = np.flatnonzero(grid.inside)
+    out = []
+    for ax in range(grid.dim):
+        sel = c.row // n == ax
+        out.append(SimpleNamespace(
+            idx=inside_flat[c.node[sel]], ip=inside_flat[c.ip[sel]], im=inside_flat[c.im[sel]],
+            **{k: getattr(c, k)[sel] for k in ("cut_p", "cut_m", "hb_p", "hb_m",
+                                                "tp2", "tm2", "w0", "den")}))
+    return out
+
+
+class BoxFlatWorkspace:
+    """Scratch arrays of the box-flat oracle: every array spans the grid box,
+    dn, acc and tmp flat, (N, *stack)."""
+
+    def __init__(self, grid, bvals, stack=()):
+        shape = grid.shape + stack
+        dim = grid.dim
+        self.grads = np.full((dim,) + shape, np.nan)
+        self.grad_sq = np.full(shape, np.nan)
+        self.s_node = np.full(shape, np.nan)
+        self.rate = np.full(shape, np.nan)
+        flat = (grid.interior.size,) + stack
+        self.dn = np.full(flat, np.nan)         # face difference, then face flux
+        self.acc = np.full(flat, np.nan)
+        self.tmp = np.full(flat, np.nan)
+        self.strides = tuple(int(np.prod(grid.shape[ax + 1:], dtype=int))
+                             for ax in range(dim))
+        self.interior_flat = np.flatnonzero(grid.interior.ravel())
+        self.exterior_flat = np.flatnonzero(~grid.interior.ravel())
+        self.cuts = box_cuts(grid, bvals)
+        inside_flat = np.flatnonzero(grid.inside)
+        self.nb_flat = inside_flat[bvals.nb_nodes]
+        self.c_inner = np.where(bvals.c_inner < 0, -1, inside_flat[bvals.c_inner])
+
+
+def apply_closure_box_flat(values, grid, bvals, ws):
+    """Oracle of operator.apply_closure on the box-flat view."""
+    flat = op_flat(values, grid.dim)
+    ends = bvals.level_ends
+    flat[ws.nb_flat[:ends[0]]] = bvals.c_const
+    for a, b in zip(ends, ends[1:]):
+        th = bvals.c_theta[a:b]
+        flat[ws.nb_flat[a:b]] = (bvals.c_hb[a:b] + th * flat[ws.c_inner[a:b]]) / (1.0 + th)
+    return values
+
+
+def op_flat(a, dim):
+    """View of a box field, or a stack of them, with its dim grid axes merged into one."""
+    return a.reshape((-1,) + a.shape[dim:])
+
+
+def node_gradient_box_flat(values, grid, bvals, ws):
+    """Oracle of operator.node_gradient: contiguous shifts of the C-order flat
+    view of the whole box along every axis, the cut formula per axis."""
+    h = grid.spacing
+    v = op_flat(values, grid.dim)
+    grads = ws.grads.reshape((grid.dim,) + v.shape)
+    with np.errstate(invalid="ignore"):
+        for ax, s in enumerate(ws.strides):
+            g = grads[ax]
+            np.subtract(v[2 * s:], v[:-2 * s], out=g[s:-s])
+            g[s:-s] /= 2 * h
+            c = ws.cuts[ax]
+            up, um = v[c.ip], v[c.im]
+            np.copyto(up, c.hb_p, where=c.cut_p)
+            np.copyto(um, c.hb_m, where=c.cut_m)
+            g[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * v[c.idx]) / c.den
+    return ws.grads
+
+
+def regularized_rhs_box_flat(values, grid, params, bvals, ws):
+    """Oracle of operator.regularized_rhs on the box-flat view, with the face
+    averages halved: rate at interior nodes, NaN elsewhere."""
+    h = grid.spacing
+    eps2 = params.epsilon ** 2
+    node_gradient_box_flat(values, grid, bvals, ws)
+    v = op_flat(values, grid.dim)
+    grads = ws.grads.reshape((grid.dim,) + v.shape)
+    grad_sq, s_node, rate = (op_flat(a, grid.dim) for a in (ws.grad_sq, ws.s_node, ws.rate))
+    dn, acc, tmp = ws.dn, ws.acc, ws.tmp
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(grads[0], grads[0], out=grad_sq)
+        for j in range(1, grid.dim):
+            np.multiply(grads[j], grads[j], out=tmp)
+            grad_sq += tmp
+        np.add(grad_sq, eps2, out=s_node)
+        np.sqrt(s_node, out=s_node)
+        rate.fill(0.0)
+        for ax, s in enumerate(ws.strides):
+            d, a, t = dn[:-s], acc[:-s], tmp[:-s]
+            np.subtract(v[s:], v[:-s], out=d)
+            d /= h
+            for k, j in enumerate(j for j in range(grid.dim) if j != ax):
+                np.add(grads[j][:-s], grads[j][s:], out=t)
+                t *= 0.5
+                if k == 0:
+                    np.multiply(t, t, out=a)
+                else:
+                    np.multiply(t, t, out=t)
+                    a += t
+            np.multiply(d, d, out=t)
+            a += t
+            a += eps2
+            np.sqrt(a, out=a)
+            np.divide(d, a, out=d)
+            np.subtract(dn[s:], d, out=tmp[s:])
+            rate[s:] += tmp[s:]
+        rate /= h
+        rate += params.nu
+        rate *= s_node
+        rate[ws.exterior_flat] = np.nan
+    return ws.rate
+
+
+def euler_update_box_flat(state, rate, dt, grid, bvals, ws, step_index=0):
+    """Oracle of operator.euler_update on a box state: interior nodes advance,
+    the ring closes; the first non-finite node in flat order, of the lowest
+    field, raises BlowUpError before the state is touched."""
+    flat = op_flat(state.values, grid.dim)
+    idx = ws.interior_flat
+    upd = op_flat(rate, grid.dim)[idx]
+    if not np.isfinite(upd).all():
+        bad = ~np.isfinite(upd.reshape(len(idx), -1))
+        field = int(np.argmax(bad.any(axis=0)))
+        node = tuple(int(i) for i in np.unravel_index(idx[np.argmax(bad[:, field])],
+                                                      grid.shape))
+        if state.values.ndim == grid.dim:
+            raise op.BlowUpError(f"non-finite value at node {node} on step {step_index}",
+                                 node=node, step=step_index)
+        raise op.BlowUpError(f"non-finite value at node {node} of field {field} "
+                             f"on step {step_index}", node=node, step=step_index, field=field)
+    upd *= dt
+    flat[idx] += upd
+    apply_closure_box_flat(state.values, grid, bvals, ws)
+    state.time += dt
+
+
+def march_box_flat(state, grid, params, bvals, n_steps):
+    """Oracle of operator.march: the forward-Euler loop on box states,
+    yielding (k, state, ws) with ws a BoxFlatWorkspace."""
+    ws = BoxFlatWorkspace(grid, bvals, state.values.shape[grid.dim:])
+    dt = op.stable_dt(params, grid)
+    state = op.FieldState(state.values.copy(), state.time)
+    regularized_rhs_box_flat(state.values, grid, params, bvals, ws)
+    yield 0, state, ws
+    for k in range(1, n_steps + 1):
+        euler_update_box_flat(state, ws.rate, dt, grid, bvals, ws, k)
+        regularized_rhs_box_flat(state.values, grid, params, bvals, ws)
+        yield k, state, ws
+
+
 class SliceWorkspace:
     """Scratch arrays of the per-axis slice oracle for the operator."""
 
@@ -326,18 +486,17 @@ def node_gradient_slices(values, grid, bvals, ws):
     """Oracle for operator.node_gradient: the same formulas on per-axis
     slices of the grid-shaped field, which never wrap."""
     h = grid.spacing
-    flat = op._flat(values, grid.dim)
+    flat = op_flat(values, grid.dim)
     with np.errstate(invalid="ignore"):
-        for ax in range(grid.dim):
+        for ax, c in enumerate(box_cuts(grid, bvals)):
             sl = ws.slices[ax]
             g = ws.grads[ax]
             np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
             g[sl["mid"]] /= 2 * h
-            c = bvals.axis_cuts[ax]
             up, um = flat[c.ip], flat[c.im]
             np.copyto(up, c.hb_p, where=c.cut_p)
             np.copyto(um, c.hb_m, where=c.cut_m)
-            op._flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
+            op_flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
     return ws.grads
 
 
@@ -399,12 +558,15 @@ class RecorderOracle:
         self.has_ring = bool(self.ring.any())
 
     def record(self, state, ws):
+        # the march's compact state and workspace, as box fields
+        grads = np.stack([ws.box(g) for g in ws.grads])
+        rate, s_node = ws.box(ws.rate), ws.box(ws.s_node)
         with np.errstate(invalid="ignore"):
-            gmag = np.sqrt(np.sum(ws.grads ** 2, axis=0))
-        r = np.where(self.interior, ws.rate, 0.0)
+            gmag = np.sqrt(np.sum(grads ** 2, axis=0))
+        r = np.where(self.interior, rate, 0.0)
         rows = self.rows
         rows["t"].append(state.time)
-        uin = state.values[self.inside]
+        uin = ws.box(state.values)[self.inside]
         rows["sup_u"].append(float(np.max(np.abs(uin))))
         rows["min_u"].append(float(np.min(uin)))
         rows["max_u"].append(float(np.max(uin)))
@@ -414,10 +576,10 @@ class RecorderOracle:
                                          if has_interior else 0.0)
         rows["sup_grad_ring"].append(float(np.max(gmag[self.ring])) if self.has_ring else 0.0)
         rows["sup_ut"].append(float(np.max(np.abs(r[self.interior]))) if has_interior else 0.0)
-        svals = np.where(self.inside, ws.s_node, 0.0)
+        svals = np.where(self.inside, s_node, 0.0)
         rows["energy"].append(float(np.sum(svals * self.wvol)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(self.inside, r * r / ws.s_node, 0.0)
+            d = np.where(self.inside, r * r / s_node, 0.0)
         rows["dissipation"].append(float(np.sum(d * self.wvol)))
         rows["source"].append(self.nu * float(np.sum(r * self.wvol)))
         rows["ut_sq_integral"].append(float(np.sum(r * r * self.wvol)))
@@ -563,8 +725,9 @@ def build_grid_rolled(domain, spacing):
 
 def boundary_values_per_family(grid, h_fn):
     """Oracle of operator.boundary_values: the data evaluated once per (axis,
-    side) family at its cut_points, then the same gradient data and closure
-    plan."""
+    side) family at its cut_points into a box-sized array per family, the
+    gradient data axis by axis and the closure plan in box flat indices,
+    then every node index mapped to its compact position."""
     dim = grid.dim
     stack = () if callable(h_fn) else (len(h_fn),)
     hb = np.full((dim, 2) + grid.shape + stack, np.nan)
@@ -572,16 +735,42 @@ def boundary_values_per_family(grid, h_fn):
         mask = cut_mask(grid, ax, side)
         if mask.any():
             hb[ax, side][mask] = op._sample(h_fn, cut_points(grid, ax, side))
-    axis_cuts = [op._AxisCuts(grid, hb, ax) for ax in range(dim)]
+    unit = (-1,) + (1,) * len(stack)
+    n = grid.n_inside
+    compact = np.full(grid.inside.size, -1)
+    compact[np.flatnonzero(grid.inside)] = np.arange(n)
+    strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
+
+    parts = {k: [] for k in ("row", "node", "ip", "im", "cut_p", "cut_m", "hb_p", "hb_m",
+                             "tp", "tm")}
+    for ax in range(dim):
+        theta = grid.theta[ax].reshape(2, -1)
+        idx = np.flatnonzero(np.isfinite(theta).any(axis=0))
+        tm, tp = theta[:, idx]
+        cut_m, cut_p = np.isfinite(tm), np.isfinite(tp)
+        for k, v in (("row", ax * n + compact[idx]), ("node", compact[idx]),
+                     ("im", compact[np.where(cut_m, idx, idx - strides[ax])]),
+                     ("ip", compact[np.where(cut_p, idx, idx + strides[ax])]),
+                     ("cut_m", cut_m), ("cut_p", cut_p),
+                     ("hb_m", op_flat(hb[ax, 0], dim)[idx]), ("hb_p", op_flat(hb[ax, 1], dim)[idx]),
+                     ("tm", np.where(cut_m, tm, 1.0)), ("tp", np.where(cut_p, tp, 1.0))):
+            parts[k].append(v)
+    parts = {k: np.concatenate(v) for k, v in parts.items()}
+    cuts = op._AxisCuts()
+    for k in ("row", "node", "ip", "im", "hb_p", "hb_m"):
+        setattr(cuts, k, parts[k])
+    cuts.cut_m, cuts.cut_p = parts["cut_m"].reshape(unit), parts["cut_p"].reshape(unit)
+    tm, tp = parts["tm"].reshape(unit), parts["tp"].reshape(unit)
+    cuts.tm2, cuts.tp2 = tm ** 2, tp ** 2
+    cuts.w0 = cuts.tp2 - cuts.tm2
+    cuts.den = tp * tm * (tp + tm) * grid.spacing
 
     nb = grid.near_boundary.ravel()
     nb_flat = np.flatnonzero(nb)
-    ax = grid.closure_axis.ravel()[nb_flat]
-    side = grid.closure_side.ravel()[nb_flat]
+    ax = grid.closure_axis.ravel()[nb_flat].astype(int)
+    side = grid.closure_side.ravel()[nb_flat].astype(int)
     theta = grid.theta.reshape(dim, 2, -1)
     hbf = hb.reshape((dim, 2, -1) + stack)
-    unit = (-1,) + (1,) * len(stack)
-    strides = np.array([int(np.prod(grid.shape[a + 1:], dtype=int)) for a in range(dim)])
     sliver = np.isfinite(theta[ax, 1 - side, nb_flat])
     inner = np.where(sliver, nb_flat, nb_flat + np.where(side == 1, -1, 1) * strides[ax])
     pair = (~sliver & nb[inner] & (grid.closure_axis.ravel()[inner] == ax)
@@ -604,7 +793,7 @@ def boundary_values_per_family(grid, h_fn):
         done |= ready
     level_ends = tuple(np.cumsum([len(o) for o in order]).tolist())
     order = np.concatenate(order)
-    return op.BoundaryValues(axis_cuts=axis_cuts, nb_flat=nb_flat[order],
+    return op.BoundaryValues(cuts=cuts, nb_nodes=compact[nb_flat[order]],
                              c_theta=t_out[order].reshape(unit), c_hb=c_hb[order],
-                             c_inner=np.where(const, -1, inner)[order],
+                             c_inner=np.where(const, -1, compact[inner])[order],
                              c_const=c_const[order[:level_ends[0]]], level_ends=level_ends)

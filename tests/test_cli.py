@@ -343,6 +343,28 @@ def test_import_keeps_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_flow_run_leaves_numpy_random_unimported(tmp_path):
+    # the expression smoke test reads written-out draws; importing
+    # numpy.random would add about 2.7 MB of peak RSS to every run
+    src = str(Path(mc.__file__).resolve().parent.parent)
+    cfg = _write(tmp_path, MINIMAL_FLOW.replace("data.initial = 0",
+                                                "data.initial = 0.1*(1 - x1^2 - x2^2)"))
+    code = ("import sys; from mcflow.cli import main; "
+            f"rc = main(['flow', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_smoke_draws_are_the_seeded_uniform_draws():
+    # every config accepted or rejected with the seeded generator stays so
+    for dim in (2, 3):
+        want = np.random.default_rng(12345).uniform(-1.0, 1.0, (10, dim))
+        got = np.array(cli.SMOKE_DRAWS[:10 * dim]).reshape(10, dim)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_steady_warnings_reach_stderr(tmp_path, capsys):
     # the steady solve, and a flow run and a continuation ladder with nu
     # outside the admissible interval (-0.5, 0.5) of the unit disk

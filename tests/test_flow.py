@@ -339,7 +339,9 @@ def test_record_temporaries_stay_small():
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
     params = mc.FlowParams(epsilon=0.05)
     bv = mc.boundary_values(grid, bump)
-    state = mc.init_state(grid, bump, bv)
+    # the compact state and workspace of the march
+    box = mc.init_state(grid, bump, bv)
+    state = mc.FieldState(box.values[grid.inside], box.time)
     ws = mc.Workspace(grid)
     mc.regularized_rhs(state.values, grid, params, bv, ws)
     rec = fl._Recorder(grid, params)

@@ -13,7 +13,7 @@ from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
                      boundary_trace_residual, rate_closed_form, diffusion_tensor,
                      quadrature, SliceWorkspace, regularized_rhs_slices,
                      built_domain, built_grid, BUILT_GRIDS, build_grid_rolled,
-                     boundary_values_per_family)
+                     boundary_values_per_family, march_box_flat)
 
 WS_FIELDS = ("rate", "grads", "grad_sq", "s_node")
 
@@ -251,10 +251,9 @@ def test_march_keeps_ordered_pairs_ordered(unit_ball, grid16, seed, nu):
     bv_hi = op.boundary_values(grid16, high.boundary_data)
     lo0 = op.init_state(grid16, low.initial_data, bv_lo)
     hi0 = op.init_state(grid16, high.initial_data, bv_hi)
-    inside = grid16.inside
     for (_, lo, _), (_, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
                                       op.march(hi0, grid16, params, bv_hi, 40)):
-        assert np.max(lo.values[inside] - hi.values[inside]) <= 1e-10
+        assert np.max(lo.values - hi.values) <= 1e-10
         assert boundary_trace_residual(lo.values, grid16, bv_lo) < 1e-12
         assert boundary_trace_residual(hi.values, grid16, bv_hi) < 1e-12
 
@@ -345,14 +344,14 @@ def test_stacked_march_matches_separate_marches(unit_ball, stack_grids, fields, 
     bv = op.boundary_values(grid, data)
     if kind == "defects":
         assert _two_sided_cuts(grid) and (bv.c_inner < 0).any()
-        assert np.isin(bv.c_inner, bv.nb_flat).any()
+        assert np.isin(bv.c_inner, bv.nb_nodes).any()
     alone = []
     for f in data:
         bv_f = op.boundary_values(grid, f)
         alone.append(op.march(op.init_state(grid, f, bv_f), grid, params, bv_f, 16))
     stacked = op.march(op.init_state(grid, data, bv), grid, params, bv, 16)
     for (k, state, ws), *singles in zip(stacked, *alone):
-        assert state.values.shape == grid.shape + (len(data),)
+        assert state.values.shape == (grid.n_inside, len(data))
         for b, (_, single, ws_b) in enumerate(singles):
             assert np.array_equal(state.values[..., b], single.values, equal_nan=True)
             for name in WS_FIELDS:
@@ -369,7 +368,7 @@ def test_stack_of_one_matches_the_unstacked_field(grid16):
     for (_, one, ws1), (_, plain, ws) in zip(
             op.march(op.init_state(grid16, [bump], bv1), grid16, params, bv1, 8),
             op.march(op.init_state(grid16, bump, bv), grid16, params, bv, 8)):
-        assert one.values.shape == grid16.shape + (1,)
+        assert one.values.shape == (grid16.n_inside, 1)
         assert one.values[..., 0].tobytes() == plain.values.tobytes()
         for name in WS_FIELDS:
             assert getattr(ws1, name)[..., 0].tobytes() == getattr(ws, name).tobytes()
@@ -432,7 +431,7 @@ def _two_sided_cuts(grid):
 def _closure_branches(grid, bv):
     """(two-sided cuts, constant closures, closures that read a near-boundary node)."""
     return (_two_sided_cuts(grid), int((bv.c_inner < 0).sum()),
-            int(np.isin(bv.c_inner, bv.nb_flat).sum()))
+            int(np.isin(bv.c_inner, bv.nb_nodes).sum()))
 
 
 # (kind, dim, center, size, ratio, fraction): the slender off-centre ellipse
@@ -504,10 +503,10 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     bv = op.boundary_values(grid, data)
     # the residual sees a wrong value at either kind of closed node
     const = bv.c_inner < 0
-    for nodes in (bv.nb_flat[const], bv.nb_flat[~const]):
+    for nodes in (bv.nb_nodes[const], bv.nb_nodes[~const]):
         if len(nodes):
-            values = op.init_state(grid, data, bv).values
-            op._flat(values, dim)[nodes] += 1.0
+            values = op.init_state(grid, data, bv).values[inside]
+            values[nodes] += 1.0
             assert boundary_trace_residual(values, grid, bv) >= 0.5
 
     # from the raw samples, one closure call closes the ring
@@ -518,7 +517,7 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     params = mc.FlowParams(epsilon=0.1, nu=nu)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
         assert boundary_trace_residual(state.values, grid, bv) <= tol
-        assert np.isfinite(ws.grads[:, inside]).all()
+        assert np.isfinite(ws.grads).all()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -527,9 +526,9 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
 @example(**_branch_grid(5))
 def test_lattice_edge_nodes_are_cut_on_their_edge_side(kind, dim, center, size, ratio,
                                                        fraction):
-    # the flat-stride operator lets stencils wrap from one grid line to the
-    # next; the wrapped values land only on lattice-edge nodes, which must be
-    # exterior or take the cut formula on their edge side
+    # the compact operator's last-axis shifts cross from the end of one run
+    # of inside nodes to the next; a run ending on the lattice edge must end
+    # on a node that takes the cut formula on its edge side
     grid = built_grid(kind, dim, center, size, ratio, fraction)
     for ax in range(dim):
         for side, edge in ((0, 0), (1, -1)):
@@ -545,13 +544,13 @@ def _assert_matches_slice_oracle(grid, data, params, steps):
     march."""
     bv = op.boundary_values(grid, data)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, steps):
-        ref = SliceWorkspace(grid, state.values.shape[grid.dim:])
-        regularized_rhs_slices(state.values, grid, params, bv, ref)
-        assert ws.rate[grid.interior].tobytes() == ref.rate[grid.interior].tobytes()
-        assert ws.s_node[grid.inside].tobytes() == ref.s_node[grid.inside].tobytes()
-        assert ws.grads[:, grid.inside].tobytes() == ref.grads[:, grid.inside].tobytes()
+        ref = SliceWorkspace(grid, state.values.shape[1:])
+        regularized_rhs_slices(ws.box(state.values), grid, params, bv, ref)
+        assert ws.rate[ws.interior].tobytes() == ref.rate[grid.interior].tobytes()
+        assert ws.s_node.tobytes() == ref.s_node[grid.inside].tobytes()
+        assert ws.grads.tobytes() == ref.grads[:, grid.inside].tobytes()
         summed = np.sum(ws.grads ** 2, axis=0)
-        assert ws.grad_sq[grid.inside].tobytes() == summed[grid.inside].tobytes()
+        assert ws.grad_sq.tobytes() == summed.tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -577,6 +576,67 @@ def test_flat_operator_matches_slice_oracle_on_defects(stack_grids, stacked):
                                  mc.FlowParams(epsilon=0.1, nu=0.3), 3)
 
 
+def _assert_matches_box_flat_oracle(grid, data, params, steps):
+    """The compact march against the box-flat oracle, bit for bit, on every
+    state up to steps: the rate at interior nodes, the gradient, its squared
+    norm and the smoothed norm at inside nodes, and the state."""
+    bv = op.boundary_values(grid, data)
+    start = op.init_state(grid, data, bv)
+    inside = grid.inside
+    for (k, state, ws), (_, ref, rws) in zip(op.march(start, grid, params, bv, steps),
+                                             march_box_flat(start, grid, params, bv, steps),
+                                             strict=True):
+        assert ws.rate[ws.interior].tobytes() == rws.rate[grid.interior].tobytes()
+        assert ws.grads.tobytes() == rws.grads[:, inside].tobytes()
+        assert ws.grad_sq.tobytes() == rws.grad_sq[inside].tobytes()
+        assert ws.s_node.tobytes() == rws.s_node[inside].tobytes()
+        assert ws.box(state.values).tobytes() == ref.values.tobytes()
+        assert state.time == ref.time
+    assert k == steps
+
+
+def _assert_blowup_matches_box_flat_oracle(grid, data):
+    """At a step a hundred times the stability bound both marches blow up:
+    the same node, step, field and message."""
+    params = mc.FlowParams(epsilon=0.1, dt_override=50 * grid.spacing ** 2 / grid.dim)
+    bv = op.boundary_values(grid, data)
+    start = op.init_state(grid, data, bv)
+    errors = []
+    for run in (op.march, march_box_flat):
+        with pytest.raises(op.BlowUpError) as exc:
+            for _ in run(start, grid, params, bv, 2000):
+                pass
+        errors.append(exc.value)
+    got, want = errors
+    assert (got.node, got.step, got.field, str(got)) == (want.node, want.step, want.field,
+                                                          str(want))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(**BUILT_GRIDS, stacked=st.booleans(), nu=st.sampled_from((0.0, 0.3)))
+@example(**_branch_grid(0), stacked=True, nu=0.0)
+@example(**_branch_grid(1), stacked=False, nu=0.3)
+@example(**_branch_grid(4), stacked=True, nu=0.3)
+@example(kind="smoothed-stadium", dim=3, center=(0.0, 0.0, 0.0), size=1.0, ratio=0.5,
+         fraction=1 / 4, stacked=True, nu=0.3)
+def test_compact_operator_matches_the_box_flat_oracle(kind, dim, center, size, ratio,
+                                                      fraction, stacked, nu):
+    grid = built_grid(kind, dim, center, size, ratio, fraction)
+    _, _, fields = _closure_fields(dim)
+    data = fields if stacked else fields[0]
+    _assert_matches_box_flat_oracle(grid, data, mc.FlowParams(epsilon=0.1, nu=nu), 50)
+    _assert_blowup_matches_box_flat_oracle(grid, data)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_compact_operator_matches_the_box_flat_oracle_on_defects(stack_grids, stacked):
+    grid = stack_grids["defects"]
+    _, _, fields = _closure_fields(2)
+    data = fields if stacked else fields[0]
+    _assert_matches_box_flat_oracle(grid, data, mc.FlowParams(epsilon=0.1, nu=0.3), 50)
+    _assert_blowup_matches_box_flat_oracle(grid, data)
+
+
 @pytest.mark.parametrize("kind", ["disk", "spheroid", "disk-stack"])
 def test_grad_sq_is_the_summed_square_of_the_node_gradient(grid16, kind):
     # the recorder's gradient maxima read ws.grad_sq, not the squared gradient
@@ -593,10 +653,31 @@ def test_rhs_temporaries_stay_small():
     bv = op.boundary_values(grid, bump)
     state = op.init_state(grid, bump, bv)
     ws = op.Workspace(grid)
-    op.regularized_rhs(state.values, grid, params, bv, ws)     # warm caches
+    # the compact evaluation of the march
+    values = state.values[grid.inside]
+    op.regularized_rhs(values, grid, params, bv, ws)     # warm caches
     tracemalloc.start()
     try:
-        op.regularized_rhs(state.values, grid, params, bv, ws)
+        op.regularized_rhs(values, grid, params, bv, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.values.nbytes // 2, f"allocation peak {peak} B"
+
+
+def test_march_step_temporaries_stay_small():
+    # one step of the spheroid march: Euler update, closure and rate, all in
+    # the compact layout
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
+    params = mc.FlowParams(epsilon=0.05)
+    bv = op.boundary_values(grid, bump)
+    state = op.init_state(grid, bump, bv)
+    steps = op.march(state, grid, params, bv, 3)
+    next(steps)
+    next(steps)         # warm caches
+    tracemalloc.start()
+    try:
+        next(steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -633,11 +714,10 @@ def test_set_up_equals_the_rolled_and_per_family_oracles(kind, dim, center, size
         bv, want = op.boundary_values(grid, data), boundary_values_per_family(grid, data)
         assert bv.level_ends == want.level_ends
         for f in dataclasses.fields(op.BoundaryValues):
-            if f.name not in ("axis_cuts", "level_ends"):
+            if f.name not in ("cuts", "level_ends"):
                 assert _same_bytes(getattr(bv, f.name), getattr(want, f.name)), f.name
-        for got_cuts, want_cuts in zip(bv.axis_cuts, want.axis_cuts, strict=True):
-            for slot in op._AxisCuts.__slots__:
-                assert _same_bytes(getattr(got_cuts, slot), getattr(want_cuts, slot)), slot
+        for slot in op._AxisCuts.__slots__:
+            assert _same_bytes(getattr(bv.cuts, slot), getattr(want.cuts, slot)), slot
 
 
 @pytest.mark.parametrize("stacked", [False, True])
