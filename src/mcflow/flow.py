@@ -105,11 +105,13 @@ def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list
 class _Recorder:
     """Accumulates per-step diagnostics from the live compact state and workspace.
 
-    Node sets are compact positions, taken into preallocated buffers (mode
+    Node sets are compact positions, taken into a preallocated buffer (mode
     "clip" does not buffer; every index is in range).  The gradient maxima
     read the squared gradient norm ws.grad_sq that the rate evaluation
-    summed.  The integrals stay full-box pairwise sums: each compact
-    integrand is scattered into a box row that stays 0 off the inside nodes.
+    summed.  The rate enters as r, ws.rate at the interior nodes and 0
+    elsewhere, and its square is taken once.  The integrals stay full-box
+    pairwise sums: each compact integrand is scattered into a box row that
+    stays 0 off the inside nodes.  A call allocates no array.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -124,9 +126,9 @@ class _Recorder:
         self.interior = grid.interior[inside]
         self.idx = {"interior": np.flatnonzero(self.interior),
                     "near_boundary": np.flatnonzero(grid.near_boundary[inside])}
-        self.buf = np.empty(len(self.inside_flat))
-        # u_t, 0 off the interior; an integrand; the box row it is summed in
-        self.r, self.w = np.zeros((2, len(self.inside_flat)))
+        # u_t, 0 off the interior; its square, after the gathers in the same
+        # buffer; an integrand; the box row it is summed in
+        self.r, self.buf, self.w = np.zeros((3, len(self.inside_flat)))
         self.row = np.zeros(inside.size)
 
     def _take(self, src: np.ndarray, name: str) -> np.ndarray:
@@ -135,7 +137,7 @@ class _Recorder:
 
     def _integral(self) -> float:
         self.row[self.inside_flat] = self.w
-        return float(np.sum(self.row))
+        return float(self.row.sum())
 
     # a run about to blow up has rates and squared gradients that leave the
     # float range: they record as inf or nan, and the next update raises
@@ -146,30 +148,29 @@ class _Recorder:
         rows, r, w = self.rows, self.r, self.w
         rows["t"].append(state.time)
         u = state.values
-        lo, hi = float(np.min(u)), float(np.max(u))
+        lo, hi = float(u.min()), float(u.max())
         rows["sup_u"].append(max(abs(lo), abs(hi)))
         rows["min_u"].append(lo)
         rows["max_u"].append(hi)
         # inside = interior + ring, and sqrt commutes with max; a square is
         # never below the 0.0 an empty node set records
-        gi, gr = (float(np.max(self._take(ws.grad_sq, name), initial=0.0))
+        gi, gr = (float(self._take(ws.grad_sq, name).max(initial=0.0))
                   for name in ("interior", "near_boundary"))
         rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
         rows["sup_grad_interior"].append(float(np.sqrt(gi)))
         rows["sup_grad_ring"].append(float(np.sqrt(gr)))
-        ut = self._take(ws.rate, "interior")
-        rows["sup_ut"].append(float(np.max(np.abs(ut, out=ut))) if len(ut) else 0.0)
         np.copyto(r, ws.rate, where=self.interior)
+        # nor is |r|, 0 off the interior
+        rows["sup_ut"].append(float(np.abs(r, out=w).max(initial=0.0)))
         np.multiply(ws.s_node, self.wvol, out=w)
         rows["energy"].append(self._integral())
-        np.multiply(r, r, out=w)
-        w /= ws.s_node
+        sq = np.multiply(r, r, out=self.buf)
+        np.divide(sq, ws.s_node, out=w)
         w *= self.wvol
         rows["dissipation"].append(self._integral())
         np.multiply(r, self.wvol, out=w)
         rows["source"].append(self.nu * self._integral())
-        np.multiply(r, r, out=w)
-        w *= self.wvol
+        np.multiply(sq, self.wvol, out=w)
         rows["ut_sq_integral"].append(self._integral())
 
 

@@ -50,7 +50,7 @@ exactly the bits it gets alone: the arithmetic, closure included, is
 elementwise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,7 +166,10 @@ class BoundaryValues:
     interior nodes and nodes set before it; level_ends holds the end of the
     constants and of each level.  For a stack of B fields the boundary
     values and c_const gain a trailing axis of length B and the theta arrays
-    a trailing unit axis.
+    a trailing unit axis.  c_den = 1 + theta is stored once, and levels
+    holds each level's slices and a view of one scratch array the size of
+    the largest level, which the level is computed in: one BoundaryValues
+    serves one closure at a time.
     """
 
     cuts: _AxisCuts
@@ -176,6 +179,18 @@ class BoundaryValues:
     c_inner: np.ndarray      # node a closure reads, -1 at a constant
     c_const: np.ndarray      # values of the constant closures
     level_ends: tuple
+    c_den: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.c_den = 1.0 + self.c_theta
+        ends = self.level_ends
+        buf = np.empty((max((b - a for a, b in zip(ends, ends[1:])), default=0),)
+                       + self.c_hb.shape[1:])
+        # per level: its nodes, the nodes they read, theta, hb, 1 + theta and
+        # the scratch it is computed in
+        self.levels = [(self.nb_nodes[a:b], self.c_inner[a:b], self.c_theta[a:b],
+                        self.c_hb[a:b], self.c_den[a:b], buf[:b - a])
+                       for a, b in zip(ends, ends[1:])]
 
 
 def boundary_values(grid: Grid, h_fn: Callable | Sequence[Callable]) -> BoundaryValues:
@@ -339,11 +354,14 @@ class Workspace:
 
 def _close(v: np.ndarray, bvals: BoundaryValues) -> None:
     """The closure plan on a compact array, in place."""
-    ends = bvals.level_ends
-    v[bvals.nb_nodes[:ends[0]]] = bvals.c_const
-    for a, b in zip(ends, ends[1:]):
-        th = bvals.c_theta[a:b]
-        v[bvals.nb_nodes[a:b]] = (bvals.c_hb[a:b] + th * v[bvals.c_inner[a:b]]) / (1.0 + th)
+    v[bvals.nb_nodes[:bvals.level_ends[0]]] = bvals.c_const
+    for nodes, inner, theta, hb, den, lvl in bvals.levels:
+        # (hb + theta * inner) / (1 + theta), operation by operation
+        v.take(inner, axis=0, out=lvl, mode="clip")
+        lvl *= theta
+        lvl += hb
+        lvl /= den
+        v[nodes] = lvl
 
 
 def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.ndarray:

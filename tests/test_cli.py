@@ -10,6 +10,7 @@ import pytest
 import mcflow as mc
 from mcflow import barriers as ba
 from mcflow import cli
+from mcflow import flow as fl
 
 
 MINIMAL_FLOW = """
@@ -596,3 +597,96 @@ def test_liouville_and_comparison_warnings_reach_stderr(tmp_path, capsys):
     cfg = _write(tmp_path, text + "run.pairs = 1\n", "cmp.cfg")
     assert cli.main(["comparison", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
     assert "[comparison] warning: grid spacing above an eighth" in capsys.readouterr().err
+
+
+VISCOSITY_CFG = Path(__file__).parents[1] / "demos" / "configs" / "viscosity.cfg"
+
+
+def _spy_on_the_checker(monkeypatch):
+    """The (snapshots, times) of every viscosity_spot_check call a run makes."""
+    seen, check = [], cli.vf.viscosity_spot_check
+
+    def spy(snaps, times, *args):
+        seen.append((snaps, times))
+        return check(snaps, times, *args)
+
+    monkeypatch.setattr(cli.vf, "viscosity_spot_check", spy)
+    return seen
+
+
+@pytest.mark.parametrize("extra", ["", "params.dt_override = 0.0004\nrun.horizon = 0.2\n"],
+                         ids=["seed-0", "override-500-steps"])
+def test_viscosity_run_checks_the_snapshots_solve_ibvp_returns(tmp_path, monkeypatch, extra):
+    # steps n/2, 3n/4 and n: 512, 768, 1024 at seed 0, 250, 375, 500 with the override
+    cfg = _write(tmp_path, VISCOSITY_CFG.read_text() + extra)
+    seen = _spy_on_the_checker(monkeypatch)
+    assert cli.main(["viscosity", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    loaded = cli.load_config(cfg)
+    grid = mc.build_grid(loaded.domain, loaded.spacing)
+    h = loaded.horizon
+    report = mc.solve_ibvp(loaded.problem, grid, loaded.params, h,
+                           snapshot_times=(h / 2, 3 * h / 4, h))
+    assert [s[0] for s in report.snapshots] == ([512, 768, 1024] if not extra
+                                                else [250, 375, 500])
+    assert len(seen) == 2                  # the sub and the super check
+    for snaps, times in seen:
+        assert [t for _, t, _ in report.snapshots] == times
+        assert [v.tobytes() for _, _, v in report.snapshots] == [v.tobytes() for v in snaps]
+
+
+def test_viscosity_run_keeps_no_step_record(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a viscosity run built a step recorder")
+
+    monkeypatch.setattr(fl, "_Recorder", refuse)
+    assert cli.main(["viscosity", "--config", str(VISCOSITY_CFG),
+                     "--out", str(tmp_path / "v")]) == 0
+
+
+def test_viscosity_snapshots_are_equally_spaced_on_any_step_count(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 33 steps: 17, 25 and 33; the rounded quarter times land on 16, 25 and 33
+    cfg = _write(tmp_path, VISCOSITY_CFG.read_text()
+                 + "params.dt_override = 0.0009\nrun.horizon = 0.03\n")
+    seen = _spy_on_the_checker(monkeypatch)
+    assert cli.main(["viscosity", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    assert "error" not in capsys.readouterr().err
+    times = seen[0][1]
+    assert times == pytest.approx([17 * 0.0009, 25 * 0.0009, 33 * 0.0009], abs=1e-15)
+
+
+def test_viscosity_rejects_a_horizon_under_four_steps(tmp_path, capsys):
+    # dt = h^2 / 8 = 1/2048: a horizon of 0.001 takes 2 steps
+    cfg = _write(tmp_path, VISCOSITY_CFG.read_text() + "run.horizon = 0.001\n")
+    assert cli.main(["viscosity", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {cfg}: run.horizon = 0.001 gives 2 steps of dt = 0.000488281; "
+                   "the viscosity check needs at least 4\n")
+
+
+def test_viscosity_run_reports_a_blowup_in_one_error_line(tmp_path, capsys):
+    # the blow-up data of the flow tests: bump on the disk, eps 0.2, dt 0.01
+    text = """
+experiment = viscosity
+domain.kind = ball
+domain.radius = 1.0
+data.boundary = 0
+data.initial = 0.3*(1 - x1^2 - x2^2)^2
+params.epsilon = 0.2
+params.dt_override = 0.01
+grid.spacing = 0.0625
+run.horizon = 5.0
+"""
+    cfg = _write(tmp_path, text)
+    loaded = cli.load_config(cfg)
+    grid = mc.build_grid(loaded.domain, loaded.spacing)
+    bvals = mc.boundary_values(grid, loaded.boundary_expr)
+    with pytest.raises(mc.BlowUpError) as alone:
+        for _ in mc.march(mc.init_state(grid, loaded.initial_expr, bvals), grid,
+                          loaded.params, bvals, 500):
+            pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["viscosity", "--config", str(cfg), "--out", str(tmp_path / "v")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {alone.value}\n"
