@@ -221,7 +221,7 @@ def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
 
     fields = [prob for pair in zip(lows, highs) for prob in pair]
     bvals = boundary_values(grid, [prob.boundary_data for prob in fields])
-    n_steps = max(whole_steps(horizon, stable_dt(params, grid)), 0)
+    n_steps = whole_steps(horizon, stable_dt(params, grid))
 
     viol = []
     try:

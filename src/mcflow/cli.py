@@ -79,7 +79,6 @@ class RunConfig:
     plateau_value: float
     plateau_margin: float
     out_dir: Path
-    raw: dict
 
 
 @dataclass
@@ -180,8 +179,8 @@ def load_config(path, out_dir=None) -> RunConfig:
     flow.check_eps_list, a comparison needs a ball,
     a liouville run a smoothed stadium, params.nu >= 0 and a plateau (its
     positive margin included) inside the straight section, and
-    boundary/initial data must agree on the boundary (``IBVP`` checks it;
-    the max mismatch is reported on rejection).
+    boundary/initial data must be finite and agree on the boundary (``IBVP``
+    checks it; the first non-finite sample or the max mismatch is reported).
     """
     raw = _parse_kv(path)
     experiment = raw.get("experiment")
@@ -280,7 +279,6 @@ def load_config(path, out_dir=None) -> RunConfig:
         plateau_value=_value(raw, "liouville.plateau_value", "1.0"),
         plateau_margin=plateau_margin,
         out_dir=Path(out_dir) if out_dir else Path(raw.get("run.out_dir", ".")),
-        raw=raw,
     )
 
 
@@ -360,7 +358,7 @@ def _write_flow(out: Path, report: fl.FlowReport, grid: geo.Grid) -> list:
 # -- experiment runners -------------------------------------------------------
 #
 # Each runner computes one experiment on the grid ``run`` built and writes its
-# own data files into ``out``; it returns (checks, scalars, files, warnings).
+# own data files into ``out``; it returns (checks, scalars, files).
 
 def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
     problem = cfg.problem
@@ -390,7 +388,7 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
         "sup_u": float(report.sup_u.max()), "sup_grad": float(report.sup_grad.max()),
         "aborted": float(bool(report.aborted)),
     }
-    return checks, scalars, _write_flow(out, report, grid), report.warnings
+    return checks, scalars, _write_flow(out, report, grid)
 
 
 def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -409,8 +407,7 @@ def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
     ]
     snap_path = out / f"steady_{res.steps:08d}.mcfgrid"
     write_snapshot(snap_path, grid, res.state.values)
-    return (checks, {"steps": res.steps, "residual": res.residual}, [snap_path],
-            res.warnings)
+    return checks, {"steps": res.steps, "residual": res.residual}, [snap_path]
 
 
 def _run_continuation(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -420,7 +417,7 @@ def _run_continuation(cfg: RunConfig, grid: geo.Grid, out: Path):
                             "terminal fields tighten as the smoothing vanishes",
                             0.0, float(table.sup_diffs[-1]), table.monotone_decreasing)]
     scalars = {f"diff_{i}": d for i, d in enumerate(table.sup_diffs)}
-    return checks, scalars, [], table.warnings
+    return checks, scalars, []
 
 
 def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -447,7 +444,7 @@ def _run_barrier(cfg: RunConfig, grid: geo.Grid, out: Path):
         "upper_slope": upper.slope, "lower_slope": lower.slope,
         "collar_width": upper.collar_width, "data_lipschitz": upper.data_lipschitz,
     }
-    return checks, scalars, _write_flow(out, report, grid), report.warnings
+    return checks, scalars, _write_flow(out, report, grid)
 
 
 def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -456,8 +453,7 @@ def _run_comparison(cfg: RunConfig, grid: geo.Grid, out: Path):
     worst = ba.comparison_experiment(lows, highs, grid, cfg.params, cfg.horizon).max_violation
     checks = [PropertyCheck("ordering-preserved", "ordered data evolve ordered",
                             1e-10, worst, worst <= 1e-10)]
-    return (checks, {"pairs": cfg.pairs, "max_violation": worst}, [],
-            fl.collect_warnings(cfg.domain, grid, cfg.params))
+    return checks, {"pairs": cfg.pairs, "max_violation": worst}, []
 
 
 def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -489,8 +485,7 @@ def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
     checks = [PropertyCheck("viscosity-clean", "no one-sided differential violations",
                             10 * grid.spacing, float(len(violations)),
                             len(violations) == 0)]
-    return (checks, {"violations": float(len(violations))}, [vpath],
-            fl.collect_warnings(cfg.domain, grid, cfg.params))
+    return checks, {"violations": float(len(violations))}, [vpath]
 
 
 def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
@@ -529,7 +524,7 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
         "sup_flatness": report.sup_flatness, "bound": report.bound,
         "max_monotone_violation": float(report.monotone_violation.max()),
     }
-    return checks, scalars, [cpath], fl.collect_warnings(cfg.domain, grid, cfg.params)
+    return checks, scalars, [cpath]
 
 
 _RUNNERS = {
@@ -545,12 +540,13 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> RunSummary:
-    """Run one validated config: output directory, grid, experiment, warnings, summary."""
+    """Run one validated config: output directory, grid, experiment, warnings
+    (printed once the experiment returns: a run that raises prints none), summary."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = geo.build_grid(cfg.domain, cfg.spacing)
-    checks, scalars, files, warnings = _RUNNERS[cfg.experiment](cfg, grid, out)
-    for warning in warnings:
+    checks, scalars, files = _RUNNERS[cfg.experiment](cfg, grid, out)
+    for warning in fl.collect_warnings(cfg.domain, grid, cfg.params):
         print(f"[{cfg.experiment}] warning: {warning}", file=sys.stderr)
     summary_path = out / "summary.txt"
     summary = RunSummary(cfg.experiment, checks, scalars,

@@ -6,7 +6,6 @@ Per-step diagnostics are reduced in a fixed order so reports are
 reproducible bit for bit.
 """
 
-import time as _time
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
@@ -30,10 +29,11 @@ class IncompatibleDataError(ValueError):
 class IBVP:
     """Problem data: domain, boundary values h and initial values g.
 
-    Both data functions take (N, dim) point arrays and must agree on the
-    boundary to within 1e-10; the flow's a priori bounds require it, so a
-    mismatch is an error rather than a warning.  One function given as both
-    agrees with itself and is not sampled.
+    Both data functions take (N, dim) point arrays and must be finite and
+    agree on the boundary to within 1e-10; the flow's a priori bounds
+    require it, so a mismatch is an error (naming the first non-finite
+    sample) rather than a warning.  One function given as both agrees with
+    itself and is not sampled.
     """
 
     domain: DomainSpec
@@ -44,7 +44,14 @@ class IBVP:
         if self.boundary_data is self.initial_data:
             return
         pts = boundary_points(self.domain, COMPATIBILITY_SAMPLES)
-        gap = np.max(np.abs(self.boundary_data(pts) - self.initial_data(pts)))
+        with np.errstate(all="ignore"):     # a non-finite value is reported below
+            h, g = self.boundary_data(pts), self.initial_data(pts)
+            gap = np.max(np.abs(h - g))
+        for name, vals in (("boundary", h), ("initial", g)):
+            if (bad := np.flatnonzero(~np.isfinite(vals))).size:
+                point = ", ".join(f"{c:.6g}" for c in pts[bad[0]])
+                raise IncompatibleDataError(
+                    f"{name} data evaluate non-finite at the boundary point ({point})")
         if gap > COMPATIBILITY_TOL:
             raise IncompatibleDataError(
                 f"boundary and initial data differ by {gap:.3e} on the boundary "
@@ -83,9 +90,7 @@ class FlowReport:
     snapshots: list = dc_field(default_factory=list)   # (step, time, values)
     steps: int = 0
     dt: float = 0.0
-    wall_clock: float = 0.0
     aborted: str | None = None
-    warnings: list = dc_field(default_factory=list)
 
 
 def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list:
@@ -185,11 +190,10 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     for ts in snapshot_times:
         if not 0 <= ts <= horizon:
             raise ValueError(f"snapshot time {ts} lies outside [0, horizon = {horizon}]")
-    t0 = _time.perf_counter()
     bvals = boundary_values(grid, problem.boundary_data)
     state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
-    n_steps = max(whole_steps(horizon, dt), 0)
+    n_steps = whole_steps(horizon, dt)
     snap_steps = {whole_steps(ts, dt) for ts in snapshot_times}
 
     rec = _Recorder(grid, params)
@@ -203,12 +207,8 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     except BlowUpError as exc:
         aborted = str(exc)
 
-    return FlowReport(
-        **{name: np.array(row) for name, row in rec.rows.items()},
-        snapshots=snapshots, steps=k, dt=dt,
-        wall_clock=_time.perf_counter() - t0, aborted=aborted,
-        warnings=collect_warnings(problem.domain, grid, params),
-    )
+    return FlowReport(**{name: np.array(row) for name, row in rec.rows.items()},
+                      snapshots=snapshots, steps=k, dt=dt, aborted=aborted)
 
 
 @dataclass
@@ -225,7 +225,6 @@ class SteadyResult:
     converged: bool
     residual: float
     newton_iterations: int
-    warnings: list = dc_field(default_factory=list)
 
 
 GMRES_RESTART = 40           # Krylov basis size between restarts
@@ -447,8 +446,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
             best_sup, best, best_it = sup, values, it
     return SteadyResult(state=FieldState(ws.box(best), state.time), steps=evals,
                         converged=best_sup < tol,
-                        residual=best_sup, newton_iterations=best_it,
-                        warnings=collect_warnings(problem.domain, grid, params))
+                        residual=best_sup, newton_iterations=best_it)
 
 
 @dataclass
@@ -456,7 +454,6 @@ class ContinuationTable:
     epsilons: tuple
     sup_diffs: tuple            # sup-norm differences of consecutive terminal fields
     monotone_decreasing: bool
-    warnings: list              # independent of the smoothing, so computed once
 
 
 def check_eps_list(eps_list: Sequence[float]) -> tuple:
@@ -492,7 +489,7 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
         try:
             # march advances its own copy of the start; the last state is the row's
             for _, state, _ in march(start, grid, row, bvals,
-                                     max(whole_steps(horizon, stable_dt(row, grid)), 0)):
+                                     whole_steps(horizon, stable_dt(row, grid))):
                 pass
         except BlowUpError as exc:
             raise BlowUpError(f"continuation row eps={eps} aborted: {exc}",
@@ -500,5 +497,4 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
         fields.append(state.values)
     diffs = tuple(float(np.max(np.abs(a - b))) for a, b in zip(fields, fields[1:]))
     mono = all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
-    return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono,
-                             warnings=collect_warnings(problem.domain, grid, params))
+    return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono)

@@ -201,7 +201,7 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     bvals = boundary_values(grid, problem.initial_data)
     state = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
-    n_steps = max(whole_steps(horizon, dt), 0)
+    n_steps = whole_steps(horizon, dt)
 
     tau = grid.points[..., -1]
     inside = grid.inside

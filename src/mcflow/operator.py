@@ -514,8 +514,9 @@ def stable_dt(params: FlowParams, grid: Grid) -> float:
 
 
 def whole_steps(duration: float, dt: float) -> int:
-    """Completed steps of size dt within duration, forgiving a 1e-12 step of round-off."""
-    return int(np.floor(duration / dt + 1e-12))
+    """Completed steps of size dt within duration, forgiving a 1e-12 step of
+    round-off; 0 for a duration under one step, a negative one included."""
+    return max(int(np.floor(duration / dt + 1e-12)), 0)
 
 
 def dt_exceeds_stability(params: FlowParams, grid: Grid) -> bool:

@@ -228,6 +228,23 @@ def test_config_rejects_boundary_mismatch(tmp_path):
         cli.load_config(_write(tmp_path, bad))
 
 
+def test_main_rejects_data_non_finite_on_the_boundary(tmp_path, capsys):
+    # NaN on the arc x1 < -0.95, which the 10 smoke-test points (x1 >= -0.55) miss
+    root = "sqrt(x1 + 0.95)"
+    cfg = _write(tmp_path, MINIMAL_FLOW.replace("experiment = flow", "experiment = steady")
+                 .replace("data.boundary = 0", f"data.boundary = {root}")
+                 .replace("data.initial = 0", f"data.initial = {root}"))
+    pts = mc.boundary_points(mc.ball(1.0), fl.COMPATIBILITY_SAMPLES)
+    first = pts[np.argmax(pts[:, 0] < -0.95)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["steady", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: boundary data evaluate non-finite at the "
+                                   f"boundary point ({first[0]:.6g}, {first[1]:.6g})\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_parse_error_reports_line(tmp_path):
     with pytest.raises(cli.ConfigError, match=":2:"):
         cli.load_config(_write(tmp_path, "experiment = flow\nnonsense line\n"))
@@ -599,7 +616,46 @@ def test_liouville_and_comparison_warnings_reach_stderr(tmp_path, capsys):
     assert "[comparison] warning: grid spacing above an eighth" in capsys.readouterr().err
 
 
-VISCOSITY_CFG = Path(__file__).parents[1] / "demos" / "configs" / "viscosity.cfg"
+DEMO_CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
+VISCOSITY_CFG = DEMO_CONFIGS / "viscosity.cfg"
+# each experiment's demo config, cut to a short horizon, with a change that
+# makes it warn: a drift outside the disk's interval (-0.5, 0.5), a coarse
+# grid, the flat-sided stadium's empty interval at nu = 0
+NU_07 = "params.nu = 0.7\ngrid.spacing = 0.0625\n"
+WARNING_RUNS = {
+    "flow": ("flow_bump.cfg", NU_07),
+    "steady": ("steady_drift.cfg", NU_07),
+    "continuation": ("continuation.cfg", NU_07),
+    "barrier": ("barrier_linear.cfg", NU_07),
+    "viscosity": ("viscosity.cfg", NU_07),
+    "comparison": ("comparison.cfg", "grid.spacing = 0.25\n"),
+    "liouville": ("liouville_ramp.cfg", ""),
+}
+
+
+@pytest.mark.parametrize("experiment", WARNING_RUNS)
+def test_every_run_prints_the_warnings_of_the_one_rule(tmp_path, capsys, experiment):
+    name, change = WARNING_RUNS[experiment]
+    # the flow demo's snapshot times lie past the short horizon
+    lines = [line for line in (DEMO_CONFIGS / name).read_text().splitlines(keepends=True)
+             if not line.startswith("run.snapshot_times")]
+    path = _write(tmp_path, "".join(lines) + "run.horizon = 0.01\n" + change)
+    cfg = cli.load_config(path)
+    want = fl.collect_warnings(cfg.domain, mc.build_grid(cfg.domain, cfg.spacing), cfg.params)
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert want
+    assert capsys.readouterr().err.splitlines() == [f"[{experiment}] warning: {w}"
+                                                    for w in want]
+
+
+def test_a_run_ending_in_an_error_prints_no_warning(tmp_path, capsys):
+    # the override step is 20 times the stability bound, which warns, and blows up
+    path = _write(tmp_path, BLOWUP_COMPARISON)
+    cfg = cli.load_config(path)
+    assert fl.collect_warnings(cfg.domain, mc.build_grid(cfg.domain, cfg.spacing), cfg.params)
+    assert cli.main(["comparison", "--config", str(path), "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: non-finite value")
 
 
 def _spy_on_the_checker(monkeypatch):

@@ -21,6 +21,21 @@ def test_incompatible_data_rejected(unit_ball):
         mc.IBVP(unit_ball, zero, lambda p: p[:, 0] + 0.5)
 
 
+@pytest.mark.parametrize("bad", ["boundary", "initial"])
+def test_data_non_finite_on_the_boundary_rejected(unit_ball, bad):
+    # sqrt(x1 + 0.95) is NaN on the arc x1 < -0.95 of the unit circle
+    root = lambda p: np.sqrt(p[:, 0] + 0.95)
+    data = (root, zero) if bad == "boundary" else (zero, root)
+    pts = mc.boundary_points(unit_ball, fl.COMPATIBILITY_SAMPLES)
+    first = pts[np.argmax(pts[:, 0] < -0.95)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(fl.IncompatibleDataError) as exc:
+            mc.IBVP(unit_ball, *data)
+    assert str(exc.value) == (f"{bad} data evaluate non-finite at the boundary point "
+                              f"({first[0]:.6g}, {first[1]:.6g})")
+
+
 def test_zero_data_zero_solution(unit_ball, grid16):
     prob = mc.IBVP(unit_ball, zero, zero)
     rep = mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05), horizon=0.05)
@@ -63,9 +78,8 @@ def test_max_principle_nu_zero(unit_ball, grid16):
 
 
 def test_warnings_surface_inadmissible_speed(unit_ball, grid16):
-    prob = mc.IBVP(unit_ball, linear_x1, linear_x1)
-    rep = mc.solve_ibvp(prob, grid16, mc.FlowParams(epsilon=0.05, nu=0.7), horizon=0.001)
-    assert any("admissible" in w for w in rep.warnings)
+    warns = fl.collect_warnings(unit_ball, grid16, mc.FlowParams(epsilon=0.05, nu=0.7))
+    assert any("admissible" in w for w in warns)
 
 
 def test_relax_stationary_converges_immediately(unit_ball, grid16):

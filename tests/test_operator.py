@@ -122,6 +122,11 @@ def test_whole_steps_forgives_round_off():
     assert op.whole_steps(0.25, 0.1) == 2
 
 
+@pytest.mark.parametrize("duration", [-0.3, 0.05])
+def test_whole_steps_is_zero_under_one_step(duration):
+    assert op.whole_steps(duration, 0.1) == 0
+
+
 def test_dt_override_warning_threshold(grid32):
     h2 = grid32.spacing ** 2
     ok = mc.FlowParams(epsilon=0.1, dt_override=0.2 * h2)

@@ -104,6 +104,43 @@ def test_the_import_check_sees_an_unread_import(tmp_path):
     assert unread_imports(src) == [(2, "os"), (3, "os"), (5, "c"), (6, "e")]
 
 
+def _decorator_name(node) -> str | None:
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def unread_fields(modules, readers) -> list:
+    """(module, line, class, field) for every annotated field of a @dataclass
+    in the modules whose name no attribute load in the readers reads."""
+    loads = {node.attr for path in readers for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(path.name, item.lineno, node.name, item.target.id)
+            for path in modules for node in ast.walk(_parse(path))
+            if isinstance(node, ast.ClassDef)
+            and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in loads]
+
+
+def test_every_dataclass_field_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = modules + sorted(path for folder in ("tests", "demos", "perfbench")
+                               for path in (ROOT / folder).rglob("*.py"))
+    assert unread_fields(modules, readers) == []
+
+
+def test_the_field_check_sees_an_unread_field(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import dataclasses\nfrom dataclasses import dataclass, field\n\n"
+                   "@dataclass\nclass A:\n    read: int\n    unread: float = 0.0\n"
+                   "    kept: list = field(default_factory=list)\n\n"
+                   "@dataclasses.dataclass(frozen=True)\nclass B:\n    kept: int\n\n"
+                   "class Plain:\n    other: int\n\n"
+                   "a = A(1)\na.unread = a.read\nprint(a.kept)\n")
+    assert unread_fields([src], [src]) == [("m.py", 7, "A", "unread")]
+
+
 def roll_calls(path: Path) -> list:
     """Lines of every call to a function named roll: np.roll, numpy.roll or
     an imported roll.  A roll wraps values across the lattice edge."""
