@@ -37,8 +37,8 @@ print(f"  explicit relaxation: steps={k}, residual={residual:.2e}, "
 res = mc.relax_to_steady(prob, grid, params, tol=1e-6)
 print(f"  newton_iterations={res.newton_iterations}, "
       f"steps={res.steps}, residual={res.residual:.2e}, "
-      f"value at the center = {res.state.values[mid]:.8f}")
-gap = np.max(np.abs(res.state.values[grid.inside] - oracle[grid.inside]))
+      f"value at the center = {res.values[mid]:.8f}")
+gap = np.max(np.abs(res.values[grid.inside] - oracle[grid.inside]))
 print(f"  sup|newton - explicit| = {gap:.2e}")
 
 print("\n== residual evaluations to sup|rate| < 1e-6, plain -> frozen-coefficient M^-1 ==")
@@ -66,7 +66,7 @@ for label, domain, h, nu, data in rows:
     with mock.patch.object(fl, "_frozen_coefficients", unit):
         plain = solve()
     frozen = solve()
-    gap = np.max(np.abs(frozen.state.values[g.inside] - plain.state.values[g.inside]))
+    gap = np.max(np.abs(frozen.values[g.inside] - plain.values[g.inside]))
     print(f"  {label}: {plain.steps} -> {frozen.steps} evaluations "
           f"(converged {plain.converged}, {frozen.converged}), sup|difference| = {gap:.1e}")
 
@@ -81,7 +81,7 @@ for n, eps in ((32, 0.025), (32, 0.0125), (32, 0.00625), (64, 0.025)):
           f"{time.perf_counter() - t0:.2f} s")
 
 print("\n== one-sided spot checks on the nu=0.3, h=1/16 field ==")
-snaps, times = vf.replicate_steady(res.state.values)
+snaps, times = vf.replicate_steady(res.values)
 for mode in ("sub", "super"):
     bad = vf.viscosity_spot_check(snaps, times, grid, params, mode)
     print(f"  {mode}-solution spot check: {len(bad)} violations")

@@ -393,7 +393,7 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
 
 def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
     res = fl.relax_to_steady(cfg.problem, grid, cfg.params, cfg.tolerance)
-    snaps, times = vf.replicate_steady(res.state.values)
+    snaps, times = vf.replicate_steady(res.values)
     n_sub = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "sub",
                                         cfg.probe_budget))
     n_super = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "super",
@@ -406,7 +406,7 @@ def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
                       0.0, float(n_sub + n_super), n_sub + n_super == 0),
     ]
     snap_path = out / f"steady_{res.steps:08d}.mcfgrid"
-    write_snapshot(snap_path, grid, res.state.values)
+    write_snapshot(snap_path, grid, res.values)
     return checks, {"steps": res.steps, "residual": res.residual}, [snap_path]
 
 

@@ -32,8 +32,8 @@ class IBVP:
     Both data functions take (N, dim) point arrays and must be finite and
     agree on the boundary to within 1e-10; the flow's a priori bounds
     require it, so a mismatch is an error (naming the first non-finite
-    sample) rather than a warning.  One function given as both agrees with
-    itself and is not sampled.
+    sample) rather than a warning.  One function given as both is sampled
+    once.
     """
 
     domain: DomainSpec
@@ -41,11 +41,10 @@ class IBVP:
     initial_data: Callable
 
     def __post_init__(self):
-        if self.boundary_data is self.initial_data:
-            return
         pts = boundary_points(self.domain, COMPATIBILITY_SAMPLES)
         with np.errstate(all="ignore"):     # a non-finite value is reported below
-            h, g = self.boundary_data(pts), self.initial_data(pts)
+            h = self.boundary_data(pts)
+            g = h if self.boundary_data is self.initial_data else self.initial_data(pts)
             gap = np.max(np.abs(h - g))
         for name, vals in (("boundary", h), ("initial", g)):
             if (bad := np.flatnonzero(~np.isfinite(vals))).size:
@@ -110,13 +109,13 @@ def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list
 class _Recorder:
     """Accumulates per-step diagnostics from the live compact state and workspace.
 
-    Node sets are compact positions, taken into a preallocated buffer (mode
-    "clip" does not buffer; every index is in range).  The gradient maxima
-    read the squared gradient norm ws.grad_sq that the rate evaluation
-    summed.  The rate enters as r, ws.rate at the interior nodes and 0
-    elsewhere, and its square is taken once.  The integrals stay full-box
-    pairwise sums: each compact integrand is scattered into a box row that
-    stays 0 off the inside nodes.  A call allocates no array.
+    The gradient maxima read the squared gradient norm ws.grad_sq that the
+    rate evaluation summed, taken at ws.interior and ws.ring into a
+    preallocated buffer (mode "clip" does not buffer; every index is in
+    range).  The rate is ws.rate, 0 on the ring, and its square is taken
+    once.  The integrals stay full-box pairwise sums: each compact integrand
+    is scattered into a box row that stays 0 off the inside nodes.  A call
+    allocates no array.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -125,23 +124,14 @@ class _Recorder:
         self.rows = {k: [] for k in ("t", "sup_u", "min_u", "max_u", "sup_grad",
                                      "sup_grad_interior", "sup_grad_ring", "sup_ut",
                                      "energy", "dissipation", "source", "ut_sq_integral")}
-        inside = grid.inside
-        self.inside_flat = np.flatnonzero(inside)
-        self.wvol = (grid.qweight * grid.spacing ** grid.dim)[inside]
-        self.interior = grid.interior[inside]
-        self.idx = {"interior": np.flatnonzero(self.interior),
-                    "near_boundary": np.flatnonzero(grid.near_boundary[inside])}
-        # u_t, 0 off the interior; its square, after the gathers in the same
-        # buffer; an integrand; the box row it is summed in
-        self.r, self.buf, self.w = np.zeros((3, len(self.inside_flat)))
-        self.row = np.zeros(inside.size)
+        self.wvol = (grid.qweight * grid.spacing ** grid.dim)[grid.inside]
+        # the gathered squared gradients, then the squared rate; an
+        # integrand; the box row it is summed in
+        self.buf, self.w = np.zeros((2, len(self.wvol)))
+        self.row = np.zeros(grid.inside.size)
 
-    def _take(self, src: np.ndarray, name: str) -> np.ndarray:
-        idx = self.idx[name]
-        return np.take(src, idx, out=self.buf[:len(idx)], mode="clip")
-
-    def _integral(self) -> float:
-        self.row[self.inside_flat] = self.w
+    def _integral(self, ws: Workspace) -> float:
+        self.row[ws.inside_flat] = self.w
         return float(self.row.sum())
 
     # a run about to blow up has rates and squared gradients that leave the
@@ -150,7 +140,7 @@ class _Recorder:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def record(self, state: FieldState, ws: Workspace):
         # ws holds the rate, squared gradient and smoothed norm of exactly this state
-        rows, r, w = self.rows, self.r, self.w
+        rows, r, w = self.rows, ws.rate, self.w
         rows["t"].append(state.time)
         u = state.values
         lo, hi = float(u.min()), float(u.max())
@@ -159,24 +149,24 @@ class _Recorder:
         rows["max_u"].append(hi)
         # inside = interior + ring, and sqrt commutes with max; a square is
         # never below the 0.0 an empty node set records
-        gi, gr = (float(self._take(ws.grad_sq, name).max(initial=0.0))
-                  for name in ("interior", "near_boundary"))
+        gi, gr = (float(np.take(ws.grad_sq, idx, out=self.buf[:len(idx)],
+                                mode="clip").max(initial=0.0))
+                  for idx in (ws.interior, ws.ring))
         rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
         rows["sup_grad_interior"].append(float(np.sqrt(gi)))
         rows["sup_grad_ring"].append(float(np.sqrt(gr)))
-        np.copyto(r, ws.rate, where=self.interior)
-        # nor is |r|, 0 off the interior
+        # nor is |r|, 0 on the ring
         rows["sup_ut"].append(float(np.abs(r, out=w).max(initial=0.0)))
         np.multiply(ws.s_node, self.wvol, out=w)
-        rows["energy"].append(self._integral())
+        rows["energy"].append(self._integral(ws))
         sq = np.multiply(r, r, out=self.buf)
         np.divide(sq, ws.s_node, out=w)
         w *= self.wvol
-        rows["dissipation"].append(self._integral())
+        rows["dissipation"].append(self._integral(ws))
         np.multiply(r, self.wvol, out=w)
-        rows["source"].append(self.nu * self._integral())
+        rows["source"].append(self.nu * self._integral(ws))
         np.multiply(sq, self.wvol, out=w)
-        rows["ut_sq_integral"].append(self._integral())
+        rows["ut_sq_integral"].append(self._integral(ws))
 
 
 def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
@@ -215,12 +205,13 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
 class SteadyResult:
     """Terminal field of a steady solve and its certificate.
 
-    steps counts residual evaluations after the initial one; residual is
+    values is the box field (NaN off the inside nodes); steps counts
+    residual evaluations after the initial one; residual is
     sup|regularized_rhs| over the interior nodes of the returned field;
     newton_iterations counts the Newton steps up to it.
     """
 
-    state: FieldState
+    values: np.ndarray
     steps: int
     converged: bool
     residual: float
@@ -392,10 +383,9 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     bvals = boundary_values(grid, problem.boundary_data)
-    state = init_state(grid, problem.initial_data, bvals)
+    values = init_state(grid, problem.initial_data, bvals).values
     ws = Workspace(grid)
     idx = ws.interior
-    values = state.values[grid.inside]
     f = regularized_rhs(values, grid, params, bvals, ws)[idx]
     fnorm = float(np.linalg.norm(f))
     best_sup = float(np.max(np.abs(f))) if len(idx) else 0.0
@@ -407,7 +397,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     def residual(x, out):
         """Rate of the field with interior x, closed in place in out."""
         out[idx] = x
-        apply_closure(out, grid, bvals)
+        apply_closure(out, bvals)
         return regularized_rhs(out, grid, params, bvals, ws)
 
     eta = EW_ETA_MAX
@@ -444,8 +434,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
         sup = float(np.max(np.abs(f)))
         if sup < best_sup:
             best_sup, best, best_it = sup, values, it
-    return SteadyResult(state=FieldState(ws.box(best), state.time), steps=evals,
-                        converged=best_sup < tol,
+    return SteadyResult(values=ws.box(best), steps=evals, converged=best_sup < tol,
                         residual=best_sup, newton_iterations=best_it)
 
 

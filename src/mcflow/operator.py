@@ -30,10 +30,11 @@ formula replaces the gradient, and the face there is read by no interior
 rate.  The other axes read their neighbors through index arrays built once
 per Workspace; a neighbor outside the domain is the node itself, with the
 same effect.  The rate is kept at the interior nodes and is 0 on the
-near-boundary ring.  The march, its per-step consumers and the steady
-Newton residual stay in this layout; box fields (NaN off the inside nodes)
-appear only at snapshots, terminal fields and the box-facing public calls,
-which gather the inside nodes, evaluate and scatter the result back.
+near-boundary ring.  The compact array is the one field layout of the
+functions below: init_state builds it, march steps it and the steady
+Newton residual evaluates it.  A box field (NaN off the inside nodes) is
+made only where a field leaves the solver, by Workspace.box: snapshots,
+the viscosity run's fields and the steady result.
 
 The face norm folds the half of the tangential face average away: with
 t = g_j[i] + g_j[i + s], d = (u[i + s] - u[i]) / (h/2) and 4 eps^2 for
@@ -43,11 +44,10 @@ since every factor is a power of two; so the flux d / sqrt(sum t^2 + d^2
 gradients near 1e154, in a run about to blow up, reach.
 
 The functions below also step a stack of B fields that share one grid, one
-FlowParams and one dt: box values of shape (*grid.shape, B), compact ones
-(n_inside, B), boundary data and initial data given as sequences of B
-functions.  The stack lives on the trailing axis and every field gets
-exactly the bits it gets alone: the arithmetic, closure included, is
-elementwise.
+FlowParams and one dt: compact arrays of shape (n_inside, B), boundary
+data and initial data given as sequences of B functions.  The stack lives
+on the trailing axis and every field gets exactly the bits it gets alone:
+the arithmetic, closure included, is elementwise.
 """
 
 from dataclasses import dataclass, field
@@ -95,10 +95,9 @@ class FlowParams:
 
 @dataclass
 class FieldState:
-    """A scalar field, or a stack of them, at one instant.
-
-    values is a box field (NaN marks the nodes off the inside), or, in the
-    states march yields, the compact inside-node array.
+    """The march state: the compact array (n_inside, *stack) of a scalar
+    field, or of a stack of them, at one instant.  Workspace.box gives its
+    box field.
     """
 
     values: np.ndarray
@@ -116,11 +115,6 @@ def _positions(inside_flat: np.ndarray, size: int) -> np.ndarray:
     pos = np.empty(size, np.intp)
     pos[inside_flat] = np.arange(len(inside_flat))
     return pos
-
-
-def _is_box(values: np.ndarray, grid: Grid) -> bool:
-    """Whether values is a box field of the grid, not a compact array."""
-    return values.shape[:grid.dim] == grid.shape
 
 
 def _sample(fns, pts: np.ndarray) -> np.ndarray:
@@ -298,10 +292,10 @@ class Workspace:
     positions of the interior and of the near-boundary nodes.  After a rate
     evaluation, grads, grad_sq and s_node hold the node gradient, its
     squared norm and the smoothed gradient norm of the evaluated field at
-    every inside node, and rate the evolution rate, 0 on the ring.  stack is
-    the trailing shape of the fields it serves: () for one field, (B,) for a
-    stack of B, which costs B * (5 + 2 dim) compact arrays and the
-    gathers of the cut formula.
+    every inside node, and rate the evolution rate, 0 on the ring.  shape is
+    (n_inside, *stack), the shape of the compact arrays it serves: stack is
+    () for one field and (B,) for a stack of B, which costs B * (5 + 2 dim)
+    compact arrays and the gathers of the cut formula.
 
     Along the last axis the neighbor of position i is i + 1.  Along axis
     ax < dim - 1 it is plus[ax][i] (minus[ax][i] on the minus side), or i
@@ -331,7 +325,7 @@ class Workspace:
                 nbr = np.arange(n)
                 nbr[ok] = compact[self.inside_flat[ok] + step]
                 nbrs.append(nbr)
-        shape = (n,) + stack
+        self.shape = shape = (n,) + stack
         self.grads = np.full((dim,) + shape, np.nan)
         self.grad_sq = np.full(shape, np.nan)
         self.s_node = np.full(shape, np.nan)
@@ -352,50 +346,49 @@ class Workspace:
         return out
 
 
-def _close(v: np.ndarray, bvals: BoundaryValues) -> None:
-    """The closure plan on a compact array, in place."""
-    v[bvals.nb_nodes[:bvals.level_ends[0]]] = bvals.c_const
+def _workspace(values: np.ndarray, grid: Grid, ws: Workspace | None) -> Workspace:
+    """ws, or a new Workspace for values; OperatorError unless values is a
+    compact array of the grid, of ws's stack when ws is given."""
+    expected = ws.shape if ws else (grid.n_inside,) + values.shape[1:]
+    if values.shape != expected:
+        raise OperatorError(f"expected a compact array of shape {expected}, "
+                            f"got shape {values.shape}")
+    return ws or Workspace(grid, values.shape[1:])
+
+
+def apply_closure(values: np.ndarray, bvals: BoundaryValues) -> np.ndarray:
+    """Set near-boundary nodes by boundary-anchored linear interpolation.
+
+    values is a compact array, closed in place.  One write of the constant
+    closures, then one pass per closure level: every node gets its exact
+    interpolant, whatever near-boundary nodes it reads, and every field of a
+    stack the bits it gets alone.
+    """
+    values[bvals.nb_nodes[:bvals.level_ends[0]]] = bvals.c_const
     for nodes, inner, theta, hb, den, lvl in bvals.levels:
         # (hb + theta * inner) / (1 + theta), operation by operation
-        v.take(inner, axis=0, out=lvl, mode="clip")
+        values.take(inner, axis=0, out=lvl, mode="clip")
         lvl *= theta
         lvl += hb
         lvl /= den
-        v[nodes] = lvl
-
-
-def apply_closure(values: np.ndarray, grid: Grid, bvals: BoundaryValues) -> np.ndarray:
-    """Set near-boundary nodes by boundary-anchored linear interpolation.
-
-    values is a box field or a compact array, closed in place.  One write
-    of the constant closures, then one pass per closure level: every node
-    gets its exact interpolant, whatever near-boundary nodes it reads, and
-    every field of a stack the bits it gets alone.
-    """
-    if _is_box(values, grid):
-        v = values[grid.inside]
-        _close(v, bvals)
-        values[grid.inside] = v
-    else:
-        _close(values, bvals)
+        values[nodes] = lvl
     return values
 
 
 def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
                   ws: Workspace | None = None) -> np.ndarray:
-    """Gradient at every inside node: shape (dim, *values.shape) for a box
-    field (NaN off the inside nodes), ws.grads for a compact array.
+    """Gradient of a compact array at every inside node, in ws.grads.
 
     Central differences on full stencils; where an axis is cut, the
     nonuniform three-point formula through the boundary value (exact on
     quadratics) replaces it:
     (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
     with an uncut side at t = 1 reading its neighbor node.  The cut formula
-    runs once, for the cut nodes of every axis together.
+    runs once, for the cut nodes of every axis together.  A values array
+    that is not the grid's compact array (of ws's stack) is an OperatorError.
     """
-    box = _is_box(values, grid)
-    v = values[grid.inside] if box else values
-    ws = ws or Workspace(grid, v.shape[1:])
+    v = values
+    ws = _workspace(v, grid, ws)
     h = grid.spacing
     grads = ws.grads
     with np.errstate(invalid="ignore"):
@@ -421,27 +414,24 @@ def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
         up += u0
         up /= c.den
         grads.reshape((-1,) + v.shape[1:])[c.row] = up
-    if box:
-        out = np.full((grid.dim,) + values.shape, np.nan)
-        out[:, grid.inside] = grads
-        return out
     return grads
 
 
 def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                     bvals: BoundaryValues, ws: Workspace | None = None) -> np.ndarray:
-    """Evolution rate at interior nodes: a new box field (NaN elsewhere) for
-    a box field, ws.rate (0 on the ring) for a compact array.
+    """Evolution rate of a compact array at the interior nodes, in ws.rate
+    (0 on the ring).
 
     Flux form: rate = s * (sum_k D_k(grad_k u / s_face) + nu) with
     s = sqrt(eps^2 + |grad u|^2).  Equals the trace form
     (delta_kl - u_k u_l / s^2) u_kl + nu*s up to O(h^2).  The face between
     node i and its plus neighbor along an axis sits at i in dn and acc.
     ws.grad_sq keeps |grad u|^2, summed in axis order, for the step recorder.
+    A values array that is not the grid's compact array (of ws's stack) is
+    an OperatorError.
     """
-    box = _is_box(values, grid)
-    v = values[grid.inside] if box else values
-    ws = ws or Workspace(grid, v.shape[1:])
+    v = values
+    ws = _workspace(v, grid, ws)
     h = grid.spacing
     eps2 = params.epsilon ** 2
     dim = grid.dim
@@ -499,10 +489,6 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
         rate += params.nu
         rate *= s_node
         rate[ws.ring] = 0.0
-    if box:
-        out = np.full(values.shape, np.nan)
-        out[grid.interior] = rate[ws.interior]
-        return out
     return rate
 
 
@@ -535,7 +521,8 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
     first node in flat order; in a stack, of the lowest field with a
     non-finite update.
     """
-    if not np.isfinite(rate).all():
+    # min and max propagate NaN and reach any inf, and allocate no mask
+    if not (np.isfinite(rate.min(initial=0.0)) and np.isfinite(rate.max(initial=0.0))):
         bad = ~np.isfinite(rate.reshape(len(rate), -1))
         field = int(np.argmax(bad.any(axis=0)))
         node = tuple(int(i) for i in np.unravel_index(
@@ -546,7 +533,7 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
         raise BlowUpError(f"non-finite value at node {node} of field {field} "
                           f"on step {step_index}", node=node, step=step_index, field=field)
     state.values += np.multiply(rate, dt, out=ws.tmp)
-    apply_closure(state.values, grid, bvals)
+    apply_closure(state.values, bvals)
     state.time += dt
 
 
@@ -554,18 +541,19 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
           n_steps: int):
     """Forward-Euler march yielding (k, state, ws) for k = 0 (the start) to n_steps.
 
-    The start is a box state; the yielded state holds the compact array
-    (ws.box gives its box field), gathered once from the start, so the
-    caller's state is never changed, and advanced in place.  The arrays of
-    ws belong to the yielded state until the next step overwrites them and
-    the state.  A stack of fields (box values of shape (*grid.shape, B) with
-    bvals built for B boundary functions) advances with one operator call
-    per step, each field bit for bit as it would alone.  A non-finite update
-    raises BlowUpError naming the node and step, and in a stack the field.
+    The yielded state holds a copy of the start's compact array, advanced
+    in place, so the caller's state is never changed; ws.box gives its box
+    field.  The arrays of ws belong to the yielded state until the next
+    step overwrites them and the state.  A stack of fields (values of shape
+    (n_inside, B) with bvals built for B boundary functions) advances with
+    one operator call per step, each field bit for bit as it would alone.  A
+    start that is not a compact array of the grid is an OperatorError; a
+    non-finite update raises BlowUpError naming the node and step, and in a
+    stack the field.
     """
-    ws = Workspace(grid, state.values.shape[grid.dim:])
+    ws = _workspace(state.values, grid, None)
     dt = stable_dt(params, grid)
-    state = FieldState(state.values[grid.inside], state.time)
+    state = FieldState(state.values.copy(), state.time)
     regularized_rhs(state.values, grid, params, bvals, ws)
     yield 0, state, ws
     for k in range(1, n_steps + 1):
@@ -576,7 +564,8 @@ def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValu
 
 def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
                bvals: BoundaryValues) -> FieldState:
-    """Sample initial data on inside nodes and close the boundary ring: a box state.
+    """Sample initial data on inside nodes and close the boundary ring: the
+    compact start of a march.
 
     g_fn is one function, or a sequence of B functions for a stack of fields
     (bvals built for as many).  The closure makes the initial state exactly
@@ -587,7 +576,4 @@ def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
     pts = grid.points[grid.inside]
     v = np.empty((len(pts),) + stack)
     v[...] = _sample(g_fn, pts)
-    apply_closure(v, grid, bvals)
-    values = np.full(grid.shape + stack, np.nan)
-    values[grid.inside] = v
-    return FieldState(values, 0.0)
+    return FieldState(apply_closure(v, bvals), 0.0)

@@ -83,7 +83,7 @@ def relax_explicit(problem, grid, params, tol, max_steps=EXPLICIT_MAX_STEPS):
         res = float(np.max(np.abs(ws.rate[ws.interior])))
         if res < tol:
             break
-    return mc.SteadyResult(state=op.FieldState(ws.box(state.values), state.time), steps=k,
+    return mc.SteadyResult(values=ws.box(state.values), steps=k,
                            converged=res < tol, residual=res, newton_iterations=0)
 
 
@@ -100,8 +100,8 @@ def sup_norm_bound_two_solves(problem, grid, params):
         res = mc.relax_to_steady(mc.IBVP(problem.domain, one, one), grid, p,
                                  tol=ba.SUP_NORM_TOL)
         ok &= res.converged
-        vmax = max(vmax, float(np.max(res.state.values[grid.inside])))
-        if float(np.min(res.state.values[grid.inside])) < -1e-8:
+        vmax = max(vmax, float(np.max(res.values[grid.inside])))
+        if float(np.min(res.values[grid.inside])) < -1e-8:
             ok = False
     return mc.SupNormBound(value=vmax + kappa, available=ok, steady_max=vmax,
                            data_shift=kappa)
@@ -198,10 +198,9 @@ def diffusion_tensor(p, params) -> np.ndarray:
     return np.eye(len(p)) - np.outer(p, p) / s2
 
 
-def boundary_trace_residual(values, grid, bvals) -> float:
-    """Max mismatch between the theta-interpolated trace and the boundary data,
-    of a box field or a compact array."""
-    v = values[grid.inside] if values.shape[:grid.dim] == grid.shape else values
+def boundary_trace_residual(v, bvals) -> float:
+    """Max mismatch between the theta-interpolated trace and the boundary data
+    of a compact array."""
     n = bvals.level_ends[0]
     res = 0.0
     if n:
@@ -220,13 +219,13 @@ def quadrature(field, grid) -> float:
 
 
 def step(state, grid, params, bvals, step_index=0):
-    """One out-of-place forward-Euler update of a box state, in the compact
-    layout; boundary trace re-imposed exactly."""
-    ws = op.Workspace(grid, state.values.shape[grid.dim:])
-    new = op.FieldState(state.values[grid.inside], state.time)
+    """One out-of-place forward-Euler update of a compact state; boundary
+    trace re-imposed exactly."""
+    ws = op.Workspace(grid, state.values.shape[1:])
+    new = op.FieldState(state.values.copy(), state.time)
     op.euler_update(new, op.regularized_rhs(new.values, grid, params, bvals, ws),
                     op.stable_dt(params, grid), grid, bvals, ws, step_index)
-    return op.FieldState(ws.box(new.values), new.time)
+    return new
 
 
 def quadratic_min_on_ball_bruteforce(hess, samples=10000) -> float:
@@ -282,7 +281,7 @@ def ut_initial_slice_bound(problem, grid, params) -> float:
     bvals = op.boundary_values(grid, problem.boundary_data)
     state = op.init_state(grid, problem.initial_data, bvals)
     rate = op.regularized_rhs(state.values, grid, params, bvals)
-    return float(np.max(np.abs(rate[grid.interior]))) if grid.interior.any() else 0.0
+    return float(np.max(np.abs(rate[grid.interior[grid.inside]]))) if grid.interior.any() else 0.0
 
 
 def sampled_lipschitz_bruteforce(w, grid, collar) -> float:

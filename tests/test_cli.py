@@ -330,6 +330,13 @@ def test_flow_run_writes_outputs_and_passes(tmp_path):
     assert sum(n.endswith(".mcfgrid") for n in names) == 2
 
 
+def test_run_out_dir_places_the_outputs_without_out(tmp_path):
+    out = tmp_path / "x"
+    path = _write(tmp_path, MINIMAL_FLOW + f"run.out_dir = {out}\n")
+    assert cli.main(["flow", "--config", str(path)]) == 0
+    assert {"summary.txt", "series.csv"} <= {p.name for p in out.iterdir()}
+
+
 def test_run_outputs_deterministic(tmp_path):
     text = MINIMAL_FLOW.replace("data.boundary = 0", "data.boundary = x1") \
                        .replace("data.initial = 0", "data.initial = x1")

@@ -1,9 +1,12 @@
 """Golden digests of seed-0 outputs.
 
 A change that leaves the scheme as it is keeps every output bit for bit;
-these sha256 digests pin three fast ones through the CLI: the steady
-snapshot of steady_drift.cfg, the flatness table of liouville_ramp.cfg and
-the series of flow_bump.cfg cut to a horizon of 0.05 (409 steps).
+these sha256 digests pin fast ones through the CLI: the steady snapshot of
+steady_drift.cfg, the flatness table of liouville_ramp.cfg, the series of
+flow_bump.cfg cut to a horizon of 0.05 (409 steps), and in 3D the series
+and last snapshot of the benchmark's spheroid flow cut to the same horizon
+(153 steps).  The 3D digests are the same with one and with two BLAS
+threads.
 """
 
 import hashlib
@@ -16,6 +19,21 @@ from mcflow import cli
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 SHORT_BUMP = {"run.horizon = 1.0": "run.horizon = 0.05",
               "run.snapshot_times = 0.5 1.0": "run.snapshot_times = 0.025 0.05"}
+# the seed-0 spheroid config of perfbench/workloads.py, horizon cut to 0.05
+SHORT_SPHEROID = """\
+experiment = flow
+domain.kind = ellipse
+domain.dim = 3
+domain.semi_major = 1.0
+domain.semi_minor = 0.6
+data.boundary = 0
+data.initial = 0.3*max(0, 1 - x1^2 - (x2^2+x3^2)/0.36)^2
+params.epsilon = 0.05
+params.nu = 0
+grid.spacing = 0.0625
+run.horizon = 0.05
+run.snapshot_times = 0.025 0.05
+"""
 
 
 @pytest.mark.parametrize("experiment, config, edits, output, digest", [
@@ -35,3 +53,16 @@ def test_seed_0_output_keeps_its_digest(tmp_path, experiment, config, edits, out
     cfg.write_text(text)
     assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256((out / output).read_bytes()).hexdigest() == digest
+
+
+def test_seed_0_spheroid_keeps_its_digests(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(SHORT_SPHEROID)
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("series.csv", "snapshot_00000153.mcfgrid")}
+    assert digests == {
+        "series.csv": "716fdc8691ea6f3e0e207211d624cbac9727068e6d1b47a02861b56c0d0cf8dd",
+        "snapshot_00000153.mcfgrid":
+            "8a7b8c0876bfb7db0df5f07582682f71dd7b652218067f05a8c2d3b5b58ce63b",
+    }

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,10 @@ WS_FIELDS = ("rate", "grads", "grad_sq", "s_node")
 
 
 def _node_index(grid, x, y):
-    return tuple(np.argwhere((np.abs(grid.points[..., 0] - x) < 1e-9)
-                             & (np.abs(grid.points[..., 1] - y) < 1e-9))[0])
+    """Compact position of the inside node at (x, y)."""
+    pts = grid.points[grid.inside]
+    return int(np.flatnonzero((np.abs(pts[:, 0] - x) < 1e-9)
+                              & (np.abs(pts[:, 1] - y) < 1e-9))[0])
 
 
 def test_params_validation():
@@ -34,7 +37,7 @@ def test_gradient_zero_on_constants(grid32):
     bv = op.boundary_values(grid32, lambda p: np.full(len(p), 3.0))
     st = op.init_state(grid32, lambda p: np.full(len(p), 3.0), bv)
     g = op.node_gradient(st.values, grid32, bv)
-    assert np.nanmax(np.abs(g[:, grid32.inside])) < 1e-12
+    assert np.max(np.abs(g)) < 1e-12
 
 
 def test_gradient_exact_on_linear(grid32):
@@ -44,7 +47,7 @@ def test_gradient_exact_on_linear(grid32):
     st = op.init_state(grid32, fn, bv)
     g = op.node_gradient(st.values, grid32, bv)
     for k in range(2):
-        assert np.nanmax(np.abs(g[k][grid32.inside] - p[k])) < 1e-11
+        assert np.max(np.abs(g[k] - p[k])) < 1e-11
 
 
 def test_gradient_exact_on_quadratic_interior(grid32):
@@ -79,7 +82,7 @@ def test_rate_linear_field_is_pure_source(grid32):
     st = op.init_state(grid32, linear_x1, bv)
     rate = op.regularized_rhs(st.values, grid32, params, bv)
     expect = 0.3 * np.sqrt(0.05 ** 2 + 1.0)
-    vals = rate[grid32.interior]
+    vals = rate[grid32.interior[grid32.inside]]
     assert np.max(np.abs(vals - expect)) < 1e-11
 
 
@@ -143,7 +146,7 @@ def test_step_constant_stationary_when_nu_zero(grid32):
     bv = op.boundary_values(grid32, fn)
     st = op.init_state(grid32, fn, bv)
     new = step(st, grid32, params, bv)
-    assert np.nanmax(np.abs(new.values[grid32.inside] - c)) < 1e-14
+    assert np.max(np.abs(new.values - c)) < 1e-14
 
 
 def test_step_constant_drifts_at_eps_nu(grid32):
@@ -154,7 +157,7 @@ def test_step_constant_drifts_at_eps_nu(grid32):
     st = op.init_state(grid32, fn, bv)
     new = step(st, grid32, params, bv)
     dt = op.stable_dt(params, grid32)
-    drift = new.values[grid32.interior] - c
+    drift = new.values[grid32.interior[grid32.inside]] - c
     assert np.max(np.abs(drift - dt * 0.05 * 0.3)) < 1e-12
 
 
@@ -175,7 +178,7 @@ def test_boundary_trace_exact_after_steps(grid32):
     st = op.init_state(grid32, linear_x1, bv)
     for k in range(5):
         st = step(st, grid32, params, bv, k)
-    assert boundary_trace_residual(st.values, grid32, bv) < 1e-12
+    assert boundary_trace_residual(st.values, bv) < 1e-12
 
 
 def test_diffusion_tensor_eigenvalues_in_unit_interval(grid32):
@@ -202,7 +205,7 @@ def test_consistency_orders_quadratic_family(unit_ball):
         sel = np.zeros(grid.shape, bool)
         sel[::stride, ::stride] = True
         mask = grid.interior & sel & (r >= 0.2) & (r <= 0.8)
-        res.append(float(np.max(np.abs(2.0 - rate[mask]))))
+        res.append(float(np.max(np.abs(2.0 - rate[mask[grid.inside]]))))
     orders = observed_orders(res)
     assert min(orders) >= 1.5
 
@@ -217,7 +220,7 @@ def test_consistency_linear_family_exact(unit_ball):
         bv = op.boundary_values(grid, fn)
         st = op.init_state(grid, fn, bv)
         rate = op.regularized_rhs(st.values, grid, params, bv)
-        assert np.max(np.abs(rate[grid.interior] - expect)) < 1e-11
+        assert np.max(np.abs(rate[grid.interior[grid.inside]] - expect)) < 1e-11
 
 
 def test_per_step_ordering_preserved(grid16):
@@ -232,15 +235,32 @@ def test_per_step_ordering_preserved(grid16):
     for k in range(20):
         lo = step(lo, grid16, params, bv_lo, k)
         hi = step(hi, grid16, params, bv_hi, k)
-    gap = (lo.values - hi.values)[grid16.inside]
+    gap = lo.values - hi.values
     assert np.max(gap) <= 1e-10
+
+
+@pytest.mark.parametrize("layout", ["box", "short"])
+def test_operator_rejects_a_field_outside_the_compact_layout(grid16, layout):
+    params = mc.FlowParams(epsilon=0.05)
+    bv = op.boundary_values(grid16, bump)
+    start = op.init_state(grid16, bump, bv)
+    values = op.Workspace(grid16).box(start.values) if layout == "box" else start.values[:-1]
+    calls = (lambda: op.node_gradient(values, grid16, bv),
+             lambda: op.node_gradient(values, grid16, bv, op.Workspace(grid16)),
+             lambda: op.regularized_rhs(values, grid16, params, bv),
+             lambda: op.regularized_rhs(values, grid16, params, bv, op.Workspace(grid16)),
+             lambda: next(op.march(op.FieldState(values), grid16, params, bv, 1)))
+    for call in calls:
+        with pytest.raises(op.OperatorError, match=re.escape(f"got shape {values.shape}")) as exc:
+            call()
+        assert f"expected a compact array of shape ({grid16.n_inside}," in str(exc.value)
 
 
 def test_blowup_error_names_node_and_step(grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     bv = op.boundary_values(grid16, zero)
     st = op.init_state(grid16, zero, bv)
-    st.values[grid16.interior] = np.inf
+    st.values[grid16.interior[grid16.inside]] = np.inf
     with pytest.raises(op.BlowUpError) as exc:
         step(st, grid16, params, bv, step_index=7)
     assert "step 7" in str(exc.value)
@@ -259,8 +279,8 @@ def test_march_keeps_ordered_pairs_ordered(unit_ball, grid16, seed, nu):
     for (_, lo, _), (_, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
                                       op.march(hi0, grid16, params, bv_hi, 40)):
         assert np.max(lo.values - hi.values) <= 1e-10
-        assert boundary_trace_residual(lo.values, grid16, bv_lo) < 1e-12
-        assert boundary_trace_residual(hi.values, grid16, bv_hi) < 1e-12
+        assert boundary_trace_residual(lo.values, bv_lo) < 1e-12
+        assert boundary_trace_residual(hi.values, bv_hi) < 1e-12
 
 
 def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
@@ -276,7 +296,7 @@ def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
     snap_step, t, values = rep.snapshots[-1]
     assert snap_step == rep.steps == n
     assert t == rep.t[-1] == st_.time
-    assert values.tobytes() == st_.values.tobytes()
+    assert values.tobytes() == op.Workspace(grid16).box(st_.values).tobytes()
 
 
 def test_march_leaves_start_state_untouched(grid16):
@@ -494,15 +514,15 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     # linear data: the closure and every cut stencil are exact
     bv = op.boundary_values(grid, linear)
     state = op.init_state(grid, linear, bv)
-    assert np.abs(state.values[inside] - linear(grid.points[inside])).max() <= tol
+    assert np.abs(state.values - linear(grid.points[inside])).max() <= tol
     grads = op.node_gradient(state.values, grid, bv)
     # a stencil across a cut theta*h long loses about eps*|u|/(theta*h) to
     # round-off: a node on the boundary to round-off has its cut clamped at 1e-12
     theta = np.fmin(grid.theta[:, 0], grid.theta[:, 1])
     theta = np.where(np.isnan(theta), 1.0, theta)
-    loss = 16 * np.finfo(float).eps * np.abs(state.values[inside]).max() / grid.spacing
+    loss = 16 * np.finfo(float).eps * np.abs(state.values).max() / grid.spacing
     for k in range(dim):
-        assert np.all(np.abs(grads[k][inside] - slope[k]) <= 1e-9 + loss / theta[k][inside])
+        assert np.all(np.abs(grads[k] - slope[k]) <= 1e-9 + loss / theta[k][inside])
 
     data = fields if stacked else fields[0]
     bv = op.boundary_values(grid, data)
@@ -510,18 +530,17 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     const = bv.c_inner < 0
     for nodes in (bv.nb_nodes[const], bv.nb_nodes[~const]):
         if len(nodes):
-            values = op.init_state(grid, data, bv).values[inside]
+            values = op.init_state(grid, data, bv).values
             values[nodes] += 1.0
-            assert boundary_trace_residual(values, grid, bv) >= 0.5
+            assert boundary_trace_residual(values, bv) >= 0.5
 
     # from the raw samples, one closure call closes the ring
-    raw = np.full(grid.shape + (() if callable(data) else (len(data),)), np.nan)
-    raw[inside] = op._sample(data, grid.points[inside])
-    assert boundary_trace_residual(op.apply_closure(raw, grid, bv), grid, bv) <= tol
+    raw = op._sample(data, grid.points[inside])
+    assert boundary_trace_residual(op.apply_closure(raw, bv), bv) <= tol
 
     params = mc.FlowParams(epsilon=0.1, nu=nu)
     for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
-        assert boundary_trace_residual(state.values, grid, bv) <= tol
+        assert boundary_trace_residual(state.values, bv) <= tol
         assert np.isfinite(ws.grads).all()
 
 
@@ -587,9 +606,10 @@ def _assert_matches_box_flat_oracle(grid, data, params, steps):
     norm and the smoothed norm at inside nodes, and the state."""
     bv = op.boundary_values(grid, data)
     start = op.init_state(grid, data, bv)
+    box_start = op.FieldState(op.Workspace(grid, start.values.shape[1:]).box(start.values))
     inside = grid.inside
     for (k, state, ws), (_, ref, rws) in zip(op.march(start, grid, params, bv, steps),
-                                             march_box_flat(start, grid, params, bv, steps),
+                                             march_box_flat(box_start, grid, params, bv, steps),
                                              strict=True):
         assert ws.rate[ws.interior].tobytes() == rws.rate[grid.interior].tobytes()
         assert ws.grads.tobytes() == rws.grads[:, inside].tobytes()
@@ -606,10 +626,11 @@ def _assert_blowup_matches_box_flat_oracle(grid, data):
     params = mc.FlowParams(epsilon=0.1, dt_override=50 * grid.spacing ** 2 / grid.dim)
     bv = op.boundary_values(grid, data)
     start = op.init_state(grid, data, bv)
+    box_start = op.FieldState(op.Workspace(grid, start.values.shape[1:]).box(start.values))
     errors = []
-    for run in (op.march, march_box_flat):
+    for run, first in ((op.march, start), (march_box_flat, box_start)):
         with pytest.raises(op.BlowUpError) as exc:
-            for _ in run(start, grid, params, bv, 2000):
+            for _ in run(first, grid, params, bv, 2000):
                 pass
         errors.append(exc.value)
     got, want = errors
@@ -658,8 +679,7 @@ def test_rhs_temporaries_stay_small():
     bv = op.boundary_values(grid, bump)
     state = op.init_state(grid, bump, bv)
     ws = op.Workspace(grid)
-    # the compact evaluation of the march
-    values = state.values[grid.inside]
+    values = state.values
     op.regularized_rhs(values, grid, params, bv, ws)     # warm caches
     tracemalloc.start()
     try:
@@ -667,12 +687,12 @@ def test_rhs_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= state.values.nbytes // 2, f"allocation peak {peak} B"
+    assert peak <= ws.box(values).nbytes // 2, f"allocation peak {peak} B"
 
 
 def test_march_step_temporaries_stay_small():
     # one step of the spheroid march: Euler update, closure and rate, all in
-    # the compact layout
+    # the compact layout; under a byte per inside node, so no per-node mask
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid, bump)
@@ -686,7 +706,7 @@ def test_march_step_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= state.values.nbytes // 2, f"allocation peak {peak} B"
+    assert peak < grid.n_inside, f"allocation peak {peak} B"
 
 
 def _same_bytes(a, b):
