@@ -14,7 +14,8 @@ import numpy as np
 from .geometry import Grid, DomainSpec, boundary_points, admissible_nu_interval
 from .operator import (FlowParams, FieldState, Workspace, boundary_values,
                        init_state, regularized_rhs, apply_closure, march,
-                       stable_dt, whole_steps, dt_exceeds_stability, BlowUpError)
+                       stable_dt, whole_steps, dt_exceeds_stability, BlowUpError,
+                       _aligned_full)
 
 COMPATIBILITY_TOL = 1e-10
 COMPATIBILITY_SAMPLES = 512          # boundary points the data are compared at
@@ -115,7 +116,7 @@ class _Recorder:
     range).  The rate is ws.rate, 0 on the ring, and its square is taken
     once.  The integrals stay full-box pairwise sums: each compact integrand
     is scattered into a box row that stays 0 off the inside nodes.  A call
-    allocates no array.
+    allocates no array, and every buffer starts on a cache line.
     """
 
     def __init__(self, grid: Grid, params: FlowParams):
@@ -127,8 +128,8 @@ class _Recorder:
         self.wvol = (grid.qweight * grid.spacing ** grid.dim)[grid.inside]
         # the gathered squared gradients, then the squared rate; an
         # integrand; the box row it is summed in
-        self.buf, self.w = np.zeros((2, len(self.wvol)))
-        self.row = np.zeros(grid.inside.size)
+        self.buf, self.w = (_aligned_full(len(self.wvol), 0.0) for _ in range(2))
+        self.row = _aligned_full(grid.inside.size, 0.0)
 
     def _integral(self, ws: Workspace) -> float:
         self.row[ws.inside_flat] = self.w

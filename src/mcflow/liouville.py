@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DomainSpec, Grid, smoothed_stadium
-from .operator import FlowParams, boundary_values, init_state, march, stable_dt, whole_steps
+from .operator import (FlowParams, _aligned_full, boundary_values, init_state, march,
+                       stable_dt, whole_steps)
 
 ENVELOPE_SAMPLES = 1000
 PROFILE_BLOCK_POINTS = 16_384
@@ -185,6 +186,59 @@ class LiouvilleReport:
     envelopes: EnvelopePair
 
 
+class _Sandwich:
+    """The per-step maxima of flatness_and_sandwich, read from a compact array.
+
+    fl(x - c) is monotone in x, so each maximum is taken of the field
+    before the subtraction and the clamp at 0, with the bits of the
+    maximum of the elementwise differences: the flatness is
+    max(lam - min, max - lam) over the deep plateau, the upper violation
+    max(0, (max u - lam) - drift) and the lower one max(0, max(g- - u)).
+    The axial ordering defects come from one contiguous pass
+    u[:-1] - u[1:], gathered at the paired nodes.  Python's max returns
+    its first argument on a tie, so a row entry of 0 is +0.0, as the
+    node-by-node maxima give it.
+    """
+
+    def __init__(self, problem: CylinderProblem, grid: Grid, env: EnvelopePair):
+        tau = grid.points[..., -1]
+        inside = grid.inside
+        deep = tau >= problem.plateau_start + problem.plateau_margin
+        self.lam = problem.plateau_value
+        # compact positions, so each maximum reads the values masking the
+        # box would, into preallocated buffers
+        self.in_deep = np.flatnonzero(deep[inside])
+        self.glow = env.lower_profile(tau[inside])
+        # axially adjacent inside nodes: below[i] is followed by below[i] + 1
+        # along the axis, which has stride 1 in the compact layout too
+        lo = (slice(None),) * (grid.dim - 1) + (slice(0, -1),)
+        hi = (slice(None),) * (grid.dim - 1) + (slice(1, None),)
+        paired = np.zeros(grid.shape, bool)
+        paired[lo] = inside[lo] & inside[hi]
+        self.below = np.flatnonzero(paired[inside])
+        self.buf = _aligned_full(len(self.glow), np.nan)
+        # deep nodes are inside nodes, so they fit the one buffer
+        self.u_deep = self.buf[:len(self.in_deep)]
+        self.defects = _aligned_full(len(self.below), np.nan)
+
+    def row(self, u: np.ndarray, drift: float) -> tuple:
+        """(flatness, lower, upper, monotone violation) of the compact array u."""
+        lam, buf = self.lam, self.buf
+        flat = 0.0
+        if len(self.in_deep):
+            d = np.take(u, self.in_deep, out=self.u_deep, mode="clip")
+            flat = max(lam - float(d.min()), float(d.max()) - lam)
+        np.subtract(self.glow, u, out=buf)
+        lower = max(0.0, float(buf.max()))
+        upper = max(0.0, (float(u.max()) - lam) - drift)
+        mono = 0.0
+        if len(self.below):
+            steps = np.subtract(u[:-1], u[1:], out=buf[:-1])
+            mono = max(0.0, float(np.take(steps, self.below, out=self.defects,
+                                          mode="clip").max()))
+        return flat, lower, upper, mono
+
+
 def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowParams,
                           horizon: float) -> LiouvilleReport:
     """Evolve the monotone problem and track flatness and the sandwich.
@@ -203,51 +257,16 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     dt = stable_dt(params, grid)
     n_steps = whole_steps(horizon, dt)
 
-    tau = grid.points[..., -1]
-    inside = grid.inside
-    deep = tau >= problem.plateau_start + problem.plateau_margin
-    lam = problem.plateau_value
-    # compact positions, so each maximum reads the values masking the box
-    # would, in the same order, into preallocated buffers
-    in_deep = np.flatnonzero(deep[inside])
-    glow = env.lower_profile(tau[inside])
-    # axially adjacent inside nodes: below[i] is followed by below[i] + 1
-    # along the axis, which has stride 1 in the compact layout too
-    lo = (slice(None),) * (grid.dim - 1) + (slice(0, -1),)
-    hi = (slice(None),) * (grid.dim - 1) + (slice(1, None),)
-    paired = np.zeros(grid.shape, bool)
-    paired[lo] = inside[lo] & inside[hi]
-    below = np.flatnonzero(paired[inside])
-    above = below + 1
-    buf, u_above = np.empty(len(glow)), np.empty(len(above))
-    # deep and paired nodes are inside nodes, so they fit the one buffer
-    u_deep, u_below = buf[:len(in_deep)], buf[:len(below)]
-
-    rows = {k: [] for k in ("t", "F", "lo", "hi", "mono")}
+    sandwich = _Sandwich(problem, grid, env)
+    t, rows = [], []
     for _, st, _ in march(state, grid, params, bvals, n_steps):
-        u = st.values
-        rows["t"].append(st.time)
-        np.take(u, in_deep, out=u_deep, mode="clip")
-        u_deep -= lam
-        rows["F"].append(float(np.maximum.reduce(np.abs(u_deep, out=u_deep)))
-                         if len(in_deep) else 0.0)
-        np.subtract(glow, u, out=buf)
-        rows["lo"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
-        drift = params.epsilon * params.nu * st.time
-        np.subtract(u, lam, out=buf)
-        buf -= drift
-        rows["hi"].append(float(np.maximum.reduce(np.maximum(buf, 0.0, out=buf))))
-        np.take(u, below, out=u_below, mode="clip")
-        u_below -= np.take(u, above, out=u_above, mode="clip")
-        rows["mono"].append(float(np.maximum.reduce(np.maximum(u_below, 0.0, out=u_below)))
-                            if len(below) else 0.0)
+        t.append(st.time)
+        rows.append(sandwich.row(st.values, params.epsilon * params.nu * st.time))
 
-    flat = np.array(rows["F"])
-    bound = (params.epsilon * abs(params.nu) * float(rows["t"][-1])
+    flat, lower, upper, mono = (np.array(col) for col in zip(*rows))
+    bound = (params.epsilon * abs(params.nu) * float(t[-1])
              + 10.0 * grid.spacing * problem.data_lipschitz)
-    return LiouvilleReport(t=np.array(rows["t"]), flatness=flat,
-                           lower_violation=np.array(rows["lo"]),
-                           upper_violation=np.array(rows["hi"]),
-                           monotone_violation=np.array(rows["mono"]),
+    return LiouvilleReport(t=np.array(t), flatness=flat, lower_violation=lower,
+                           upper_violation=upper, monotone_violation=mono,
                            sup_flatness=float(flat.max()), bound=bound, steps=n_steps,
                            envelopes=env)

@@ -58,6 +58,7 @@ import numpy as np
 from .geometry import Grid
 
 CFL_FACTOR = 0.25        # explicit step in units of h^2 / dim; stability allows 0.5
+CACHE_LINE = 64          # bytes; _aligned_full starts its arrays on this boundary
 
 
 class OperatorError(ValueError):
@@ -115,6 +116,23 @@ def _positions(inside_flat: np.ndarray, size: int) -> np.ndarray:
     pos = np.empty(size, np.intp)
     pos[inside_flat] = np.arange(len(inside_flat))
     return pos
+
+
+def _aligned_full(shape: tuple, fill, dtype=float) -> np.ndarray:
+    """A new array of shape filled with fill whose data start on a cache line.
+
+    malloc aligns to 16 bytes only, so most 64-byte SIMD loads of a pass
+    over such an array split two lines; over-allocating by a line and
+    slicing removes the split.  Elementwise ufuncs and pairwise sums give
+    the same bits at any alignment.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape, dtype=int)) * dtype.itemsize
+    raw = np.empty(nbytes + CACHE_LINE, np.uint8)
+    skip = -raw.ctypes.data % CACHE_LINE
+    out = raw[skip:skip + nbytes].view(dtype).reshape(shape)
+    out.fill(fill)
+    return out
 
 
 def _sample(fns, pts: np.ndarray) -> np.ndarray:
@@ -295,7 +313,8 @@ class Workspace:
     every inside node, and rate the evolution rate, 0 on the ring.  shape is
     (n_inside, *stack), the shape of the compact arrays it serves: stack is
     () for one field and (B,) for a stack of B, which costs B * (5 + 2 dim)
-    compact arrays and the gathers of the cut formula.
+    compact arrays, a boolean one (finite) and the gathers of the cut
+    formula.  Every buffer starts on a cache line (_aligned_full).
 
     Along the last axis the neighbor of position i is i + 1.  Along axis
     ax < dim - 1 it is plus[ax][i] (minus[ax][i] on the minus side), or i
@@ -326,18 +345,19 @@ class Workspace:
                 nbr[ok] = compact[self.inside_flat[ok] + step]
                 nbrs.append(nbr)
         self.shape = shape = (n,) + stack
-        self.grads = np.full((dim,) + shape, np.nan)
-        self.grad_sq = np.full(shape, np.nan)
-        self.s_node = np.full(shape, np.nan)
-        self.rate = np.full(shape, np.nan)
-        self.dn = np.full(shape, np.nan)         # face difference, then face flux
-        self.acc = np.full(shape, np.nan)
-        self.tmp = np.full(shape, np.nan)
-        self.across = np.full((dim - 1,) + shape, np.nan)
+        self.grads = _aligned_full((dim,) + shape, np.nan)
+        self.grad_sq = _aligned_full(shape, np.nan)
+        self.s_node = _aligned_full(shape, np.nan)
+        self.rate = _aligned_full(shape, np.nan)
+        self.dn = _aligned_full(shape, np.nan)       # face difference, then face flux
+        self.acc = _aligned_full(shape, np.nan)
+        self.tmp = _aligned_full(shape, np.nan)
+        self.finite = _aligned_full(shape, False, bool)  # euler_update's finiteness mask
+        self.across = _aligned_full((dim - 1,) + shape, np.nan)
         # the three gathers of the cut formula: one entry per (axis, cut node)
         cut = np.isfinite(grid.theta)
         cut_rows = np.count_nonzero(cut[:, 0] | cut[:, 1])
-        self.cut_buf = np.full((3, cut_rows) + stack, np.nan)
+        self.cut_buf = _aligned_full((3, cut_rows) + stack, np.nan)
 
     def box(self, a: np.ndarray) -> np.ndarray:
         """A compact array as a new box field, NaN off the inside nodes."""
@@ -521,9 +541,8 @@ def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
     first node in flat order; in a stack, of the lowest field with a
     non-finite update.
     """
-    # min and max propagate NaN and reach any inf, and allocate no mask
-    if not (np.isfinite(rate.min(initial=0.0)) and np.isfinite(rate.max(initial=0.0))):
-        bad = ~np.isfinite(rate.reshape(len(rate), -1))
+    if not np.isfinite(rate, out=ws.finite).all():
+        bad = ~ws.finite.reshape(len(rate), -1)
         field = int(np.argmax(bad.any(axis=0)))
         node = tuple(int(i) for i in np.unravel_index(
             ws.inside_flat[np.argmax(bad[:, field])], grid.shape))

@@ -228,6 +228,18 @@ def step(state, grid, params, bvals, step_index=0):
     return new
 
 
+def sandwich_row_loop(sandwich, u, drift):
+    """Oracle of liouville._Sandwich.row: each difference and clamp taken
+    node by node before its maximum."""
+    deep = u[sandwich.in_deep] - sandwich.lam
+    flat = float(np.abs(deep).max()) if len(deep) else 0.0
+    lower = float(np.maximum(sandwich.glow - u, 0.0).max())
+    upper = float(np.maximum(u - sandwich.lam - drift, 0.0).max())
+    defects = u[sandwich.below] - u[sandwich.below + 1]
+    mono = float(np.maximum(defects, 0.0).max()) if len(defects) else 0.0
+    return flat, lower, upper, mono
+
+
 def quadratic_min_on_ball_bruteforce(hess, samples=10000) -> float:
     """min over |eta| <= 1 of eta^T M eta by refined direction sampling.
 

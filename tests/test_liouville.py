@@ -5,7 +5,9 @@ import pytest
 
 import mcflow as mc
 from mcflow import liouville as lv
+from mcflow import operator as op
 from mcflow import verify as vf
+from helpers import sandwich_row_loop
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +18,20 @@ def ramp():
 @pytest.fixture(scope="module")
 def stadium_grid(ramp):
     return mc.build_grid(ramp.domain, 1 / 32)
+
+
+@pytest.fixture(scope="module")
+def ramp_report(ramp, stadium_grid):
+    """The ramp's report at horizon 0.5 and epsilon 0.05, by nu, made once."""
+    cache = {}
+
+    def report(nu):
+        if nu not in cache:
+            cache[nu] = lv.flatness_and_sandwich(
+                ramp, stadium_grid, mc.FlowParams(epsilon=0.05, nu=nu), horizon=0.5)
+        return cache[nu]
+
+    return report
 
 
 def test_ramp_problem_well_formed(ramp):
@@ -89,17 +105,16 @@ def test_flat_problem_stays_flat():
     assert rep.monotone_violation.max() == 0.0
 
 
-def test_flatness_bound_driftless(ramp, stadium_grid):
-    params = mc.FlowParams(epsilon=0.05, nu=0.0)
-    rep = lv.flatness_and_sandwich(ramp, stadium_grid, params, horizon=0.5)
+def test_flatness_bound_driftless(ramp_report):
+    rep = ramp_report(0.0)
     assert rep.sup_flatness <= rep.bound
     assert rep.upper_violation.max() <= 1e-12
     assert rep.monotone_violation.max() <= 1e-10
 
 
-def test_flatness_bound_with_drift(ramp, stadium_grid):
+def test_flatness_bound_with_drift(ramp_report):
     params = mc.FlowParams(epsilon=0.05, nu=0.2)
-    rep = lv.flatness_and_sandwich(ramp, stadium_grid, params, horizon=0.5)
+    rep = ramp_report(params.nu)
     assert rep.sup_flatness <= rep.bound
     # flat regions drift no faster than eps*nu, so the corrected upper
     # sandwich holds tightly
@@ -108,12 +123,29 @@ def test_flatness_bound_with_drift(ramp, stadium_grid):
     assert rep.monotone_violation.max() <= params.epsilon * params.nu * 0.5 + 1e-8
 
 
-def test_lower_sandwich_violation_quantified_by_flatness(ramp, stadium_grid):
+def test_lower_sandwich_violation_quantified_by_flatness(ramp_report):
     # the smoothing leak below the plateau is exactly what the lower
     # envelope misses: the violation never exceeds the flatness deficit
-    params = mc.FlowParams(epsilon=0.05, nu=0.0)
-    rep = lv.flatness_and_sandwich(ramp, stadium_grid, params, horizon=0.5)
+    rep = ramp_report(0.0)
     assert rep.lower_violation.max() <= rep.sup_flatness + 1e-8
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.2])
+def test_sandwich_rows_equal_the_elementwise_oracle(ramp, stadium_grid, ramp_report, nu):
+    # taking each maximum before its difference and clamp changes no bit
+    # of any report row
+    rep = ramp_report(nu)
+    params = mc.FlowParams(epsilon=0.05, nu=nu)
+    sandwich = lv._Sandwich(ramp, stadium_grid, rep.envelopes)
+    bvals = op.boundary_values(stadium_grid, ramp.initial_data)
+    start = op.init_state(stadium_grid, ramp.initial_data, bvals)
+    want = [sandwich_row_loop(sandwich, st.values, params.epsilon * nu * st.time)
+            for _, st, _ in op.march(start, stadium_grid, params, bvals, rep.steps)]
+    got = (rep.flatness, rep.lower_violation, rep.upper_violation, rep.monotone_violation)
+    for column, oracle in zip(got, zip(*want)):
+        assert column.tobytes() == np.array(oracle).tobytes()
+    # with drift every column leaves 0 somewhere, so no clamp hides the test
+    assert nu == 0.0 or all(np.count_nonzero(c) for c in got)
 
 
 def test_negative_drift_rejected(ramp, stadium_grid):

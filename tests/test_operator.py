@@ -672,6 +672,23 @@ def test_grad_sq_is_the_summed_square_of_the_node_gradient(grid16, kind):
                                  mc.FlowParams(epsilon=0.05, nu=0.3), 3)
 
 
+@pytest.mark.parametrize("domain", [mc.ball(1.0), mc.ellipse(1.0, 0.6, dim=3),
+                                    mc.smoothed_stadium(0.5, 1.5, 0.25)],
+                         ids=["disk", "spheroid", "stadium"])
+def test_workspace_buffers_start_on_a_cache_line(domain):
+    # a buffer 16 bytes past a line makes the rate's SIMD loads split lines;
+    # every float and boolean array of a Workspace is a buffer
+    grid = mc.build_grid(domain, 1 / 16)
+    for stack in ((), (3,)):
+        ws = op.Workspace(grid, stack)
+        buffers = {name: a for name, a in vars(ws).items()
+                   if isinstance(a, np.ndarray) and a.dtype in (np.float64, np.bool_)}
+        assert set(buffers) == {"grads", "grad_sq", "s_node", "rate", "dn", "acc", "tmp",
+                                "finite", "across", "cut_buf"}
+        for name, a in buffers.items():
+            assert a.ctypes.data % op.CACHE_LINE == 0 and a.flags.c_contiguous, name
+
+
 def test_rhs_temporaries_stay_small():
     # the spheroid (1, 0.6) at h = 1/16: a 33 x 21 x 21 box, 113 KiB a field
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
