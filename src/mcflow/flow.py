@@ -150,8 +150,8 @@ class _Recorder:
         rows["max_u"].append(hi)
         # inside = interior + ring, and sqrt commutes with max; a square is
         # never below the 0.0 an empty node set records
-        gi, gr = (float(np.take(ws.grad_sq, idx, out=self.buf[:len(idx)],
-                                mode="clip").max(initial=0.0))
+        gi, gr = (float(ws.grad_sq.take(idx, out=self.buf[:len(idx)],
+                                        mode="clip").max(initial=0.0))
                   for idx in (ws.interior, ws.ring))
         rows["sup_grad"].append(float(np.sqrt(np.maximum(gi, gr))))
         rows["sup_grad_interior"].append(float(np.sqrt(gi)))
@@ -348,7 +348,8 @@ class _BoxLaplacianInverse:
         coef = self._transform(self.box, self.tmp)
         coef *= self.scale
         box = self._transform(coef, self.tmp if coef is self.box else self.box)
-        return np.take(box, self.idx, out=self.out)
+        # the indices are in range; mode "raise" would buffer the gather
+        return box.take(self.idx, out=self.out, mode="clip")
 
 
 def _frozen_coefficients(ws: Workspace) -> np.ndarray:

@@ -226,7 +226,7 @@ class _Sandwich:
         lam, buf = self.lam, self.buf
         flat = 0.0
         if len(self.in_deep):
-            d = np.take(u, self.in_deep, out=self.u_deep, mode="clip")
+            d = u.take(self.in_deep, out=self.u_deep, mode="clip")
             flat = max(lam - float(d.min()), float(d.max()) - lam)
         np.subtract(self.glow, u, out=buf)
         lower = max(0.0, float(buf.max()))
@@ -234,8 +234,8 @@ class _Sandwich:
         mono = 0.0
         if len(self.below):
             steps = np.subtract(u[:-1], u[1:], out=buf[:-1])
-            mono = max(0.0, float(np.take(steps, self.below, out=self.defects,
-                                          mode="clip").max()))
+            mono = max(0.0, float(steps.take(self.below, out=self.defects,
+                                             mode="clip").max()))
         return flat, lower, upper, mono
 
 

@@ -43,6 +43,15 @@ since every factor is a power of two; so the flux d / sqrt(sum t^2 + d^2
 + 4 eps^2) has the bits of the averaged one short of overflow, which only
 gradients near 1e154, in a run about to blow up, reach.
 
+The spacing factors 2h (central differences), h/2 (face differences) and h
+(divergence) are applied by a multiply by 1/c where c and 1/c are powers of
+two (_scaling; every demo and benchmark spacing is 1/16 or 1/32), and by a
+division otherwise.  1/c is then exact, so x * (1/c) rounds the exact value
+x / c just as the division does: the bits are the same, at well under half
+the cost.  The first axis of the divergence writes the rate rather than
+adding to zeros; where that leaves -0.0 in place of +0.0, adding nu (taken
+as +0.0 when it is -0.0) gives +0.0, as the sum from zeros does.
+
 The functions below also step a stack of B fields that share one grid, one
 FlowParams and one dt: compact arrays of shape (n_inside, B), boundary
 data and initial data given as sequences of B functions.  The stack lives
@@ -50,6 +59,7 @@ on the trailing axis and every field gets exactly the bits it gets alone:
 the arithmetic, closure included, is elementwise.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -133,6 +143,17 @@ def _aligned_full(shape: tuple, fill, dtype=float) -> np.ndarray:
     out = raw[skip:skip + nbytes].view(dtype).reshape(shape)
     out.fill(fill)
     return out
+
+
+def _scaling(c: float) -> tuple:
+    """(ufunc, operand) applying 1/c in place: (np.multiply, 1/c) when c and
+    1/c are powers of two, so the product rounds the exact quotient as the
+    division does, and (np.divide, c) otherwise."""
+    if math.frexp(c)[0] == 0.5:
+        inv = 1.0 / c
+        if math.frexp(inv)[0] == 0.5:
+            return np.multiply, inv
+    return np.divide, c
 
 
 def _sample(fns, pts: np.ndarray) -> np.ndarray:
@@ -354,6 +375,12 @@ class Workspace:
         self.tmp = _aligned_full(shape, np.nan)
         self.finite = _aligned_full(shape, False, bool)  # euler_update's finiteness mask
         self.across = _aligned_full((dim - 1,) + shape, np.nan)
+        # the axes other than ax, per ax: the tangential components of its faces
+        self.tangential = tuple(tuple(j for j in range(dim) if j != ax) for ax in range(dim))
+        # how the central, face and divergence differences apply 1 / (2h),
+        # 1 / (h/2) and 1 / h (_scaling)
+        h = grid.spacing
+        self.by_2h, self.by_half_h, self.by_h = (_scaling(c) for c in (2 * h, h / 2, h))
         # the three gathers of the cut formula: one entry per (axis, cut node)
         cut = np.isfinite(grid.theta)
         cut_rows = np.count_nonzero(cut[:, 0] | cut[:, 1])
@@ -395,6 +422,35 @@ def apply_closure(values: np.ndarray, bvals: BoundaryValues) -> np.ndarray:
     return values
 
 
+def _node_gradient(v: np.ndarray, bvals: BoundaryValues, ws: Workspace) -> np.ndarray:
+    """node_gradient's body, without its shape check and error context."""
+    grads = ws.grads
+    scale, by = ws.by_2h
+    for ax, (plus, minus) in enumerate(zip(ws.plus, ws.minus)):
+        v.take(plus, axis=0, out=ws.across[ax], mode="clip")
+        v.take(minus, axis=0, out=ws.tmp, mode="clip")
+        np.subtract(ws.across[ax], ws.tmp, out=grads[ax])
+        scale(grads[ax], by, out=grads[ax])
+    g = grads[-1][1:-1]
+    np.subtract(v[2:], v[:-2], out=g)
+    scale(g, by, out=g)
+    c = bvals.cuts
+    up, um, u0 = ws.cut_buf
+    v.take(c.ip, axis=0, out=up, mode="clip")
+    v.take(c.im, axis=0, out=um, mode="clip")
+    v.take(c.node, axis=0, out=u0, mode="clip")
+    np.copyto(up, c.hb_p, where=c.cut_p)
+    np.copyto(um, c.hb_m, where=c.cut_m)
+    up *= c.tm2
+    um *= c.tp2
+    up -= um
+    u0 *= c.w0
+    up += u0
+    up /= c.den
+    grads.reshape((-1,) + v.shape[1:])[c.row] = up
+    return grads
+
+
 def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
                   ws: Workspace | None = None) -> np.ndarray:
     """Gradient of a compact array at every inside node, in ws.grads.
@@ -407,34 +463,9 @@ def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
     runs once, for the cut nodes of every axis together.  A values array
     that is not the grid's compact array (of ws's stack) is an OperatorError.
     """
-    v = values
-    ws = _workspace(v, grid, ws)
-    h = grid.spacing
-    grads = ws.grads
+    ws = _workspace(values, grid, ws)
     with np.errstate(invalid="ignore"):
-        for ax in range(grid.dim - 1):
-            np.take(v, ws.plus[ax], axis=0, out=ws.across[ax], mode="clip")
-            np.take(v, ws.minus[ax], axis=0, out=ws.tmp, mode="clip")
-            np.subtract(ws.across[ax], ws.tmp, out=grads[ax])
-            grads[ax] /= 2 * h
-        g = grads[-1]
-        np.subtract(v[2:], v[:-2], out=g[1:-1])
-        g[1:-1] /= 2 * h
-        c = bvals.cuts
-        up, um, u0 = ws.cut_buf
-        np.take(v, c.ip, axis=0, out=up, mode="clip")
-        np.take(v, c.im, axis=0, out=um, mode="clip")
-        np.take(v, c.node, axis=0, out=u0, mode="clip")
-        np.copyto(up, c.hb_p, where=c.cut_p)
-        np.copyto(um, c.hb_m, where=c.cut_m)
-        up *= c.tm2
-        um *= c.tp2
-        up -= um
-        u0 *= c.w0
-        up += u0
-        up /= c.den
-        grads.reshape((-1,) + v.shape[1:])[c.row] = up
-    return grads
+        return _node_gradient(values, bvals, ws)
 
 
 def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
@@ -452,15 +483,14 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     """
     v = values
     ws = _workspace(v, grid, ws)
-    h = grid.spacing
     eps2 = params.epsilon ** 2
     dim = grid.dim
-    node_gradient(v, grid, bvals, ws)
     grads, grad_sq, s_node, rate = ws.grads, ws.grad_sq, ws.s_node, ws.rate
     dn, acc, tmp = ws.dn, ws.acc, ws.tmp
     # a blowing-up field may overflow here; euler_update's finiteness check
     # turns that into a BlowUpError
     with np.errstate(invalid="ignore", over="ignore"):
+        _node_gradient(v, bvals, ws)
         np.multiply(grads[0], grads[0], out=grad_sq)
         for j in range(1, dim):
             np.multiply(grads[j], grads[j], out=tmp)
@@ -468,9 +498,10 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
         np.add(grad_sq, eps2, out=s_node)
         np.sqrt(s_node, out=s_node)
 
-        # the flux divergence accumulates in rate
-        rate.fill(0.0)
-        for ax in range(dim):
+        # the flux divergence accumulates in rate; the first axis, never the
+        # last, writes it
+        scale, by = ws.by_half_h
+        for ax, tangential in enumerate(ws.tangential):
             last = ax == dim - 1
             if last:
                 d, a, t = dn[:-1], acc[:-1], tmp[:-1]
@@ -478,14 +509,14 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
             else:
                 d, a, t = dn, acc, tmp
                 np.subtract(ws.across[ax], v, out=d)
-            d /= h / 2
+            scale(d, by, out=d)
             # a sums the squares of the doubled face averages t of the
             # tangential components
-            for k, j in enumerate(j for j in range(dim) if j != ax):
+            for k, j in enumerate(tangential):
                 if last:
                     np.add(grads[j][:-1], grads[j][1:], out=t)
                 else:
-                    np.take(grads[j], ws.plus[ax], axis=0, out=t, mode="clip")
+                    grads[j].take(ws.plus[ax], axis=0, out=t, mode="clip")
                     t += grads[j]
                 if k == 0:
                     np.multiply(t, t, out=a)
@@ -502,11 +533,18 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                 np.subtract(dn[1:], d, out=tmp[1:])
                 rate[1:] += tmp[1:]
             else:
-                np.take(dn, ws.minus[ax], axis=0, out=tmp, mode="clip")
-                np.subtract(dn, tmp, out=tmp)
-                rate += tmp
-        rate /= h
-        rate += params.nu
+                dn.take(ws.minus[ax], axis=0, out=tmp, mode="clip")
+                if ax == 0:
+                    np.subtract(dn, tmp, out=rate)
+                else:
+                    np.subtract(dn, tmp, out=tmp)
+                    rate += tmp
+        scale, by = ws.by_h
+        scale(rate, by, out=rate)
+        # the first axis's write can leave -0.0 where a sum from zeros gives
+        # +0.0; adding nu turns it into +0.0 too, once + 0.0 has made a -0.0
+        # nu +0.0
+        rate += params.nu + 0.0
         rate *= s_node
         rate[ws.ring] = 0.0
     return rate

@@ -253,7 +253,7 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
             model = (uc[:, None] + p @ dx.T) + 0.5 * np.einsum("ni,bij,nj->bn", dx, hess, dx)
             touched = np.ones(len(fc), bool)
             for si, us in zip((s - 1, s, s + 1), slices):
-                vals = np.take(us, box)
+                vals = us.take(box)
                 gap = sign * (vals - (model + q[:, None] * (times[si] - times[s])))
                 # a box holding a non-finite value (an exterior node) never touches
                 touched &= np.isfinite(gap).all(axis=1) & (np.max(gap, axis=1) <= TOUCH_SLACK)

@@ -383,6 +383,22 @@ def test_record_temporaries_stay_small():
     assert peak <= 2 * state.values.nbytes, f"allocation peak {peak} B"
 
 
+def test_laplacian_inverse_matvec_buffers_no_gather(grid32):
+    # every GMRES matvec of a steady solve gathers the interior nodes into its
+    # own buffer; a gather in mode "raise" copies them to a temporary first
+    idx = np.flatnonzero(grid32.interior)
+    inverse = fl._BoxLaplacianInverse(grid32, idx)
+    v = np.linspace(-1.0, 1.0, len(idx))
+    inverse(v)     # warm caches
+    tracemalloc.start()
+    try:
+        inverse(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(idx), f"allocation peak {peak} B"
+
+
 def test_one_function_as_both_data_is_sampled_once(unit_ball):
     calls = []
 

@@ -6,7 +6,9 @@ steady_drift.cfg, the flatness table of liouville_ramp.cfg, the series of
 flow_bump.cfg cut to a horizon of 0.05 (409 steps), and in 3D the series
 and last snapshot of the benchmark's spheroid flow cut to the same horizon
 (153 steps).  The 3D digests are the same with one and with two BLAS
-threads.
+threads.  The comparison run writes no data file: its digests are taken
+in the test, on the 40-field stack of comparison.cfg cut to a horizon of
+0.05 (102 steps).
 """
 
 import hashlib
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from mcflow import cli
+import mcflow as mc
+from mcflow import barriers as ba, cli
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 SHORT_BUMP = {"run.horizon = 1.0": "run.horizon = 0.05",
@@ -66,3 +69,29 @@ def test_seed_0_spheroid_keeps_its_digests(tmp_path):
         "snapshot_00000153.mcfgrid":
             "8a7b8c0876bfb7db0df5f07582682f71dd7b652218067f05a8c2d3b5b58ce63b",
     }
+
+
+def test_seed_0_comparison_stack_keeps_its_digests(monkeypatch):
+    # its per-step and per-pair violations are all 0 (clipped at 0), so the
+    # last state of the stack that the run marches is pinned beside them
+    cfg = cli.load_config(CONFIGS / "comparison.cfg")
+    grid = mc.build_grid(cfg.domain, cfg.spacing)
+    lows, highs = zip(*(ba.random_ordered_pair(cfg.domain, cfg.seed + k)
+                        for k in range(cfg.pairs)))
+    last, march = [], ba.march
+
+    def recording(*args):
+        for k, state, ws in march(*args):
+            yield k, state, ws
+        last.append(state.values.copy())
+
+    monkeypatch.setattr(ba, "march", recording)
+    report = ba.comparison_experiment(lows, highs, grid, cfg.params, 0.05)
+    assert report.steps == 102 and last[0].shape == (grid.n_inside, 2 * cfg.pairs)
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in (report.per_step, report.per_pair, last[0])]
+    assert digests == [
+        "7de592043d3613deb65a36d48372038b1b0a910e79f60b360988df59a391e970",
+        "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+        "5b8eb7bf487ceeacb4527b1d0abcae3811240c32a2d7d88592ab74bfa387460e",
+    ]

@@ -645,6 +645,15 @@ def _assert_blowup_matches_box_flat_oracle(grid, data):
 @example(**_branch_grid(4), stacked=True, nu=0.3)
 @example(kind="smoothed-stadium", dim=3, center=(0.0, 0.0, 0.0), size=1.0, ratio=0.5,
          fraction=1 / 4, stacked=True, nu=0.3)
+# dyadic spacings (h = 1/16 and 1/8), where the operator multiplies by 1 / h
+@example(kind="ball", dim=2, center=(0.0, 0.0, 0.0), size=1.0, ratio=1.0,
+         fraction=1 / 16, stacked=False, nu=0.3)
+@example(kind="ball", dim=2, center=(0.0, 0.0, 0.0), size=1.0, ratio=1.0,
+         fraction=1 / 16, stacked=True, nu=0.0)
+@example(kind="ball", dim=3, center=(0.0, 0.0, 0.0), size=1.0, ratio=1.0,
+         fraction=1 / 8, stacked=False, nu=0.0)
+@example(kind="ball", dim=3, center=(0.0, 0.0, 0.0), size=1.0, ratio=1.0,
+         fraction=1 / 8, stacked=True, nu=0.3)
 def test_compact_operator_matches_the_box_flat_oracle(kind, dim, center, size, ratio,
                                                       fraction, stacked, nu):
     grid = built_grid(kind, dim, center, size, ratio, fraction)
@@ -661,6 +670,18 @@ def test_compact_operator_matches_the_box_flat_oracle_on_defects(stack_grids, st
     data = fields if stacked else fields[0]
     _assert_matches_box_flat_oracle(grid, data, mc.FlowParams(epsilon=0.1, nu=0.3), 50)
     _assert_blowup_matches_box_flat_oracle(grid, data)
+
+
+@pytest.mark.parametrize("h", [1 / 16, 0.06], ids=["dyadic", "non-dyadic"])
+def test_signed_zeros_match_the_box_flat_oracle(unit_ball, h):
+    # -0.0 past x1 + x2 = 0 and +0.0 before it: a node whose plus neighbors
+    # hold -0.0 has a -0.0 face flux on every axis, and the first axis writes
+    # the rate where the oracle adds to +0.0; nu = -0.0 (a config's "-0") must
+    # not keep the -0.0
+    grid = mc.build_grid(unit_ball, h)
+    zeros = lambda p: np.where(p[:, 0] + p[:, 1] > 0, -0.0, 0.0)
+    for nu in (-0.0, 0.0):
+        _assert_matches_box_flat_oracle(grid, zeros, mc.FlowParams(epsilon=0.1, nu=nu), 2)
 
 
 @pytest.mark.parametrize("kind", ["disk", "spheroid", "disk-stack"])
@@ -689,9 +710,14 @@ def test_workspace_buffers_start_on_a_cache_line(domain):
             assert a.ctypes.data % op.CACHE_LINE == 0 and a.flags.c_contiguous, name
 
 
-def test_rhs_temporaries_stay_small():
+# a dyadic spacing, where the operator multiplies by 1 / h, and one where it divides
+TEMPORARY_SPACINGS = pytest.mark.parametrize("h", [1 / 16, 0.06], ids=["dyadic", "non-dyadic"])
+
+
+@TEMPORARY_SPACINGS
+def test_rhs_temporaries_stay_small(h):
     # the spheroid (1, 0.6) at h = 1/16: a 33 x 21 x 21 box, 113 KiB a field
-    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), h)
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid, bump)
     state = op.init_state(grid, bump, bv)
@@ -707,10 +733,11 @@ def test_rhs_temporaries_stay_small():
     assert peak <= ws.box(values).nbytes // 2, f"allocation peak {peak} B"
 
 
-def test_march_step_temporaries_stay_small():
+@TEMPORARY_SPACINGS
+def test_march_step_temporaries_stay_small(h):
     # one step of the spheroid march: Euler update, closure and rate, all in
     # the compact layout; under a byte per inside node, so no per-node mask
-    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
+    grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), h)
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid, bump)
     state = op.init_state(grid, bump, bv)
@@ -724,6 +751,48 @@ def test_march_step_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < grid.n_inside, f"allocation peak {peak} B"
+
+
+# x from every class of doubles: ordinary, subnormal, near overflow, +-0, +-inf, NaN
+SCALED = st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                  | st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -3e-320,
+                                     2.2250738585072014e-308, 1.7976931348623157e308,
+                                     -1.5e308)),
+                  min_size=1, max_size=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-12, 12), x=SCALED)
+@example(k=-12, x=[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, -0.1])
+@example(k=12, x=[5e-324, -5e-324, 1e-308, 1.7976931348623157e308, np.nan, -0.0])
+def test_power_of_two_scaling_has_the_bits_of_the_division(k, x):
+    c = 2.0 ** k
+    scale, by = op._scaling(c)
+    assert scale is np.multiply and by == 1.0 / c
+    a, x = np.array(x), np.array(x)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scale(a, by, out=a)
+        want = np.divide(x, c)
+    assert a.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(1e-6, 1e6).filter(lambda c: np.frexp(c)[0] != 0.5))
+@example(c=0.06)
+@example(c=2 * 0.06)
+@example(c=0.1)
+@example(c=3.0)
+@example(c=5e-324)       # a power of two whose reciprocal overflows
+def test_other_spacing_factors_take_the_division(c):
+    assert op._scaling(c) == (np.divide, c)
+
+
+@pytest.mark.parametrize("h, scale", [(1 / 16, np.multiply), (1 / 32, np.multiply),
+                                      (0.06, np.divide), (0.1, np.divide)])
+def test_workspace_decides_the_scaling_from_the_spacing(h, scale):
+    ws = op.Workspace(mc.build_grid(mc.ball(1.0), h))
+    assert [s for s, _ in (ws.by_2h, ws.by_half_h, ws.by_h)] == [scale] * 3
 
 
 def _same_bytes(a, b):

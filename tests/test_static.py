@@ -164,6 +164,38 @@ def test_the_roll_check_sees_a_roll(tmp_path):
     assert roll_calls(src) == [5, 6, 7]
 
 
+def take_function_calls(path: Path) -> list:
+    """Lines of every call to numpy's take function: np.take, numpy.take or
+    an imported take.  Method calls a.take(...) are not counted."""
+    tree = _parse(path)
+    numpy_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    takes = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             for a in node.names if a.name == "take"}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id in takes
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == "take"
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id in numpy_names))
+
+
+def test_no_module_gathers_through_the_take_function():
+    # the ndarray.take method skips the function's Python dispatcher, which
+    # costs as much as a small gather itself
+    calls = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in take_function_calls(path)]
+    assert calls == []
+
+
+def test_the_take_check_sees_a_take_function_call(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import numpy as np\nimport numpy\nfrom numpy import take as tk\n\n"
+                   "a = np.arange(3)\nb = np.take(a, [0, 1])\nc = numpy.take(a, [2], axis=0)\n"
+                   "d = tk(a, [1])\ne = a.take([0])\nf = np.take_along_axis(a, a, 0)\n")
+    assert take_function_calls(src) == [6, 7, 8]
+
+
 def _module_path(module: str) -> Path:
     path = PACKAGE.joinpath(*module.split(".")[1:])
     return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
