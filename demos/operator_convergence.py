@@ -20,8 +20,8 @@ for eps, nu in ((0.2, 0.3), (0.05, 0.3)):
     params = mc.FlowParams(epsilon=eps, nu=nu)
     grid = mc.build_grid(ball, 1 / 32)
     bv = op.boundary_values(grid, lin)
-    state = op.init_state(grid, lin, bv)
-    rate = op.regularized_rhs(state.values, grid, params, bv)
+    u = op.init_state(grid, lin, bv)
+    rate = op.regularized_rhs(u, grid, params, bv)
     expect = nu * np.sqrt(eps ** 2 + p @ p)
     err = np.max(np.abs(rate[grid.interior[grid.inside]] - expect))
     print(f"  eps={eps:5.2f}  sup residual = {err:.3e}")
@@ -34,8 +34,8 @@ spacings = (1 / 16, 1 / 32, 1 / 64)
 for h in spacings:
     grid = mc.build_grid(ball, h)
     bv = op.boundary_values(grid, quad)
-    state = op.init_state(grid, quad, bv)
-    rate = op.regularized_rhs(state.values, grid, params, bv)
+    u = op.init_state(grid, quad, bv)
+    rate = op.regularized_rhs(u, grid, params, bv)
     r = np.linalg.norm(grid.points, axis=-1)
     stride = int(round((1 / 16) / h))
     shared = np.zeros(grid.shape, bool)

@@ -27,11 +27,11 @@ print("\n== drift nu=0.3: solve until sup|rate| < 1e-6 ==")
 params = mc.FlowParams(epsilon=0.05, nu=0.3)
 mid = tuple(np.array(grid.shape) // 2)
 bvals = mc.boundary_values(grid, lin)
-for k, state, ws in mc.march(mc.init_state(grid, lin, bvals), grid, params, bvals, 10 ** 7):
+for k, _, u, ws in mc.march(mc.init_state(grid, lin, bvals), grid, params, bvals, 10 ** 7):
     residual = np.max(np.abs(ws.rate[ws.interior]))
     if residual < 1e-6:
         break
-oracle = ws.box(state.values)
+oracle = ws.box(u)
 print(f"  explicit relaxation: steps={k}, residual={residual:.2e}, "
       f"value at the center = {oracle[mid]:.8f}")
 res = mc.relax_to_steady(prob, grid, params, tol=1e-6)

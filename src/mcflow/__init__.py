@@ -6,10 +6,9 @@ from .geometry import (DomainSpec, Grid, ball, ellipse, smoothed_stadium,
                        signed_distance, boundary_points,
                        boundary_mean_curvature_bound, admissible_nu_interval,
                        build_grid, CoarseGridError, GeometryError)
-from .operator import (FlowParams, FieldState, BoundaryValues, Workspace,
-                       boundary_values, node_gradient, regularized_rhs,
-                       stable_dt, march, init_state, apply_closure, BlowUpError,
-                       OperatorError)
+from .operator import (FlowParams, BoundaryValues, Workspace, boundary_values,
+                       node_gradient, regularized_rhs, stable_dt, march, init_state,
+                       apply_closure, BlowUpError, OperatorError)
 from .flow import (IBVP, FlowReport, SteadyResult, ContinuationTable,
                    solve_ibvp, relax_to_steady, epsilon_continuation,
                    IncompatibleDataError)

@@ -193,6 +193,7 @@ def sup_norm_bound(problem: IBVP, grid: Grid, params: FlowParams) -> SupNormBoun
 class ComparisonReport:
     max_violation: float
     steps: int
+    # signed max of low - high: a negative value is the closest the pair came to crossing
     per_step: np.ndarray = dc_field(default_factory=lambda: np.array([]))  # worst over pairs
     per_pair: np.ndarray = dc_field(default_factory=lambda: np.array([]))  # worst over steps
 
@@ -228,18 +229,17 @@ def comparison_experiment(problem_low: IBVP | Sequence[IBVP],
     viol = []
     try:
         # march steps its own copy of the start; built inline, the original is freed
-        for _, state, _ in march(init_state(grid, [prob.initial_data for prob in fields],
-                                            bvals), grid, params, bvals, n_steps):
-            u = state.values        # compact: the inside nodes
+        for _, _, u, _ in march(init_state(grid, [prob.initial_data for prob in fields],
+                                           bvals), grid, params, bvals, n_steps):
             viol.append(np.max(u[:, 0::2] - u[:, 1::2], axis=0))
     except BlowUpError as exc:
         pair, side = divmod(exc.field, 2)
         raise BlowUpError(f"non-finite value at node {exc.node} on step {exc.step} "
                           f"in pair {pair} ({('low', 'high')[side]} field)",
                           node=exc.node, step=exc.step, field=exc.field) from None
-    viol = np.maximum(np.array(viol), 0.0)
+    viol = np.array(viol)
     per_step = viol.max(axis=1)
-    return ComparisonReport(max_violation=float(per_step.max()), steps=n_steps,
+    return ComparisonReport(max_violation=max(0.0, float(per_step.max())), steps=n_steps,
                             per_step=per_step, per_pair=viol.max(axis=0))
 
 

@@ -468,11 +468,11 @@ def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
     keep = (n - 2 * m, n - m, n)
     bvals = boundary_values(grid, cfg.problem.boundary_data)
     snaps, stimes = [], []
-    for k, state, ws in march(init_state(grid, cfg.problem.initial_data, bvals), grid,
-                              cfg.params, bvals, n):
+    for k, t, u, ws in march(init_state(grid, cfg.problem.initial_data, bvals), grid,
+                             cfg.params, bvals, n):
         if k in keep:
-            snaps.append(ws.box(state.values))
-            stimes.append(state.time)
+            snaps.append(ws.box(u))
+            stimes.append(t)
     violations = []
     for mode in ("sub", "super"):
         violations += vf.viscosity_spot_check(snaps, stimes, grid, cfg.params, mode,

@@ -12,10 +12,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import Grid, DomainSpec, boundary_points, admissible_nu_interval
-from .operator import (FlowParams, FieldState, Workspace, boundary_values,
-                       init_state, regularized_rhs, apply_closure, march,
-                       stable_dt, whole_steps, dt_exceeds_stability, BlowUpError,
-                       _aligned_full)
+from .operator import (FlowParams, Workspace, boundary_values, init_state,
+                       regularized_rhs, apply_closure, march, stable_dt, whole_steps,
+                       BlowUpError, _aligned_full)
 
 COMPATIBILITY_TOL = 1e-10
 COMPATIBILITY_SAMPLES = 512          # boundary points the data are compared at
@@ -99,9 +98,10 @@ def collect_warnings(domain: DomainSpec, grid: Grid, params: FlowParams) -> list
     if not lo < params.nu < hi:
         # + 0.0: a flat side's interval prints (0, 0), without a negative zero
         warns.append(f"nu={params.nu} outside the admissible interval ({lo + 0.0:.6g}, {hi:.6g})")
-    if dt_exceeds_stability(params, grid):
+    bound = 0.5 * grid.spacing ** 2 / grid.dim
+    if params.dt_override is not None and params.dt_override > bound + 1e-300:
         warns.append(f"dt_override={params.dt_override} exceeds the stability bound "
-                     f"{0.5 * grid.spacing ** 2 / grid.dim:.6g}")
+                     f"{bound:.6g}")
     if grid.coarse_warning:
         warns.append("grid spacing above an eighth of the smallest shape parameter")
     return warns
@@ -139,11 +139,10 @@ class _Recorder:
     # float range: they record as inf or nan, and the next update raises
     # BlowUpError
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def record(self, state: FieldState, ws: Workspace):
-        # ws holds the rate, squared gradient and smoothed norm of exactly this state
+    def record(self, t: float, u: np.ndarray, ws: Workspace):
+        # ws holds the rate, squared gradient and smoothed norm of exactly u
         rows, r, w = self.rows, ws.rate, self.w
-        rows["t"].append(state.time)
-        u = state.values
+        rows["t"].append(t)
         lo, hi = float(u.min()), float(u.max())
         rows["sup_u"].append(max(abs(lo), abs(hi)))
         rows["min_u"].append(lo)
@@ -182,7 +181,7 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
         if not 0 <= ts <= horizon:
             raise ValueError(f"snapshot time {ts} lies outside [0, horizon = {horizon}]")
     bvals = boundary_values(grid, problem.boundary_data)
-    state = init_state(grid, problem.initial_data, bvals)
+    start = init_state(grid, problem.initial_data, bvals)
     dt = stable_dt(params, grid)
     n_steps = whole_steps(horizon, dt)
     snap_steps = {whole_steps(ts, dt) for ts in snapshot_times}
@@ -191,10 +190,10 @@ def solve_ibvp(problem: IBVP, grid: Grid, params: FlowParams, horizon: float,
     snapshots = []
     aborted = None
     try:
-        for k, state, ws in march(state, grid, params, bvals, n_steps):
-            rec.record(state, ws)
+        for k, t, u, ws in march(start, grid, params, bvals, n_steps):
+            rec.record(t, u, ws)
             if k in snap_steps:
-                snapshots.append((k, state.time, ws.box(state.values)))
+                snapshots.append((k, t, ws.box(u)))
     except BlowUpError as exc:
         aborted = str(exc)
 
@@ -385,7 +384,7 @@ def relax_to_steady(problem: IBVP, grid: Grid, params: FlowParams, tol: float,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     bvals = boundary_values(grid, problem.boundary_data)
-    values = init_state(grid, problem.initial_data, bvals).values
+    values = init_state(grid, problem.initial_data, bvals)
     ws = Workspace(grid)
     idx = ws.interior
     f = regularized_rhs(values, grid, params, bvals, ws)[idx]
@@ -479,13 +478,13 @@ def epsilon_continuation(problem: IBVP, grid: Grid, params: FlowParams,
         row = replace(params, epsilon=eps)
         try:
             # march advances its own copy of the start; the last state is the row's
-            for _, state, _ in march(start, grid, row, bvals,
-                                     whole_steps(horizon, stable_dt(row, grid))):
+            for _, _, u, _ in march(start, grid, row, bvals,
+                                    whole_steps(horizon, stable_dt(row, grid))):
                 pass
         except BlowUpError as exc:
             raise BlowUpError(f"continuation row eps={eps} aborted: {exc}",
                               node=exc.node, step=exc.step) from None
-        fields.append(state.values)
+        fields.append(u)
     diffs = tuple(float(np.max(np.abs(a - b))) for a, b in zip(fields, fields[1:]))
     mono = all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
     return ContinuationTable(epsilons=eps_list, sup_diffs=diffs, monotone_decreasing=mono)

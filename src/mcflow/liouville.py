@@ -253,15 +253,14 @@ def flatness_and_sandwich(problem: CylinderProblem, grid: Grid, params: FlowPara
     env = build_envelopes(problem)
     # the boundary data are the trace of the initial data
     bvals = boundary_values(grid, problem.initial_data)
-    state = init_state(grid, problem.initial_data, bvals)
-    dt = stable_dt(params, grid)
-    n_steps = whole_steps(horizon, dt)
+    start = init_state(grid, problem.initial_data, bvals)
+    n_steps = whole_steps(horizon, stable_dt(params, grid))
 
     sandwich = _Sandwich(problem, grid, env)
     t, rows = [], []
-    for _, st, _ in march(state, grid, params, bvals, n_steps):
-        t.append(st.time)
-        rows.append(sandwich.row(st.values, params.epsilon * params.nu * st.time))
+    for _, tk, u, _ in march(start, grid, params, bvals, n_steps):
+        t.append(tk)
+        rows.append(sandwich.row(u, params.epsilon * params.nu * tk))
 
     flat, lower, upper, mono = (np.array(col) for col in zip(*rows))
     bound = (params.epsilon * abs(params.nu) * float(t[-1])

@@ -15,7 +15,7 @@ which imposes the boundary trace exactly and keeps the update monotone.
 The closure plan, built once per grid and boundary data, sets the constant
 closures in one write and the rest level by level, each after the closed
 node it reads.  Every time-stepped experiment advances through the one
-forward-Euler generator `march`.
+forward-Euler generator `march`, which also keeps the time.
 
 The operator evaluates the inside nodes only, in the compact layout: an
 array of shape (n_inside, *stack) holding the inside nodes in the C order
@@ -31,10 +31,11 @@ rate.  The other axes read their neighbors through index arrays built once
 per Workspace; a neighbor outside the domain is the node itself, with the
 same effect.  The rate is kept at the interior nodes and is 0 on the
 near-boundary ring.  The compact array is the one field layout of the
-functions below: init_state builds it, march steps it and the steady
-Newton residual evaluates it.  A box field (NaN off the inside nodes) is
-made only where a field leaves the solver, by Workspace.box: snapshots,
-the viscosity run's fields and the steady result.
+functions below and the whole march state: init_state builds it, march
+steps it and the steady Newton residual evaluates it.  A box field (NaN
+off the inside nodes) is made only where a field leaves the solver, by
+Workspace.box: snapshots, the viscosity run's fields and the steady
+result.
 
 The face norm folds the half of the tangential face average away: with
 t = g_j[i] + g_j[i + s], d = (u[i + s] - u[i]) / (h/2) and 4 eps^2 for
@@ -102,17 +103,6 @@ class FlowParams:
             raise OperatorError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.dt_override is not None and self.dt_override <= 0:
             raise OperatorError("dt_override must be positive")
-
-
-@dataclass
-class FieldState:
-    """The march state: the compact array (n_inside, *stack) of a scalar
-    field, or of a stack of them, at one instant.  Workspace.box gives its
-    box field.
-    """
-
-    values: np.ndarray
-    time: float = 0.0
 
 
 def _strides(shape: tuple) -> list:
@@ -351,7 +341,7 @@ class Workspace:
         inside = grid.inside.ravel()
         self.inside_flat = np.flatnonzero(inside)
         n = len(self.inside_flat)
-        self.stack, self.box_shape = stack, grid.shape + stack
+        self.stack, self.grid_shape = stack, grid.shape
         interior = grid.interior.ravel()[self.inside_flat]
         self.interior = np.flatnonzero(interior)
         self.ring = np.flatnonzero(~interior)
@@ -388,7 +378,7 @@ class Workspace:
 
     def box(self, a: np.ndarray) -> np.ndarray:
         """A compact array as a new box field, NaN off the inside nodes."""
-        out = np.full(self.box_shape, np.nan)
+        out = np.full(self.grid_shape + self.stack, np.nan)
         out.reshape((-1,) + self.stack)[self.inside_flat] = a
         return out
 
@@ -563,64 +553,59 @@ def whole_steps(duration: float, dt: float) -> int:
     return max(int(np.floor(duration / dt + 1e-12)), 0)
 
 
-def dt_exceeds_stability(params: FlowParams, grid: Grid) -> bool:
-    """True when an override step violates dt <= 0.5 h^2 / dim."""
-    if params.dt_override is None:
-        return False
-    return params.dt_override > 0.5 * grid.spacing ** 2 / grid.dim + 1e-300
-
-
-def euler_update(state: FieldState, rate: np.ndarray, dt: float, grid: Grid,
-                 bvals: BoundaryValues, ws: Workspace, step_index: int = 0) -> None:
-    """Advance a compact state by dt*rate in place and re-close the boundary ring.
+def euler_update(values: np.ndarray, dt: float, bvals: BoundaryValues, ws: Workspace,
+                 step_index: int = 0) -> None:
+    """Advance a compact array by dt * ws.rate in place and re-close the boundary ring.
 
     The rate is 0 on the ring, which the closure then sets.  A non-finite
-    update raises BlowUpError before the state is touched.  It names the
+    update raises BlowUpError before the array is touched.  It names the
     first node in flat order; in a stack, of the lowest field with a
     non-finite update.
     """
+    rate = ws.rate
     if not np.isfinite(rate, out=ws.finite).all():
         bad = ~ws.finite.reshape(len(rate), -1)
         field = int(np.argmax(bad.any(axis=0)))
         node = tuple(int(i) for i in np.unravel_index(
-            ws.inside_flat[np.argmax(bad[:, field])], grid.shape))
-        if rate.ndim == 1:
+            ws.inside_flat[np.argmax(bad[:, field])], ws.grid_shape))
+        if not ws.stack:
             raise BlowUpError(f"non-finite value at node {node} on step {step_index}",
                               node=node, step=step_index)
         raise BlowUpError(f"non-finite value at node {node} of field {field} "
                           f"on step {step_index}", node=node, step=step_index, field=field)
-    state.values += np.multiply(rate, dt, out=ws.tmp)
-    apply_closure(state.values, bvals)
-    state.time += dt
+    values += np.multiply(rate, dt, out=ws.tmp)
+    apply_closure(values, bvals)
 
 
-def march(state: FieldState, grid: Grid, params: FlowParams, bvals: BoundaryValues,
+def march(values: np.ndarray, grid: Grid, params: FlowParams, bvals: BoundaryValues,
           n_steps: int):
-    """Forward-Euler march yielding (k, state, ws) for k = 0 (the start) to n_steps.
+    """Forward-Euler march from time 0 yielding (k, t, u, ws) for k = 0 (the
+    start) to n_steps.
 
-    The yielded state holds a copy of the start's compact array, advanced
-    in place, so the caller's state is never changed; ws.box gives its box
-    field.  The arrays of ws belong to the yielded state until the next
-    step overwrites them and the state.  A stack of fields (values of shape
-    (n_inside, B) with bvals built for B boundary functions) advances with
-    one operator call per step, each field bit for bit as it would alone.  A
-    start that is not a compact array of the grid is an OperatorError; a
-    non-finite update raises BlowUpError naming the node and step, and in a
-    stack the field.
+    u is a copy of the compact array values, advanced in place, so the
+    caller's array is never changed; ws.box gives its box field.  t is the
+    sum of k steps dt, added one at a time.  u and the arrays of ws belong
+    to step k until the next step overwrites them.  A stack of fields
+    (values of shape (n_inside, B) with bvals built for B boundary
+    functions) advances with one operator call per step, each field bit for
+    bit as it would alone.  A start that is not a compact array of the grid
+    is an OperatorError; a non-finite update raises BlowUpError naming the
+    node and step, and in a stack the field.
     """
-    ws = _workspace(state.values, grid, None)
+    ws = _workspace(values, grid, None)
     dt = stable_dt(params, grid)
-    state = FieldState(state.values.copy(), state.time)
-    regularized_rhs(state.values, grid, params, bvals, ws)
-    yield 0, state, ws
+    u, t = values.copy(), 0.0
+    regularized_rhs(u, grid, params, bvals, ws)
+    yield 0, t, u, ws
     for k in range(1, n_steps + 1):
-        euler_update(state, ws.rate, dt, grid, bvals, ws, k)
-        regularized_rhs(state.values, grid, params, bvals, ws)
-        yield k, state, ws
+        euler_update(u, dt, bvals, ws, k)
+        t += dt
+        regularized_rhs(u, grid, params, bvals, ws)
+        yield k, t, u, ws
 
 
 def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
-               bvals: BoundaryValues) -> FieldState:
+               bvals: BoundaryValues) -> np.ndarray:
     """Sample initial data on inside nodes and close the boundary ring: the
     compact start of a march.
 
@@ -633,4 +618,4 @@ def init_state(grid: Grid, g_fn: Callable | Sequence[Callable],
     pts = grid.points[grid.inside]
     v = np.empty((len(pts),) + stack)
     v[...] = _sample(g_fn, pts)
-    return FieldState(apply_closure(v, bvals), 0.0)
+    return apply_closure(v, bvals)

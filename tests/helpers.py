@@ -78,12 +78,12 @@ def relax_explicit(problem, grid, params, tol, max_steps=EXPLICIT_MAX_STEPS):
     """Oracle for relax_to_steady: Euler steps of the flow from the data
     until sup|rate| < tol at the interior nodes, at most max_steps of them."""
     bvals = op.boundary_values(grid, problem.boundary_data)
-    for k, state, ws in op.march(op.init_state(grid, problem.initial_data, bvals),
-                                 grid, params, bvals, max_steps):
+    for k, _, u, ws in op.march(op.init_state(grid, problem.initial_data, bvals),
+                                grid, params, bvals, max_steps):
         res = float(np.max(np.abs(ws.rate[ws.interior])))
         if res < tol:
             break
-    return mc.SteadyResult(values=ws.box(state.values), steps=k,
+    return mc.SteadyResult(values=ws.box(u), steps=k,
                            converged=res < tol, residual=res, newton_iterations=0)
 
 
@@ -218,13 +218,13 @@ def quadrature(field, grid) -> float:
     return float(np.sum(vals * grid.qweight) * grid.spacing ** grid.dim)
 
 
-def step(state, grid, params, bvals, step_index=0):
-    """One out-of-place forward-Euler update of a compact state; boundary
+def step(values, grid, params, bvals, step_index=0):
+    """One out-of-place forward-Euler update of a compact array; boundary
     trace re-imposed exactly."""
-    ws = op.Workspace(grid, state.values.shape[1:])
-    new = op.FieldState(state.values.copy(), state.time)
-    op.euler_update(new, op.regularized_rhs(new.values, grid, params, bvals, ws),
-                    op.stable_dt(params, grid), grid, bvals, ws, step_index)
+    ws = op.Workspace(grid, values.shape[1:])
+    new = values.copy()
+    op.regularized_rhs(new, grid, params, bvals, ws)
+    op.euler_update(new, op.stable_dt(params, grid), bvals, ws, step_index)
     return new
 
 
@@ -291,8 +291,8 @@ def ut_initial_slice_bound(problem, grid, params) -> float:
     closed) and the rate evaluated once.
     """
     bvals = op.boundary_values(grid, problem.boundary_data)
-    state = op.init_state(grid, problem.initial_data, bvals)
-    rate = op.regularized_rhs(state.values, grid, params, bvals)
+    rate = op.regularized_rhs(op.init_state(grid, problem.initial_data, bvals), grid,
+                              params, bvals)
     return float(np.max(np.abs(rate[grid.interior[grid.inside]]))) if grid.interior.any() else 0.0
 
 
@@ -434,41 +434,42 @@ def regularized_rhs_box_flat(values, grid, params, bvals, ws):
     return ws.rate
 
 
-def euler_update_box_flat(state, rate, dt, grid, bvals, ws, step_index=0):
-    """Oracle of operator.euler_update on a box state: interior nodes advance,
-    the ring closes; the first non-finite node in flat order, of the lowest
-    field, raises BlowUpError before the state is touched."""
-    flat = op_flat(state.values, grid.dim)
+def euler_update_box_flat(values, dt, grid, bvals, ws, step_index=0):
+    """Oracle of operator.euler_update on a box field: interior nodes advance
+    by dt * ws.rate, the ring closes; the first non-finite node in flat
+    order, of the lowest field, raises BlowUpError before the field is
+    touched."""
+    flat = op_flat(values, grid.dim)
     idx = ws.interior_flat
-    upd = op_flat(rate, grid.dim)[idx]
+    upd = op_flat(ws.rate, grid.dim)[idx]
     if not np.isfinite(upd).all():
         bad = ~np.isfinite(upd.reshape(len(idx), -1))
         field = int(np.argmax(bad.any(axis=0)))
         node = tuple(int(i) for i in np.unravel_index(idx[np.argmax(bad[:, field])],
                                                       grid.shape))
-        if state.values.ndim == grid.dim:
+        if values.ndim == grid.dim:
             raise op.BlowUpError(f"non-finite value at node {node} on step {step_index}",
                                  node=node, step=step_index)
         raise op.BlowUpError(f"non-finite value at node {node} of field {field} "
                              f"on step {step_index}", node=node, step=step_index, field=field)
     upd *= dt
     flat[idx] += upd
-    apply_closure_box_flat(state.values, grid, bvals, ws)
-    state.time += dt
+    apply_closure_box_flat(values, grid, bvals, ws)
 
 
-def march_box_flat(state, grid, params, bvals, n_steps):
-    """Oracle of operator.march: the forward-Euler loop on box states,
-    yielding (k, state, ws) with ws a BoxFlatWorkspace."""
-    ws = BoxFlatWorkspace(grid, bvals, state.values.shape[grid.dim:])
+def march_box_flat(values, grid, params, bvals, n_steps):
+    """Oracle of operator.march: the forward-Euler loop on box fields,
+    yielding (k, t, u, ws) with ws a BoxFlatWorkspace."""
+    ws = BoxFlatWorkspace(grid, bvals, values.shape[grid.dim:])
     dt = op.stable_dt(params, grid)
-    state = op.FieldState(state.values.copy(), state.time)
-    regularized_rhs_box_flat(state.values, grid, params, bvals, ws)
-    yield 0, state, ws
+    u, t = values.copy(), 0.0
+    regularized_rhs_box_flat(u, grid, params, bvals, ws)
+    yield 0, t, u, ws
     for k in range(1, n_steps + 1):
-        euler_update_box_flat(state, ws.rate, dt, grid, bvals, ws, k)
-        regularized_rhs_box_flat(state.values, grid, params, bvals, ws)
-        yield k, state, ws
+        euler_update_box_flat(u, dt, grid, bvals, ws, k)
+        t += dt
+        regularized_rhs_box_flat(u, grid, params, bvals, ws)
+        yield k, t, u, ws
 
 
 class SliceWorkspace:
@@ -568,16 +569,16 @@ class RecorderOracle:
         self.ring = grid.near_boundary
         self.has_ring = bool(self.ring.any())
 
-    def record(self, state, ws):
-        # the march's compact state and workspace, as box fields
+    def record(self, t, u, ws):
+        # the march's compact array and workspace, as box fields
         grads = np.stack([ws.box(g) for g in ws.grads])
         rate, s_node = ws.box(ws.rate), ws.box(ws.s_node)
         with np.errstate(invalid="ignore"):
             gmag = np.sqrt(np.sum(grads ** 2, axis=0))
         r = np.where(self.interior, rate, 0.0)
         rows = self.rows
-        rows["t"].append(state.time)
-        uin = ws.box(state.values)[self.inside]
+        rows["t"].append(t)
+        uin = ws.box(u)[self.inside]
         rows["sup_u"].append(float(np.max(np.abs(uin))))
         rows["min_u"].append(float(np.min(uin)))
         rows["max_u"].append(float(np.max(uin)))

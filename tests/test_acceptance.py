@@ -55,8 +55,7 @@ def test_criterion_1_operator_consistency(unit_ball):
         expect = nu * np.sqrt(eps ** 2 + p @ p)
         grid = mc.build_grid(unit_ball, H32)
         bv = op.boundary_values(grid, lin)
-        st = op.init_state(grid, lin, bv)
-        rate = op.regularized_rhs(st.values, grid, params, bv)
+        rate = op.regularized_rhs(op.init_state(grid, lin, bv), grid, params, bv)
         lin_res.append(float(np.max(np.abs(rate[grid.interior[grid.inside]] - expect))))
     linear_ok = max(lin_res) < 1e-11
 
@@ -66,8 +65,7 @@ def test_criterion_1_operator_consistency(unit_ball):
     for h in (1 / 16, 1 / 32, 1 / 64):
         grid = mc.build_grid(unit_ball, h)
         bv = op.boundary_values(grid, quadratic_r2)
-        st = op.init_state(grid, quadratic_r2, bv)
-        rate = op.regularized_rhs(st.values, grid, params, bv)
+        rate = op.regularized_rhs(op.init_state(grid, quadratic_r2, bv), grid, params, bv)
         r = np.linalg.norm(grid.points, axis=-1)
         stride = int(round((1 / 16) / h))
         sel = np.zeros(grid.shape, bool)

@@ -252,7 +252,7 @@ def test_comparison_stack_matches_pairs_run_alone(unit_ball, grid16):
     alone = [ba.comparison_experiment(lo, hi, grid16, params, horizon=0.06)
              for lo, hi in zip(lows, highs)]
     assert rep.steps == alone[0].steps == 30
-    assert rep.per_pair.tolist() == [a.max_violation for a in alone]
+    assert rep.per_pair.tolist() == [v for a in alone for v in a.per_pair.tolist()]
     assert rep.per_step.tolist() == np.max([a.per_step for a in alone], axis=0).tolist()
     assert rep.max_violation == max(a.max_violation for a in alone) > 0.0
 

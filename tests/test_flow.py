@@ -195,7 +195,7 @@ def test_frozen_coefficients_lie_in_the_unit_interval(kind, dim, center, size, r
     assume(grid.interior.any())
     ramp = lambda p: slope * p[:, 0]
     bv = mc.boundary_values(grid, ramp)
-    values = mc.init_state(grid, ramp, bv).values
+    values = mc.init_state(grid, ramp, bv)
     noise = np.random.default_rng(seed).standard_normal(grid.shape)
     values[grid.interior[grid.inside]] += amplitude * noise[grid.interior]
     mc.apply_closure(values, bv)
@@ -351,12 +351,12 @@ def test_recorder_matches_masked_oracle(kind, nu):
     params = mc.FlowParams(epsilon=0.05, nu=nu)
     bv = mc.boundary_values(grid, linear_plus_bump)
     rec, ref = fl._Recorder(seen, params), RecorderOracle(seen, params)
-    for _, state, ws in mc.march(mc.init_state(grid, linear_plus_bump, bv), grid, params,
-                                 bv, 50):
+    for _, t, u, ws in mc.march(mc.init_state(grid, linear_plus_bump, bv), grid, params,
+                                bv, 50):
         if seen is not grid:
             ws = _seen_workspace(ws, seen)
-        rec.record(state, ws)
-        ref.record(state, ws)
+        rec.record(t, u, ws)
+        ref.record(t, u, ws)
     assert rec.rows.keys() == ref.rows.keys()
     for name, row in ref.rows.items():
         assert len(row) == 51
@@ -368,19 +368,19 @@ def test_record_temporaries_stay_small():
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), 1 / 16)
     params = mc.FlowParams(epsilon=0.05)
     bv = mc.boundary_values(grid, bump)
-    # the compact state and workspace of the march
-    state = mc.init_state(grid, bump, bv)
+    # the compact array and workspace of the march
+    u = mc.init_state(grid, bump, bv)
     ws = mc.Workspace(grid)
-    mc.regularized_rhs(state.values, grid, params, bv, ws)
+    mc.regularized_rhs(u, grid, params, bv, ws)
     rec = fl._Recorder(grid, params)
-    rec.record(state, ws)     # warm caches
+    rec.record(0.0, u, ws)     # warm caches
     tracemalloc.start()
     try:
-        rec.record(state, ws)
+        rec.record(0.0, u, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * state.values.nbytes, f"allocation peak {peak} B"
+    assert peak <= 2 * u.nbytes, f"allocation peak {peak} B"
 
 
 def test_laplacian_inverse_matvec_buffers_no_gather(grid32):

@@ -8,7 +8,9 @@ and last snapshot of the benchmark's spheroid flow cut to the same horizon
 (153 steps).  The 3D digests are the same with one and with two BLAS
 threads.  The comparison run writes no data file: its digests are taken
 in the test, on the 40-field stack of comparison.cfg cut to a horizon of
-0.05 (102 steps).
+0.05 (102 steps).  So are those of the three fields the viscosity run of
+viscosity.cfg hands its checker and of the continuation table of
+continuation.cfg cut to a horizon of 0.05.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import mcflow as mc
-from mcflow import barriers as ba, cli
+from mcflow import barriers as ba, cli, flow as fl, verify as vf
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 SHORT_BUMP = {"run.horizon = 1.0": "run.horizon = 0.05",
@@ -72,8 +74,9 @@ def test_seed_0_spheroid_keeps_its_digests(tmp_path):
 
 
 def test_seed_0_comparison_stack_keeps_its_digests(monkeypatch):
-    # its per-step and per-pair violations are all 0 (clipped at 0), so the
-    # last state of the stack that the run marches is pinned beside them
+    # the signed per-step and per-pair maxima of u_low - u_high, all
+    # negative on this ordered run, and the last state of the stack that the
+    # run marches
     cfg = cli.load_config(CONFIGS / "comparison.cfg")
     grid = mc.build_grid(cfg.domain, cfg.spacing)
     lows, highs = zip(*(ba.random_ordered_pair(cfg.domain, cfg.seed + k)
@@ -81,9 +84,9 @@ def test_seed_0_comparison_stack_keeps_its_digests(monkeypatch):
     last, march = [], ba.march
 
     def recording(*args):
-        for k, state, ws in march(*args):
-            yield k, state, ws
-        last.append(state.values.copy())
+        for k, t, u, ws in march(*args):
+            yield k, t, u, ws
+        last.append(u.copy())
 
     monkeypatch.setattr(ba, "march", recording)
     report = ba.comparison_experiment(lows, highs, grid, cfg.params, 0.05)
@@ -91,7 +94,35 @@ def test_seed_0_comparison_stack_keeps_its_digests(monkeypatch):
     digests = [hashlib.sha256(a.tobytes()).hexdigest()
                for a in (report.per_step, report.per_pair, last[0])]
     assert digests == [
-        "7de592043d3613deb65a36d48372038b1b0a910e79f60b360988df59a391e970",
-        "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+        "05acbead69756246e7b17fc6d4bdbda5771d07e52af879fed12775ed7034e7e4",
+        "925c0533054fb51fb757b4eac4bfc08c3fdd1858caa1407f83f1a9def7ee130b",
         "5b8eb7bf487ceeacb4527b1d0abcae3811240c32a2d7d88592ab74bfa387460e",
     ]
+
+
+def test_seed_0_viscosity_fields_keep_their_digests(tmp_path, monkeypatch):
+    seen, check = [], vf.viscosity_spot_check
+
+    def recording(snaps, times, *args):
+        seen.append(([hashlib.sha256(s.tobytes()).hexdigest() for s in snaps], list(times)))
+        return check(snaps, times, *args)
+
+    monkeypatch.setattr(vf, "viscosity_spot_check", recording)
+    out = tmp_path / "out"
+    assert cli.main(["viscosity", "--config", str(CONFIGS / "viscosity.cfg"),
+                     "--out", str(out)]) == 0
+    # one call per branch, both on the same fields
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert seen[0] == ([
+        "6baeb8d22bbea063a6b7188d371f10d89669f735019d251738ac8b3fb6435e9d",
+        "a20bfe60bd6eb53162c85314e4c17f3ee0af8e61b396466120d926b06bc98cca",
+        "dd15bcd92ce8c6d7f796f571a9ad5dc92e77997813198b018ce563312a0a26c1",
+    ], [0.25, 0.375, 0.5])
+
+
+def test_seed_0_continuation_keeps_its_differences():
+    cfg = cli.load_config(CONFIGS / "continuation.cfg")
+    grid = mc.build_grid(cfg.domain, cfg.spacing)
+    table = fl.epsilon_continuation(cfg.problem, grid, cfg.params, cfg.eps_list, 0.05)
+    assert [d.hex() for d in table.sup_diffs] == ["0x1.11b5ba2428200p-10",
+                                                  "0x1.9477b780b5000p-12"]

@@ -139,8 +139,8 @@ def test_sandwich_rows_equal_the_elementwise_oracle(ramp, stadium_grid, ramp_rep
     sandwich = lv._Sandwich(ramp, stadium_grid, rep.envelopes)
     bvals = op.boundary_values(stadium_grid, ramp.initial_data)
     start = op.init_state(stadium_grid, ramp.initial_data, bvals)
-    want = [sandwich_row_loop(sandwich, st.values, params.epsilon * nu * st.time)
-            for _, st, _ in op.march(start, stadium_grid, params, bvals, rep.steps)]
+    want = [sandwich_row_loop(sandwich, u, params.epsilon * nu * t)
+            for _, t, u, _ in op.march(start, stadium_grid, params, bvals, rep.steps)]
     got = (rep.flatness, rep.lower_violation, rep.upper_violation, rep.monotone_violation)
     for column, oracle in zip(got, zip(*want)):
         assert column.tobytes() == np.array(oracle).tobytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mcflow as mc
-from mcflow import barriers as ba
+from mcflow import barriers as ba, flow as fl
 from mcflow import operator as op
 
 from helpers import (zero, linear_x1, quadratic_r2, bump, observed_orders, step,
@@ -36,7 +36,7 @@ def test_params_validation():
 def test_gradient_zero_on_constants(grid32):
     bv = op.boundary_values(grid32, lambda p: np.full(len(p), 3.0))
     st = op.init_state(grid32, lambda p: np.full(len(p), 3.0), bv)
-    g = op.node_gradient(st.values, grid32, bv)
+    g = op.node_gradient(st, grid32, bv)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -45,7 +45,7 @@ def test_gradient_exact_on_linear(grid32):
     fn = lambda q: q @ p
     bv = op.boundary_values(grid32, fn)
     st = op.init_state(grid32, fn, bv)
-    g = op.node_gradient(st.values, grid32, bv)
+    g = op.node_gradient(st, grid32, bv)
     for k in range(2):
         assert np.max(np.abs(g[k] - p[k])) < 1e-11
 
@@ -53,7 +53,7 @@ def test_gradient_exact_on_linear(grid32):
 def test_gradient_exact_on_quadratic_interior(grid32):
     bv = op.boundary_values(grid32, quadratic_r2)
     st = op.init_state(grid32, quadratic_r2, bv)
-    g = op.node_gradient(st.values, grid32, bv)
+    g = op.node_gradient(st, grid32, bv)
     idx = _node_index(grid32, 0.25, 0.25)
     assert g[0][idx] == pytest.approx(0.5, abs=1e-12)
     assert g[1][idx] == pytest.approx(0.5, abs=1e-12)
@@ -71,7 +71,7 @@ def test_discrete_rate_matches_closed_form(grid32):
     params = mc.FlowParams(epsilon=0.1, nu=0.0)
     bv = op.boundary_values(grid32, quadratic_r2)
     st = op.init_state(grid32, quadratic_r2, bv)
-    rate = op.regularized_rhs(st.values, grid32, params, bv)
+    rate = op.regularized_rhs(st, grid32, params, bv)
     idx = _node_index(grid32, 0.5, 0.0)
     assert rate[idx] == pytest.approx(2.019801980198020, abs=2e-3)
 
@@ -80,7 +80,7 @@ def test_rate_linear_field_is_pure_source(grid32):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     bv = op.boundary_values(grid32, linear_x1)
     st = op.init_state(grid32, linear_x1, bv)
-    rate = op.regularized_rhs(st.values, grid32, params, bv)
+    rate = op.regularized_rhs(st, grid32, params, bv)
     expect = 0.3 * np.sqrt(0.05 ** 2 + 1.0)
     vals = rate[grid32.interior[grid32.inside]]
     assert np.max(np.abs(vals - expect)) < 1e-11
@@ -93,7 +93,7 @@ def test_rate_epsilon_limit_of_quadratic(grid32):
     idx = _node_index(grid32, 0.5, 0.0)
     vals = []
     for eps in (0.1, 0.01, 0.001):
-        rate = op.regularized_rhs(st.values, grid32, mc.FlowParams(epsilon=eps), bv)
+        rate = op.regularized_rhs(st, grid32, mc.FlowParams(epsilon=eps), bv)
         vals.append(rate[idx])
     assert abs(vals[-1] - 2.0) < 5e-3
     assert abs(vals[-1] - 2.0) < abs(vals[0] - 2.0)
@@ -134,8 +134,10 @@ def test_dt_override_warning_threshold(grid32):
     h2 = grid32.spacing ** 2
     ok = mc.FlowParams(epsilon=0.1, dt_override=0.2 * h2)
     bad = mc.FlowParams(epsilon=0.1, dt_override=h2)
-    assert not op.dt_exceeds_stability(ok, grid32)
-    assert op.dt_exceeds_stability(bad, grid32)
+    # the rule of flow.collect_warnings: dt <= 0.5 h^2 / dim
+    assert fl.collect_warnings(grid32.domain, grid32, ok) == []
+    assert fl.collect_warnings(grid32.domain, grid32, bad) == [
+        f"dt_override={h2} exceeds the stability bound {0.25 * h2:.6g}"]
     assert op.stable_dt(bad, grid32) == h2
 
 
@@ -146,7 +148,7 @@ def test_step_constant_stationary_when_nu_zero(grid32):
     bv = op.boundary_values(grid32, fn)
     st = op.init_state(grid32, fn, bv)
     new = step(st, grid32, params, bv)
-    assert np.max(np.abs(new.values - c)) < 1e-14
+    assert np.max(np.abs(new - c)) < 1e-14
 
 
 def test_step_constant_drifts_at_eps_nu(grid32):
@@ -157,7 +159,7 @@ def test_step_constant_drifts_at_eps_nu(grid32):
     st = op.init_state(grid32, fn, bv)
     new = step(st, grid32, params, bv)
     dt = op.stable_dt(params, grid32)
-    drift = new.values[grid32.interior[grid32.inside]] - c
+    drift = new[grid32.interior[grid32.inside]] - c
     assert np.max(np.abs(drift - dt * 0.05 * 0.3)) < 1e-12
 
 
@@ -168,8 +170,8 @@ def test_step_quadratic_moves_by_closed_form_rate(grid32):
     new = step(st, grid32, params, bv)
     dt = op.stable_dt(params, grid32)
     idx = _node_index(grid32, 0.5, 0.0)
-    expect = st.values[idx] + dt * (4 - 8 * 0.25 / (0.05 ** 2 + 1.0))
-    assert new.values[idx] == pytest.approx(expect, abs=dt * 5e-3)
+    expect = st[idx] + dt * (4 - 8 * 0.25 / (0.05 ** 2 + 1.0))
+    assert new[idx] == pytest.approx(expect, abs=dt * 5e-3)
 
 
 def test_boundary_trace_exact_after_steps(grid32):
@@ -178,7 +180,7 @@ def test_boundary_trace_exact_after_steps(grid32):
     st = op.init_state(grid32, linear_x1, bv)
     for k in range(5):
         st = step(st, grid32, params, bv, k)
-    assert boundary_trace_residual(st.values, bv) < 1e-12
+    assert boundary_trace_residual(st, bv) < 1e-12
 
 
 def test_diffusion_tensor_eigenvalues_in_unit_interval(grid32):
@@ -199,7 +201,7 @@ def test_consistency_orders_quadratic_family(unit_ball):
         grid = mc.build_grid(unit_ball, h)
         bv = op.boundary_values(grid, quadratic_r2)
         st = op.init_state(grid, quadratic_r2, bv)
-        rate = op.regularized_rhs(st.values, grid, params, bv)
+        rate = op.regularized_rhs(st, grid, params, bv)
         r = np.linalg.norm(grid.points, axis=-1)
         stride = int(round((1 / 16) / h))
         sel = np.zeros(grid.shape, bool)
@@ -219,7 +221,7 @@ def test_consistency_linear_family_exact(unit_ball):
         grid = mc.build_grid(unit_ball, h)
         bv = op.boundary_values(grid, fn)
         st = op.init_state(grid, fn, bv)
-        rate = op.regularized_rhs(st.values, grid, params, bv)
+        rate = op.regularized_rhs(st, grid, params, bv)
         assert np.max(np.abs(rate[grid.interior[grid.inside]] - expect)) < 1e-11
 
 
@@ -235,7 +237,7 @@ def test_per_step_ordering_preserved(grid16):
     for k in range(20):
         lo = step(lo, grid16, params, bv_lo, k)
         hi = step(hi, grid16, params, bv_hi, k)
-    gap = lo.values - hi.values
+    gap = lo - hi
     assert np.max(gap) <= 1e-10
 
 
@@ -244,12 +246,12 @@ def test_operator_rejects_a_field_outside_the_compact_layout(grid16, layout):
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid16, bump)
     start = op.init_state(grid16, bump, bv)
-    values = op.Workspace(grid16).box(start.values) if layout == "box" else start.values[:-1]
+    values = op.Workspace(grid16).box(start) if layout == "box" else start[:-1]
     calls = (lambda: op.node_gradient(values, grid16, bv),
              lambda: op.node_gradient(values, grid16, bv, op.Workspace(grid16)),
              lambda: op.regularized_rhs(values, grid16, params, bv),
              lambda: op.regularized_rhs(values, grid16, params, bv, op.Workspace(grid16)),
-             lambda: next(op.march(op.FieldState(values), grid16, params, bv, 1)))
+             lambda: next(op.march(values, grid16, params, bv, 1)))
     for call in calls:
         with pytest.raises(op.OperatorError, match=re.escape(f"got shape {values.shape}")) as exc:
             call()
@@ -260,7 +262,7 @@ def test_blowup_error_names_node_and_step(grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.0)
     bv = op.boundary_values(grid16, zero)
     st = op.init_state(grid16, zero, bv)
-    st.values[grid16.interior[grid16.inside]] = np.inf
+    st[grid16.interior[grid16.inside]] = np.inf
     with pytest.raises(op.BlowUpError) as exc:
         step(st, grid16, params, bv, step_index=7)
     assert "step 7" in str(exc.value)
@@ -276,11 +278,11 @@ def test_march_keeps_ordered_pairs_ordered(unit_ball, grid16, seed, nu):
     bv_hi = op.boundary_values(grid16, high.boundary_data)
     lo0 = op.init_state(grid16, low.initial_data, bv_lo)
     hi0 = op.init_state(grid16, high.initial_data, bv_hi)
-    for (_, lo, _), (_, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
-                                      op.march(hi0, grid16, params, bv_hi, 40)):
-        assert np.max(lo.values - hi.values) <= 1e-10
-        assert boundary_trace_residual(lo.values, bv_lo) < 1e-12
-        assert boundary_trace_residual(hi.values, bv_hi) < 1e-12
+    for (_, _, lo, _), (_, _, hi, _) in zip(op.march(lo0, grid16, params, bv_lo, 40),
+                                            op.march(hi0, grid16, params, bv_hi, 40)):
+        assert np.max(lo - hi) <= 1e-10
+        assert boundary_trace_residual(lo, bv_lo) < 1e-12
+        assert boundary_trace_residual(hi, bv_hi) < 1e-12
 
 
 def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
@@ -290,29 +292,30 @@ def test_solve_ibvp_matches_repeated_steps(unit_ball, grid16):
     rep = mc.solve_ibvp(mc.IBVP(unit_ball, bump, bump), grid16, params, horizon,
                         snapshot_times=(horizon,))
     bv = op.boundary_values(grid16, bump)
-    st_ = op.init_state(grid16, bump, bv)
+    st_, t_ = op.init_state(grid16, bump, bv), 0.0
     for k in range(1, n + 1):
         st_ = step(st_, grid16, params, bv, k)
+        t_ += op.stable_dt(params, grid16)
     snap_step, t, values = rep.snapshots[-1]
     assert snap_step == rep.steps == n
-    assert t == rep.t[-1] == st_.time
-    assert values.tobytes() == op.Workspace(grid16).box(st_.values).tobytes()
+    assert t == rep.t[-1] == t_
+    assert values.tobytes() == op.Workspace(grid16).box(st_).tobytes()
 
 
 def test_march_leaves_start_state_untouched(grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     bv = op.boundary_values(grid16, bump)
     start = op.init_state(grid16, bump, bv)
-    before = start.values.tobytes()
-    for k, state, ws in op.march(start, grid16, params, bv, 5):
-        assert state is not start
+    before = start.tobytes()
+    for k, t, u, ws in op.march(start, grid16, params, bv, 5):
+        assert u is not start
         fresh = op.Workspace(grid16)
-        op.regularized_rhs(state.values, grid16, params, bv, fresh)
+        op.regularized_rhs(u, grid16, params, bv, fresh)
         for name in ("rate", "grads", "s_node"):
             assert np.array_equal(getattr(ws, name), getattr(fresh, name), equal_nan=True)
     assert k == 5
-    assert start.values.tobytes() == before and start.time == 0.0
-    assert state.time > 0.0
+    assert start.tobytes() == before
+    assert t > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -375,14 +378,14 @@ def test_stacked_march_matches_separate_marches(unit_ball, stack_grids, fields, 
         bv_f = op.boundary_values(grid, f)
         alone.append(op.march(op.init_state(grid, f, bv_f), grid, params, bv_f, 16))
     stacked = op.march(op.init_state(grid, data, bv), grid, params, bv, 16)
-    for (k, state, ws), *singles in zip(stacked, *alone):
-        assert state.values.shape == (grid.n_inside, len(data))
-        for b, (_, single, ws_b) in enumerate(singles):
-            assert np.array_equal(state.values[..., b], single.values, equal_nan=True)
+    for (k, t, u, ws), *singles in zip(stacked, *alone):
+        assert u.shape == (grid.n_inside, len(data))
+        for b, (_, t_b, single, ws_b) in enumerate(singles):
+            assert np.array_equal(u[..., b], single, equal_nan=True)
             for name in WS_FIELDS:
                 assert np.array_equal(getattr(ws, name)[..., b], getattr(ws_b, name),
                                       equal_nan=True)
-            assert state.time == single.time
+            assert t == t_b
     assert k == 16
 
 
@@ -390,11 +393,11 @@ def test_stack_of_one_matches_the_unstacked_field(grid16):
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
     bv1 = op.boundary_values(grid16, [bump])
     bv = op.boundary_values(grid16, bump)
-    for (_, one, ws1), (_, plain, ws) in zip(
+    for (_, _, one, ws1), (_, _, plain, ws) in zip(
             op.march(op.init_state(grid16, [bump], bv1), grid16, params, bv1, 8),
             op.march(op.init_state(grid16, bump, bv), grid16, params, bv, 8)):
-        assert one.values.shape == (grid16.n_inside, 1)
-        assert one.values[..., 0].tobytes() == plain.values.tobytes()
+        assert one.shape == (grid16.n_inside, 1)
+        assert one[..., 0].tobytes() == plain.tobytes()
         for name in WS_FIELDS:
             assert getattr(ws1, name)[..., 0].tobytes() == getattr(ws, name).tobytes()
 
@@ -513,14 +516,14 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
 
     # linear data: the closure and every cut stencil are exact
     bv = op.boundary_values(grid, linear)
-    state = op.init_state(grid, linear, bv)
-    assert np.abs(state.values - linear(grid.points[inside])).max() <= tol
-    grads = op.node_gradient(state.values, grid, bv)
+    start = op.init_state(grid, linear, bv)
+    assert np.abs(start - linear(grid.points[inside])).max() <= tol
+    grads = op.node_gradient(start, grid, bv)
     # a stencil across a cut theta*h long loses about eps*|u|/(theta*h) to
     # round-off: a node on the boundary to round-off has its cut clamped at 1e-12
     theta = np.fmin(grid.theta[:, 0], grid.theta[:, 1])
     theta = np.where(np.isnan(theta), 1.0, theta)
-    loss = 16 * np.finfo(float).eps * np.abs(state.values).max() / grid.spacing
+    loss = 16 * np.finfo(float).eps * np.abs(start).max() / grid.spacing
     for k in range(dim):
         assert np.all(np.abs(grads[k] - slope[k]) <= 1e-9 + loss / theta[k][inside])
 
@@ -530,7 +533,7 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     const = bv.c_inner < 0
     for nodes in (bv.nb_nodes[const], bv.nb_nodes[~const]):
         if len(nodes):
-            values = op.init_state(grid, data, bv).values
+            values = op.init_state(grid, data, bv)
             values[nodes] += 1.0
             assert boundary_trace_residual(values, bv) >= 0.5
 
@@ -539,8 +542,8 @@ def test_closure_on_built_grids(kind, dim, center, size, ratio, fraction, stacke
     assert boundary_trace_residual(op.apply_closure(raw, bv), bv) <= tol
 
     params = mc.FlowParams(epsilon=0.1, nu=nu)
-    for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
-        assert boundary_trace_residual(state.values, bv) <= tol
+    for _, _, u, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, 3):
+        assert boundary_trace_residual(u, bv) <= tol
         assert np.isfinite(ws.grads).all()
 
 
@@ -567,9 +570,9 @@ def _assert_matches_slice_oracle(grid, data, params, steps):
     against the summed squares of the gradient, on every state of a short
     march."""
     bv = op.boundary_values(grid, data)
-    for _, state, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, steps):
-        ref = SliceWorkspace(grid, state.values.shape[1:])
-        regularized_rhs_slices(ws.box(state.values), grid, params, bv, ref)
+    for _, _, u, ws in op.march(op.init_state(grid, data, bv), grid, params, bv, steps):
+        ref = SliceWorkspace(grid, u.shape[1:])
+        regularized_rhs_slices(ws.box(u), grid, params, bv, ref)
         assert ws.rate[ws.interior].tobytes() == ref.rate[grid.interior].tobytes()
         assert ws.s_node.tobytes() == ref.s_node[grid.inside].tobytes()
         assert ws.grads.tobytes() == ref.grads[:, grid.inside].tobytes()
@@ -606,17 +609,18 @@ def _assert_matches_box_flat_oracle(grid, data, params, steps):
     norm and the smoothed norm at inside nodes, and the state."""
     bv = op.boundary_values(grid, data)
     start = op.init_state(grid, data, bv)
-    box_start = op.FieldState(op.Workspace(grid, start.values.shape[1:]).box(start.values))
+    box_start = op.Workspace(grid, start.shape[1:]).box(start)
     inside = grid.inside
-    for (k, state, ws), (_, ref, rws) in zip(op.march(start, grid, params, bv, steps),
-                                             march_box_flat(box_start, grid, params, bv, steps),
-                                             strict=True):
+    for (k, t, u, ws), (_, t_ref, ref, rws) in zip(op.march(start, grid, params, bv, steps),
+                                                   march_box_flat(box_start, grid, params, bv,
+                                                                  steps),
+                                                   strict=True):
         assert ws.rate[ws.interior].tobytes() == rws.rate[grid.interior].tobytes()
         assert ws.grads.tobytes() == rws.grads[:, inside].tobytes()
         assert ws.grad_sq.tobytes() == rws.grad_sq[inside].tobytes()
         assert ws.s_node.tobytes() == rws.s_node[inside].tobytes()
-        assert ws.box(state.values).tobytes() == ref.values.tobytes()
-        assert state.time == ref.time
+        assert ws.box(u).tobytes() == ref.tobytes()
+        assert t == t_ref
     assert k == steps
 
 
@@ -626,7 +630,7 @@ def _assert_blowup_matches_box_flat_oracle(grid, data):
     params = mc.FlowParams(epsilon=0.1, dt_override=50 * grid.spacing ** 2 / grid.dim)
     bv = op.boundary_values(grid, data)
     start = op.init_state(grid, data, bv)
-    box_start = op.FieldState(op.Workspace(grid, start.values.shape[1:]).box(start.values))
+    box_start = op.Workspace(grid, start.shape[1:]).box(start)
     errors = []
     for run, first in ((op.march, start), (march_box_flat, box_start)):
         with pytest.raises(op.BlowUpError) as exc:
@@ -720,9 +724,8 @@ def test_rhs_temporaries_stay_small(h):
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), h)
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid, bump)
-    state = op.init_state(grid, bump, bv)
+    values = op.init_state(grid, bump, bv)
     ws = op.Workspace(grid)
-    values = state.values
     op.regularized_rhs(values, grid, params, bv, ws)     # warm caches
     tracemalloc.start()
     try:
@@ -740,8 +743,7 @@ def test_march_step_temporaries_stay_small(h):
     grid = mc.build_grid(mc.ellipse(1.0, 0.6, dim=3), h)
     params = mc.FlowParams(epsilon=0.05)
     bv = op.boundary_values(grid, bump)
-    state = op.init_state(grid, bump, bv)
-    steps = op.march(state, grid, params, bv, 3)
+    steps = op.march(op.init_state(grid, bump, bv), grid, params, bv, 3)
     next(steps)
     next(steps)         # warm caches
     tracemalloc.start()
