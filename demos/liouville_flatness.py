@@ -35,7 +35,6 @@ params = mc.FlowParams(epsilon=0.05, nu=0.2)
 tau = grid.points[..., -1]
 upper = np.where(grid.inside, env.upper_value, np.nan)
 lower = np.where(grid.inside, env.lower_profile(tau.ravel()).reshape(grid.shape), np.nan)
-s, t = vf.replicate_steady(upper)
-print(f"  upper envelope, super check: {len(vf.viscosity_spot_check(s, t, grid, params, 'super'))} violations")
-s, t = vf.replicate_steady(lower)
-print(f"  lower envelope, sub check: {len(vf.viscosity_spot_check(s, t, grid, params, 'sub'))} violations")
+for name, field, mode in (("upper", upper, "super"), ("lower", lower, "sub")):
+    bad = vf.viscosity_spot_check(*vf.replicate_steady(field), grid, params)
+    print(f"  {name} envelope, {mode} check: {sum(v.mode == mode for v in bad)} violations")

@@ -394,16 +394,13 @@ def _run_flow(cfg: RunConfig, grid: geo.Grid, out: Path):
 def _run_steady(cfg: RunConfig, grid: geo.Grid, out: Path):
     res = fl.relax_to_steady(cfg.problem, grid, cfg.params, cfg.tolerance)
     snaps, times = vf.replicate_steady(res.values)
-    n_sub = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "sub",
-                                        cfg.probe_budget))
-    n_super = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, "super",
-                                          cfg.probe_budget))
+    n_bad = len(vf.viscosity_spot_check(snaps, times, grid, cfg.params, cfg.probe_budget))
     checks = [
         PropertyCheck("steady-residual", "relaxation reaches the steady equation",
                       cfg.tolerance, res.residual, res.converged),
         PropertyCheck("steady-viscosity-clean",
                       "steady field passes both one-sided differential checks",
-                      0.0, float(n_sub + n_super), n_sub + n_super == 0),
+                      0.0, float(n_bad), n_bad == 0),
     ]
     snap_path = out / f"steady_{res.steps:08d}.mcfgrid"
     write_snapshot(snap_path, grid, res.values)
@@ -473,10 +470,7 @@ def _run_viscosity(cfg: RunConfig, grid: geo.Grid, out: Path):
         if k in keep:
             snaps.append(ws.box(u))
             stimes.append(t)
-    violations = []
-    for mode in ("sub", "super"):
-        violations += vf.viscosity_spot_check(snaps, stimes, grid, cfg.params, mode,
-                                              cfg.probe_budget)
+    violations = vf.viscosity_spot_check(snaps, stimes, grid, cfg.params, cfg.probe_budget)
     vpath = out / "violations.csv"
     rows = ["t,location,branch,margin"]
     for v in violations:
@@ -500,10 +494,11 @@ def _run_liouville(cfg: RunConfig, grid: geo.Grid, out: Path):
                            np.nan)
     snaps_u, times_u = vf.replicate_steady(upper_field)
     snaps_l, times_l = vf.replicate_steady(lower_field)
-    n_super = len(vf.viscosity_spot_check(snaps_u, times_u, grid, cfg.params, "super",
-                                          cfg.probe_budget))
-    n_sub = len(vf.viscosity_spot_check(snaps_l, times_l, grid, cfg.params, "sub",
-                                        cfg.probe_budget))
+    # each envelope certifies one side: super on the upper, sub on the lower
+    n_super = sum(v.mode == "super" for v in vf.viscosity_spot_check(
+        snaps_u, times_u, grid, cfg.params, cfg.probe_budget))
+    n_sub = sum(v.mode == "sub" for v in vf.viscosity_spot_check(
+        snaps_l, times_l, grid, cfg.params, cfg.probe_budget))
     checks = [
         PropertyCheck("flatness-bound", "plateau deviation under drift plus grid slack",
                       report.bound, report.sup_flatness,

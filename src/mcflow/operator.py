@@ -412,8 +412,20 @@ def apply_closure(values: np.ndarray, bvals: BoundaryValues) -> np.ndarray:
     return values
 
 
-def _node_gradient(v: np.ndarray, bvals: BoundaryValues, ws: Workspace) -> np.ndarray:
-    """node_gradient's body, without its shape check and error context."""
+def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
+                  ws: Workspace | None = None) -> np.ndarray:
+    """Gradient of a compact array at every inside node, in ws.grads.
+
+    Central differences on full stencils; where an axis is cut, the
+    nonuniform three-point formula through the boundary value (exact on
+    quadratics) replaces it:
+    (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
+    with an uncut side at t = 1 reading its neighbor node.  The cut formula
+    runs once, for the cut nodes of every axis together.  A values array
+    that is not the grid's compact array (of ws's stack) is an OperatorError.
+    """
+    v = values
+    ws = _workspace(v, grid, ws)
     grads = ws.grads
     scale, by = ws.by_2h
     for ax, (plus, minus) in enumerate(zip(ws.plus, ws.minus)):
@@ -441,23 +453,6 @@ def _node_gradient(v: np.ndarray, bvals: BoundaryValues, ws: Workspace) -> np.nd
     return grads
 
 
-def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
-                  ws: Workspace | None = None) -> np.ndarray:
-    """Gradient of a compact array at every inside node, in ws.grads.
-
-    Central differences on full stencils; where an axis is cut, the
-    nonuniform three-point formula through the boundary value (exact on
-    quadratics) replaces it:
-    (tm^2 u_plus - tp^2 u_minus + (tp^2 - tm^2) u) / (tp tm (tp + tm) h),
-    with an uncut side at t = 1 reading its neighbor node.  The cut formula
-    runs once, for the cut nodes of every axis together.  A values array
-    that is not the grid's compact array (of ws's stack) is an OperatorError.
-    """
-    ws = _workspace(values, grid, ws)
-    with np.errstate(invalid="ignore"):
-        return _node_gradient(values, bvals, ws)
-
-
 def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
                     bvals: BoundaryValues, ws: Workspace | None = None) -> np.ndarray:
     """Evolution rate of a compact array at the interior nodes, in ws.rate
@@ -480,7 +475,7 @@ def regularized_rhs(values: np.ndarray, grid: Grid, params: FlowParams,
     # a blowing-up field may overflow here; euler_update's finiteness check
     # turns that into a BlowUpError
     with np.errstate(invalid="ignore", over="ignore"):
-        _node_gradient(v, bvals, ws)
+        node_gradient(v, grid, bvals, ws)
         np.multiply(grads[0], grads[0], out=grad_sq)
         for j in range(1, dim):
             np.multiply(grads[j], grads[j], out=tmp)

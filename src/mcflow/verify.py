@@ -4,14 +4,14 @@ read from a run's FlowReport (whose step-0 sup|u_t| is the rate ceiling),
 and pointwise viscosity-inequality spot checks on discrete fields.
 
 The spot checker is sound but deliberately not complete: it fits the local
-quadratic model of the field at sampled space-time points, only probes
-points where the model actually touches the field over a small box, and
-tests the differential inequality with a tolerance proportional to the
-grid spacing.  A box holding a non-finite value (an exterior node) never
-touches.  The fit, the touch test and the margins of the touched centres
-are whole-array operations over blocks of 256 sampled centres.  A genuine
-violation planted in a field is flagged; absence of flags is evidence, not
-proof.
+quadratic model of the field once at each sampled space-time point, and
+tests the sub inequality where the model touches the field from above
+over a small box and the super inequality where it touches from below,
+each with a tolerance proportional to the grid spacing.  A box holding a
+non-finite value (an exterior node) never touches.  The fit, the touch
+test and the margins of the touched centres are whole-array operations
+over blocks of 256 sampled centres.  A genuine violation planted in a
+field is flagged; absence of flags is evidence, not proof.
 """
 
 from dataclasses import dataclass
@@ -162,6 +162,7 @@ def difference_jet(center: np.ndarray, at: Callable, h: float, dim: int):
 class ViscosityProbe:
     """One fitted touch point and its inequality margin."""
 
+    mode: str                    # the inequality tested: "sub" or "super"
     index: tuple
     point: np.ndarray
     time: float
@@ -169,7 +170,7 @@ class ViscosityProbe:
     hessian: np.ndarray
     time_slope: float
     branch: str                  # "gradient" or "degenerate"
-    margin: float                # negative = violation in the tested mode
+    margin: float                # negative = violation of the mode's inequality
 
 
 # centres fitted and touch-tested together: bounds the (block, box) temporaries
@@ -179,32 +180,30 @@ _BOX_RADIUS = 2
 
 
 def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float],
-                         grid: Grid, params: FlowParams, mode: str,
-                         probe_budget: int = 2000, tolerance: float | None = None) -> list:
-    """Spot-check the discrete field against the viscosity inequalities.
+                         grid: Grid, params: FlowParams, probe_budget: int = 2000,
+                         tolerance: float | None = None) -> list:
+    """Spot-check the discrete field against both viscosity inequalities.
 
     At sampled interior space-time points the local quadratic model
-    (gradient, Hessian, time slope from central differences) is fitted;
-    where the model touches the field from the correct side over the
-    space-time box (radius 2 nodes in space, 1 in time, with a 1e-12
-    tie slack), the mode's differential inequality is tested within a
-    tolerance of 10 * spacing.  A box holding a non-finite value (an
-    exterior node) never touches.  Small gradients route to the degenerate
-    branch through the floor max(10 h^2, eps^2).  The fit, the touch test
-    and the margins of the touched centres run on whole arrays, 256 centres
-    at a time, with one stacked eigvalsh per block.  Returns the violations
-    sorted by location.
+    (gradient, Hessian, time slope from central differences) is fitted
+    once; where the model touches the field from above over the space-time
+    box (radius 2 nodes in space, 1 in time, with a 1e-12 tie slack), the
+    sub inequality is tested, and where it touches from below, the super
+    inequality, each within a tolerance of 10 * spacing.  A box holding a
+    non-finite value (an exterior node) never touches.  Small gradients
+    route to the degenerate branch through the floor max(10 h^2, eps^2).
+    The fit, the touch test and the margins of the touched centres run on
+    whole arrays, 256 centres at a time, with one stacked eigvalsh per
+    block and mode.  Returns the violations of both modes, each naming
+    its mode, sorted by (mode, time, location): the sub ones first.
 
     Args:
         snapshots: at least 3 equally-spaced field snapshots.
         times: their times; spacing mismatches beyond 1% are an error.
-        mode: "sub" or "super".
 
     Returns:
         list of ViscosityProbe with margin < -tolerance.
     """
-    if mode not in ("sub", "super"):
-        raise ValueError("mode must be 'sub' or 'super'")
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots for the time stencil")
     dts = np.diff(np.asarray(times, dtype=float))
@@ -237,7 +236,6 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     flat_offsets = offsets @ unit
     dx = offsets * h
     violations = []
-    sign = 1.0 if mode == "sub" else -1.0
 
     for s in range(1, len(snapshots) - 1):
         u_prev, u, u_next = slices = [np.ravel(snapshots[si]) for si in (s - 1, s, s + 1)]
@@ -248,40 +246,46 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
             q = (u_next[fc] - u_prev[fc]) / (2.0 * dtv)
             p, hess = difference_jet(uc, lambda off: u[fc + off @ unit], h, dim)
 
-            # does the quadratic model touch from the mode's side over the box?
+            # does the quadratic model touch from above (sub) or below (super)
+            # over the box?  max(-gap) <= slack is min(gap) >= -slack, exactly
             box = fc[:, None] + flat_offsets
             model = (uc[:, None] + p @ dx.T) + 0.5 * np.einsum("ni,bij,nj->bn", dx, hess, dx)
-            touched = np.ones(len(fc), bool)
+            sub = np.ones(len(fc), bool)
+            sup = np.ones(len(fc), bool)
             for si, us in zip((s - 1, s, s + 1), slices):
                 vals = us.take(box)
-                gap = sign * (vals - (model + q[:, None] * (times[si] - times[s])))
+                gap = vals - (model + q[:, None] * (times[si] - times[s]))
                 # a box holding a non-finite value (an exterior node) never touches
-                touched &= np.isfinite(gap).all(axis=1) & (np.max(gap, axis=1) <= TOUCH_SLACK)
+                finite = np.isfinite(gap).all(axis=1)
+                sub &= finite & (np.max(gap, axis=1) <= TOUCH_SLACK)
+                sup &= finite & (np.min(gap, axis=1) >= -TOUCH_SLACK)
 
-            t = np.flatnonzero(touched)
-            pt, ht = p[t], hess[t]
-            # |p| and p.H.p by matmul take BLAS's dot and gemv per probe: the
-            # bits of np.linalg.norm(p) and p @ H @ p
-            pn = np.sqrt((pt[:, None, :] @ pt[:, :, None])[:, 0, 0])
-            grad = pn > grad_floor
-            rhs = np.empty(len(t))
-            g = np.flatnonzero(grad)
-            if len(g):
-                php = ((pt[g, None, :] @ ht[g]) @ pt[g, :, None])[:, 0, 0]
-                # Python's float power, not numpy's square: the two differ in the last bit
-                sq = np.array([x ** 2 for x in pn[g].tolist()])
-                rhs[g] = np.trace(ht[g], axis1=1, axis2=2) - php / sq + params.nu * pn[g]
-            if len(g) < len(t):
-                rhs[~grad] = degenerate_branch_bound(ht[~grad], mode)
-            margin = sign * (rhs - q[t])
-            for k in np.flatnonzero(margin < -tol):
-                ci = tuple(centers[b0 + t[k]])
-                violations.append(ViscosityProbe(
-                    index=ci, point=grid.points[ci].copy(), time=float(times[s]),
-                    gradient=pt[k].copy(), hessian=ht[k].copy(),
-                    time_slope=float(q[t[k]]), branch="gradient" if grad[k] else "degenerate",
-                    margin=float(margin[k])))
-    violations.sort(key=lambda v: (v.time,) + v.index)
+            for mode, sign, touched in (("sub", 1.0, sub), ("super", -1.0, sup)):
+                t = np.flatnonzero(touched)
+                pt, ht = p[t], hess[t]
+                # |p| and p.H.p by matmul take BLAS's dot and gemv per probe: the
+                # bits of np.linalg.norm(p) and p @ H @ p
+                pn = np.sqrt((pt[:, None, :] @ pt[:, :, None])[:, 0, 0])
+                grad = pn > grad_floor
+                rhs = np.empty(len(t))
+                g = np.flatnonzero(grad)
+                if len(g):
+                    php = ((pt[g, None, :] @ ht[g]) @ pt[g, :, None])[:, 0, 0]
+                    # Python's float power, not numpy's square: the two differ in the last bit
+                    sq = np.array([x ** 2 for x in pn[g].tolist()])
+                    rhs[g] = np.trace(ht[g], axis1=1, axis2=2) - php / sq + params.nu * pn[g]
+                if len(g) < len(t):
+                    rhs[~grad] = degenerate_branch_bound(ht[~grad], mode)
+                margin = sign * (rhs - q[t])
+                for k in np.flatnonzero(margin < -tol):
+                    ci = tuple(centers[b0 + t[k]])
+                    violations.append(ViscosityProbe(
+                        mode=mode, index=ci, point=grid.points[ci].copy(), time=float(times[s]),
+                        gradient=pt[k].copy(), hessian=ht[k].copy(),
+                        time_slope=float(q[t[k]]),
+                        branch="gradient" if grad[k] else "degenerate",
+                        margin=float(margin[k])))
+    violations.sort(key=lambda v: (v.mode, v.time) + v.index)
     return violations
 
 

@@ -175,7 +175,7 @@ def spot_check_loop(snapshots, times, grid, params, mode, probe_budget=2000,
             margin = sign * (rhs - q)
             if margin < -tol:
                 violations.append(vf.ViscosityProbe(
-                    index=ci, point=grid.points[ci].copy(), time=float(times[s]),
+                    mode=mode, index=ci, point=grid.points[ci].copy(), time=float(times[s]),
                     gradient=p, hessian=hess, time_slope=float(q), branch=branch,
                     margin=float(margin)))
     violations.sort(key=lambda v: (v.time,) + v.index)

@@ -190,8 +190,7 @@ def test_criterion_7_steady_state(unit_ball, grid32):
         params = mc.FlowParams(epsilon=EPS, nu=nu)
         res = mc.relax_to_steady(prob, grid32, params, tol=1e-6)
         snaps, times = vf.replicate_steady(res.values)
-        n_bad = sum(len(vf.viscosity_spot_check(snaps, times, grid32, params, mode))
-                    for mode in ("sub", "super"))
+        n_bad = len(vf.viscosity_spot_check(snaps, times, grid32, params))
         rows.append((nu, res, n_bad))
     elapsed = time.perf_counter() - t0
     ok = all(r.converged and r.steps <= 10_000_000 and nb == 0
@@ -282,9 +281,9 @@ def test_criterion_10c_envelope_viscosity(ramp):
     lower = np.where(grid.inside, env.lower_profile(tau.ravel()).reshape(grid.shape),
                      np.nan)
     snaps, times = vf.replicate_steady(upper)
-    n_super = len(vf.viscosity_spot_check(snaps, times, grid, params, "super"))
+    n_super = sum(v.mode == "super" for v in vf.viscosity_spot_check(snaps, times, grid, params))
     snaps, times = vf.replicate_steady(lower)
-    n_sub = len(vf.viscosity_spot_check(snaps, times, grid, params, "sub"))
+    n_sub = sum(v.mode == "sub" for v in vf.viscosity_spot_check(snaps, times, grid, params))
     ok = n_super == 0 and n_sub == 0
     _line("10c", ok, f"upper-envelope super violations={n_super}, "
                      f"lower-envelope sub violations={n_sub} (both 0)")
@@ -296,12 +295,11 @@ def test_criterion_11_checker_soundness(unit_ball, grid32):
     brute force within 1e-6 on 100 random symmetric matrices."""
     params = mc.FlowParams(epsilon=EPS, nu=0.0)
     snaps = [np.where(grid32.inside, -10.0 * t, np.nan) for t in (0.0, 0.1, 0.2)]
-    flagged = len(vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid32,
-                                          params, "super")) > 0
+    flagged = any(v.mode == "super" for v in vf.viscosity_spot_check(
+        snaps, [0.0, 0.1, 0.2], grid32, params))
 
     c = np.where(grid32.inside, 0.7, np.nan)
-    clean = all(vf.viscosity_spot_check([c, c, c], [0, 0.1, 0.2], grid32,
-                                        params, mode) == [] for mode in ("sub", "super"))
+    clean = vf.viscosity_spot_check([c, c, c], [0, 0.1, 0.2], grid32, params) == []
 
     rng = np.random.default_rng(2024)
     worst = 0.0

@@ -52,3 +52,5 @@ def test_traced_flow_run_counts_rate_and_euler_calls(perfbench, tmp_path):
         assert cli.main(["flow", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert tracer.stats["operator.regularized_rhs"].calls > 0
     assert tracer.stats["operator.euler_update"].calls > 0
+    # the rate's gradient goes through the public, traced function
+    assert tracer.stats["operator.node_gradient"].calls > 0

@@ -691,7 +691,7 @@ def test_viscosity_run_checks_the_snapshots_solve_ibvp_returns(tmp_path, monkeyp
                            snapshot_times=(h / 2, 3 * h / 4, h))
     assert [s[0] for s in report.snapshots] == ([512, 768, 1024] if not extra
                                                 else [250, 375, 500])
-    assert len(seen) == 2                  # the sub and the super check
+    assert len(seen) == 1                  # one call checks both inequalities
     for snaps, times in seen:
         assert [t for _, t, _ in report.snapshots] == times
         assert [v.tobytes() for _, _, v in report.snapshots] == [v.tobytes() for v in snaps]
@@ -716,6 +716,28 @@ def test_viscosity_snapshots_are_equally_spaced_on_any_step_count(tmp_path, monk
     assert "error" not in capsys.readouterr().err
     times = seen[0][1]
     assert times == pytest.approx([17 * 0.0009, 25 * 0.0009, 33 * 0.0009], abs=1e-15)
+
+
+@pytest.mark.parametrize("experiment, config", [("steady", "steady_drift.cfg"),
+                                                ("viscosity", "viscosity.cfg")])
+def test_a_run_fits_each_checked_centre_once(tmp_path, monkeypatch, experiment, config):
+    # one jet per block of centres and snapshot triple, for both inequalities
+    fits, jet, check = [], cli.vf.difference_jet, cli.vf.viscosity_spot_check
+
+    def counting(*args):
+        fits.append(1)
+        return jet(*args)
+
+    monkeypatch.setattr(cli.vf, "difference_jet", counting)
+    seen = _spy_on_the_checker(monkeypatch)
+    cfg = DEMO_CONFIGS / config
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    run_fits = len(fits)
+    fits.clear()
+    loaded = cli.load_config(cfg)
+    grid = mc.build_grid(loaded.domain, loaded.spacing)
+    check(*seen[0], grid, loaded.params, loaded.probe_budget)
+    assert run_fits == len(fits) > 0
 
 
 def test_viscosity_rejects_a_horizon_under_four_steps(tmp_path, capsys):

@@ -196,6 +196,31 @@ def test_the_take_check_sees_a_take_function_call(tmp_path):
     assert take_function_calls(src) == [6, 7, 8]
 
 
+def twin_functions(path: Path) -> list:
+    """(line, name) for every module-level function f whose module also
+    defines a function _f at module level: a public wrapper and its private
+    body, which a tracer that wraps public functions times as one."""
+    defs = {node.name: node.lineno for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted((line, name) for name, line in defs.items() if f"_{name}" in defs)
+
+
+def test_no_module_defines_a_function_and_its_private_twin():
+    twins = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in twin_functions(path)]
+    assert twins == []
+
+
+def test_the_twin_check_sees_a_twin(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def _f(x):\n    return x\n\ndef f(x):\n    return _f(x)\n\n"
+                   "async def g():\n    pass\n\nasync def _g():\n    pass\n\n"
+                   "def h():\n    def _h():\n        pass\n\nclass K:\n"
+                   "    def k(self):\n        pass\n\n    def _k(self):\n        pass\n\n"
+                   "_m = 1\n\ndef m():\n    return _m\n")
+    assert twin_functions(src) == [(4, "f"), (7, "g")]
+
+
 def _module_path(module: str) -> Path:
     path = PACKAGE.joinpath(*module.split(".")[1:])
     return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")

@@ -143,31 +143,29 @@ def test_degenerate_branch_matches_bruteforce_sampling():
 def test_spot_check_needs_three_snapshots(grid16):
     u = np.where(grid16.inside, 0.0, np.nan)
     with pytest.raises(ValueError):
-        vf.viscosity_spot_check([u, u], [0.0, 0.1], grid16,
-                                mc.FlowParams(epsilon=0.05), "sub")
+        vf.viscosity_spot_check([u, u], [0.0, 0.1], grid16, mc.FlowParams(epsilon=0.05))
 
 
 def test_spot_check_rejects_uneven_spacing(grid16):
     u = np.where(grid16.inside, 0.0, np.nan)
     with pytest.raises(ValueError):
         vf.viscosity_spot_check([u, u, u], [0.0, 0.1, 0.5], grid16,
-                                mc.FlowParams(epsilon=0.05), "sub")
+                                mc.FlowParams(epsilon=0.05))
 
 
 def test_spot_check_constant_field_clean(grid16):
     u = np.where(grid16.inside, 1.5, np.nan)
     params = mc.FlowParams(epsilon=0.05)
-    for mode in ("sub", "super"):
-        assert vf.viscosity_spot_check([u, u, u], [0, 0.1, 0.2], grid16,
-                                       params, mode) == []
+    assert vf.viscosity_spot_check([u, u, u], [0, 0.1, 0.2], grid16, params) == []
 
 
 def test_spot_check_flags_planted_counterexample(grid16):
     # u = -10 t is flat in space but sinks: a super-solution violation
     snaps = [np.where(grid16.inside, -10.0 * t, np.nan) for t in (0.0, 0.1, 0.2)]
     params = mc.FlowParams(epsilon=0.05)
-    sup = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid16, params, "super")
-    sub = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid16, params, "sub")
+    probes = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid16, params)
+    sup = [v for v in probes if v.mode == "super"]
+    sub = [v for v in probes if v.mode == "sub"]
     assert len(sup) > 0
     assert all(v.margin < -10 * grid16.spacing for v in sup)
     assert all(v.branch == "degenerate" for v in sup)
@@ -181,15 +179,13 @@ def test_spot_check_solver_output_clean(unit_ball, grid16):
                         snapshot_times=(0.025, 0.05, 0.075))
     snaps = [s[2] for s in rep.snapshots]
     times = [s[1] for s in rep.snapshots]
-    for mode in ("sub", "super"):
-        assert vf.viscosity_spot_check(snaps, times, grid16, params, mode) == []
+    assert vf.viscosity_spot_check(snaps, times, grid16, params) == []
 
 
 def test_spot_check_violations_sorted(grid16):
     snaps = [np.where(grid16.inside, -10.0 * t, np.nan) for t in (0.0, 0.1, 0.2)]
-    v = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid16,
-                                mc.FlowParams(epsilon=0.05), "super")
-    keys = [(x.time,) + x.index for x in v]
+    v = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid16, mc.FlowParams(epsilon=0.05))
+    keys = [(x.mode, x.time) + x.index for x in v]
     assert keys == sorted(keys)
 
 
@@ -199,8 +195,9 @@ def test_spot_check_violations_have_their_whole_box_inside(unit_ball, h):
     # exterior node, and such a box was never touch-tested
     grid = mc.build_grid(unit_ball, h)
     snaps = [np.where(grid.inside, -10.0 * t, np.nan) for t in (0.0, 0.1, 0.2)]
-    sup = vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid,
-                                  mc.FlowParams(epsilon=0.05), "super")
+    sup = [v for v in vf.viscosity_spot_check(snaps, [0.0, 0.1, 0.2], grid,
+                                              mc.FlowParams(epsilon=0.05))
+           if v.mode == "super"]
     assert len(sup) > 0
     for v in sup:
         box = tuple(slice(i - 2, i + 3) for i in v.index)
@@ -214,8 +211,10 @@ def test_spot_check_box_with_a_nonfinite_value_never_touches(grid16, mode, value
     u[node] = value
     snaps, times = vf.replicate_steady(u)
     with np.errstate(invalid="ignore"):        # fits whose stencil holds inf subtract infinities
-        probes = vf.viscosity_spot_check(snaps, times, grid16, mc.FlowParams(epsilon=0.05),
-                                         mode, tolerance=-np.inf)
+        probes = [v for v in vf.viscosity_spot_check(snaps, times, grid16,
+                                                     mc.FlowParams(epsilon=0.05),
+                                                     tolerance=-np.inf)
+                  if v.mode == mode]
     assert len(probes) > 0
     assert all(max(abs(i - j) for i, j in zip(v.index, node)) > 2 for v in probes)
 
@@ -282,7 +281,8 @@ def test_spot_check_matches_the_per_probe_oracle(grid, kind, n_snaps, mode, drif
     params = mc.FlowParams(epsilon=0.2, nu=0.3) if drift else mc.FlowParams(epsilon=0.05)
     # an infinite negative tolerance reports every touched probe
     tol = -np.inf if report_all else None
-    got = vf.viscosity_spot_check(snaps, times, g, params, mode, budget, tolerance=tol)
+    got = [v for v in vf.viscosity_spot_check(snaps, times, g, params, budget, tolerance=tol)
+           if v.mode == mode]
     want = spot_check_loop(snaps, times, g, params, mode, budget, tolerance=tol)
     assert [_probe_bits(v) for v in got] == [_probe_bits(v) for v in want]
 
@@ -291,10 +291,10 @@ def test_spot_check_temporaries_stay_small(grid32):
     u = np.where(grid32.inside, grid32.points[..., 0], np.nan)
     snaps, times = vf.replicate_steady(u)
     params = mc.FlowParams(epsilon=0.05, nu=0.3)
-    vf.viscosity_spot_check(snaps, times, grid32, params, "sub")     # warm caches
+    vf.viscosity_spot_check(snaps, times, grid32, params)     # warm caches
     tracemalloc.start()
     try:
-        vf.viscosity_spot_check(snaps, times, grid32, params, "sub")
+        vf.viscosity_spot_check(snaps, times, grid32, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
