@@ -423,6 +423,9 @@ def node_gradient(values: np.ndarray, grid: Grid, bvals: BoundaryValues,
     with an uncut side at t = 1 reading its neighbor node.  The cut formula
     runs once, for the cut nodes of every axis together.  A values array
     that is not the grid's compact array (of ws's stack) is an OperatorError.
+    No floating-point error state is set here: a caller passing non-finite
+    or huge values opens its own np.errstate, as regularized_rhs does, or
+    gets numpy's RuntimeWarning.
     """
     v = values
     ws = _workspace(v, grid, ws)
