@@ -194,8 +194,10 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
     route to the degenerate branch through the floor max(10 h^2, eps^2).
     The fit, the touch test and the margins of the touched centres run on
     whole arrays, 256 centres at a time, with one stacked eigvalsh per
-    block and mode.  Returns the violations of both modes, each naming
-    its mode, sorted by (mode, time, location): the sub ones first.
+    block and mode.  A time stencil whose three snapshots are one array
+    (replicate_steady) is touch-tested once.  Returns the violations of both
+    modes, each naming its mode, sorted by (mode, time, location): the sub
+    ones first.
 
     Args:
         snapshots: at least 3 equally-spaced field snapshots.
@@ -239,6 +241,11 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
 
     for s in range(1, len(snapshots) - 1):
         u_prev, u, u_next = slices = [np.ravel(snapshots[si]) for si in (s - 1, s, s + 1)]
+        # one array at all three times (a steady field) has time slope 0 or NaN:
+        # its three gaps differ only in the sign of a zero, so the middle one
+        # decides the touch alone
+        steady = snapshots[s - 1] is snapshots[s] is snapshots[s + 1]
+        stencil = [(s, u)] if steady else list(zip((s - 1, s, s + 1), slices))
         dtv = (times[s + 1] - times[s - 1]) / 2.0
         for b0 in range(0, len(centers), _BLOCK):
             fc = flat_centers[b0:b0 + _BLOCK]
@@ -252,7 +259,7 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
             model = (uc[:, None] + p @ dx.T) + 0.5 * np.einsum("ni,bij,nj->bn", dx, hess, dx)
             sub = np.ones(len(fc), bool)
             sup = np.ones(len(fc), bool)
-            for si, us in zip((s - 1, s, s + 1), slices):
+            for si, us in stencil:
                 vals = us.take(box)
                 gap = vals - (model + q[:, None] * (times[si] - times[s]))
                 # a box holding a non-finite value (an exterior node) never touches
@@ -278,7 +285,7 @@ def viscosity_spot_check(snapshots: Sequence[np.ndarray], times: Sequence[float]
                     rhs[~grad] = degenerate_branch_bound(ht[~grad], mode)
                 margin = sign * (rhs - q[t])
                 for k in np.flatnonzero(margin < -tol):
-                    ci = tuple(centers[b0 + t[k]])
+                    ci = tuple(centers[b0 + t[k]].tolist())
                     violations.append(ViscosityProbe(
                         mode=mode, index=ci, point=grid.points[ci].copy(), time=float(times[s]),
                         gradient=pt[k].copy(), hessian=ht[k].copy(),

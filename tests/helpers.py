@@ -316,7 +316,7 @@ def sampled_lipschitz_bruteforce(w, grid, collar) -> float:
 
 def box_cuts(grid, bvals):
     """The cut-gradient data of bvals per axis, in box flat indices: the
-    layout the box-flat and the slice oracles read."""
+    layout the box-flat oracle reads."""
     c = bvals.cuts
     n = grid.n_inside
     inside_flat = np.flatnonzero(grid.inside)
@@ -470,89 +470,6 @@ def march_box_flat(values, grid, params, bvals, n_steps):
         t += dt
         regularized_rhs_box_flat(u, grid, params, bvals, ws)
         yield k, t, u, ws
-
-
-class SliceWorkspace:
-    """Scratch arrays of the per-axis slice oracle for the operator."""
-
-    def __init__(self, grid, stack=()):
-        shape = grid.shape + stack
-        self.grads = np.full((grid.dim,) + shape, np.nan)
-        self.s_node = np.full(shape, np.nan)
-        self.dn = np.full(shape, np.nan)        # face difference, then face flux
-        self.acc = np.full(shape, np.nan)
-        self.rate = np.full(shape, np.nan)
-        self.tmp = np.full(shape, np.nan)
-        self.exterior = ~grid.interior
-        self.slices = []
-        for ax in range(grid.dim):
-            def s(a, b):
-                sl = [slice(None)] * grid.dim
-                sl[ax] = slice(a, b)
-                return tuple(sl)
-            self.slices.append({"mid": s(1, -1), "plus": s(2, None), "minus": s(0, -2),
-                                "lo": s(0, -1), "hi": s(1, None)})
-
-
-def node_gradient_slices(values, grid, bvals, ws):
-    """Oracle for operator.node_gradient: the same formulas on per-axis
-    slices of the grid-shaped field, which never wrap."""
-    h = grid.spacing
-    flat = op_flat(values, grid.dim)
-    with np.errstate(invalid="ignore"):
-        for ax, c in enumerate(box_cuts(grid, bvals)):
-            sl = ws.slices[ax]
-            g = ws.grads[ax]
-            np.subtract(values[sl["plus"]], values[sl["minus"]], out=g[sl["mid"]])
-            g[sl["mid"]] /= 2 * h
-            up, um = flat[c.ip], flat[c.im]
-            np.copyto(up, c.hb_p, where=c.cut_p)
-            np.copyto(um, c.hb_m, where=c.cut_m)
-            op_flat(g, grid.dim)[c.idx] = (c.tm2 * up - c.tp2 * um + c.w0 * flat[c.idx]) / c.den
-    return ws.grads
-
-
-def regularized_rhs_slices(values, grid, params, bvals, ws):
-    """Oracle for operator.regularized_rhs on per-axis slices; fills ws."""
-    h = grid.spacing
-    eps2 = params.epsilon ** 2
-    grads = node_gradient_slices(values, grid, bvals, ws)
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(grads[0], grads[0], out=ws.s_node)
-        for j in range(1, grid.dim):
-            np.multiply(grads[j], grads[j], out=ws.tmp)
-            ws.s_node += ws.tmp
-        ws.s_node += eps2
-        np.sqrt(ws.s_node, out=ws.s_node)
-        rate = ws.rate
-        rate.fill(0.0)
-        for ax in range(grid.dim):
-            sl = ws.slices[ax]
-            lo, hi = sl["lo"], sl["hi"]
-            dn, acc, tmp = ws.dn, ws.acc, ws.tmp
-            np.subtract(values[hi], values[lo], out=dn[lo])
-            dn[lo] /= h
-            acc.fill(0.0)
-            for j in range(grid.dim):
-                if j == ax:
-                    continue
-                gj = grads[j]
-                np.add(gj[lo], gj[hi], out=tmp[lo])
-                tmp[lo] *= 0.5
-                np.multiply(tmp[lo], tmp[lo], out=tmp[lo])
-                acc[lo] += tmp[lo]
-            np.multiply(dn[lo], dn[lo], out=tmp[lo])
-            acc[lo] += tmp[lo]
-            acc[lo] += eps2
-            np.sqrt(acc[lo], out=acc[lo])
-            np.divide(dn[lo], acc[lo], out=dn[lo])
-            np.subtract(dn[hi], dn[lo], out=tmp[hi])
-            rate[hi] += tmp[hi]
-        rate /= h
-        rate += params.nu
-        rate *= ws.s_node
-        rate[ws.exterior] = np.nan
-    return rate
 
 
 class RecorderOracle:

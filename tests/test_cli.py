@@ -697,6 +697,27 @@ def test_viscosity_run_checks_the_snapshots_solve_ibvp_returns(tmp_path, monkeyp
         assert [v.tobytes() for _, _, v in report.snapshots] == [v.tobytes() for v in snaps]
 
 
+def test_violations_csv_writes_a_row_per_violation(tmp_path, monkeypatch, capsys):
+    # viscosity.cfg finds no violation, so its pinned file is the header alone
+    def planted(*args):
+        jet = dict(point=np.zeros(2), gradient=np.zeros(2), hessian=np.zeros((2, 2)),
+                   time_slope=0.0)
+        return [cli.vf.ViscosityProbe(mode="sub", index=(12, 7), time=0.1, branch="gradient",
+                                      margin=-0.7, **jet),
+                cli.vf.ViscosityProbe(mode="super", index=(3, 30), time=0.25,
+                                      branch="degenerate", margin=-1e-320, **jet)]
+
+    monkeypatch.setattr(cli.vf, "viscosity_spot_check", planted)
+    out = tmp_path / "v"
+    assert cli.main(["viscosity", "--config", str(VISCOSITY_CFG), "--out", str(out)]) == 1
+    assert (out / "violations.csv").read_bytes() == (
+        b"t,location,branch,margin\n"
+        b'0.10000000000000001,"(12, 7)",gradient,-0.69999999999999996\n'
+        b'0.25,"(3, 30)",degenerate,-9.9998886718268301e-321\n')
+    assert capsys.readouterr().out.splitlines() == [
+        "[viscosity] viscosity-clean: FAIL (measured 2, tolerance 0)"]
+
+
 def test_viscosity_run_keeps_no_step_record(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a viscosity run built a step recorder")

@@ -350,3 +350,56 @@ def test_the_call_check_sees_a_misfit_call(tmp_path):
         (5, "mc.solve_ibvp", "unknown keyword snapshots"),
         (6, "mc.solve_ibvp", "missing horizon"),
     ]
+
+
+def unused_helpers(helpers: Path, modules) -> list:
+    """(line, name) for every top-level function, class and constant of the
+    helpers module that no module in modules uses: imports from it and
+    loads, directly or through another helper that is used."""
+    defs = {}
+    for node in _parse(helpers).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs |= {n.id: node for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)}
+
+    def loads(tree, names):
+        return {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names}
+
+    used = set()
+    for path in modules:
+        tree = _parse(path)
+        imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == helpers.stem
+                    for a in node.names}
+        used |= {imported[name] for name in loads(tree, imported)} & defs.keys()
+    todo = list(used)
+    while todo:
+        reached = loads(defs[todo.pop()], defs) - used
+        used |= reached
+        todo += reached
+    return sorted((node.lineno, name) for name, node in defs.items() if name not in used)
+
+
+def test_every_test_helper_is_used():
+    # a retired oracle must leave with the tests that read it
+    tests = ROOT / "tests"
+    modules = sorted(path for path in tests.glob("*.py") if path.name != "helpers.py")
+    assert unused_helpers(tests / "helpers.py", modules) == []
+
+
+def test_the_helper_check_sees_an_orphan(tmp_path):
+    helpers = tmp_path / "helpers.py"
+    helpers.write_text("import numpy as np\nLIMIT = 3\nUNUSED = 4\n\n"
+                       "def used(x):\n    return _inner(x) + LIMIT\n\n"
+                       "def _inner(x):\n    return np.abs(x)\n\n"
+                       "def orphan():\n    return used(1)\n\n"
+                       "class Oracle:\n    pass\n\n"
+                       "def imported_only():\n    pass\n")
+    test = tmp_path / "test_m.py"
+    test.write_text("from helpers import used as u, imported_only\nfrom other import orphan\n\n"
+                    "def test_a():\n    assert u(1) and orphan()\n")
+    assert unused_helpers(helpers, [test]) == [(3, "UNUSED"), (11, "orphan"), (14, "Oracle"),
+                                               (17, "imported_only")]

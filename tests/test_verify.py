@@ -231,12 +231,15 @@ def _oracle_grid(name):
 
 def _oracle_fields(grid, kind, n_snaps, seed):
     """Snapshots at t = 0, 0.1, ...: a random quadratic with a time slope,
-    the same with noise or with NaN holes inside, or the planted -10 t."""
+    the same with noise or with NaN holes inside, or the planted -10 t; or
+    the quadratic as a steady field, one array at t = 0, 1, 2."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(grid.dim, grid.dim))
     x = grid.points - 0.2 * rng.uniform(-1.0, 1.0, grid.dim)
     quad = np.einsum("...i,ij,...j->...", x, a + a.T, x) + 0.3 * x @ rng.normal(size=grid.dim)
     slope = 3.0 * rng.normal()
+    if kind == "steady":
+        return vf.replicate_steady(np.where(grid.inside, quad, np.nan))
     times = [0.1 * i for i in range(n_snaps)]
     snaps = []
     for t in times:
@@ -262,7 +265,7 @@ def _probe_bits(v):
 
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(grid=st.sampled_from(("disk", "stadium", "spheroid")),
-       kind=st.sampled_from(("quadratic", "noisy", "planted", "nan-box")),
+       kind=st.sampled_from(("quadratic", "noisy", "planted", "nan-box", "steady")),
        n_snaps=st.sampled_from((3, 4)), mode=st.sampled_from(("sub", "super")),
        drift=st.booleans(), budget=st.sampled_from((2000, 150)),
        report_all=st.booleans(), seed=st.integers(0, 10_000))
@@ -274,6 +277,8 @@ def _probe_bits(v):
          budget=2000, report_all=True, seed=2)
 @example(grid="disk", kind="planted", n_snaps=4, mode="super", drift=False,
          budget=2000, report_all=False, seed=3)
+@example(grid="spheroid", kind="steady", n_snaps=3, mode="sub", drift=True,
+         budget=2000, report_all=True, seed=4)
 def test_spot_check_matches_the_per_probe_oracle(grid, kind, n_snaps, mode, drift,
                                                  budget, report_all, seed):
     g = _oracle_grid(grid)
@@ -285,6 +290,8 @@ def test_spot_check_matches_the_per_probe_oracle(grid, kind, n_snaps, mode, drif
            if v.mode == mode]
     want = spot_check_loop(snaps, times, g, params, mode, budget, tolerance=tol)
     assert [_probe_bits(v) for v in got] == [_probe_bits(v) for v in want]
+    # the node index of a probe is written to violations.csv as Python ints print
+    assert all(type(i) is int for v in got for i in v.index)
 
 
 def test_spot_check_temporaries_stay_small(grid32):
